@@ -5,7 +5,13 @@ pseudoharmonic molecular potentials in quantum mechanics deformed by a
 smallest resolvable length hbar*sqrt(5 beta), an independent finite-
 difference eigensolver that verifies every formula, and an estimator for the
 upper bound on beta from experimental data.
+
+The solver (``oracle``) and the sweep built on it (``verify``) load scipy, so
+their names are resolved on first use: importing the package and using the
+closed forms loads numpy only.
 """
+from importlib import import_module as _import_module
+
 from .core import (
     AMU_TO_INTERNAL,
     EV_TO_CM1,
@@ -40,23 +46,6 @@ from .kratzer import (
     kratzer_energy_undeformed,
     kratzer_spectroscopic_constants,
 )
-from .oracle import (
-    RadialEigenstate,
-    RadialGrid,
-    RadialProblem,
-    RefinementResult,
-    auto_grid,
-    dump_eigenstate,
-    extrapolate,
-    kinetic_expectation,
-    p4_expectation,
-    p4_expectation_fd,
-    perturbative_correction,
-    potential_expectation,
-    refine_to_tolerance,
-    richardson,
-    solve_radial,
-)
 from .pho import (
     PhoPotential,
     pho_correction_slope,
@@ -79,6 +68,44 @@ from .spectroscopy import (
     master_energy,
     packaged_data_path,
 )
-from .verify import SweepCell, SweepReport, closed_vs_oracle_sweep
 
 __version__ = "0.1.0"
+
+_LAZY_MODULES = {
+    "oracle": (
+        "RadialEigenstate",
+        "RadialGrid",
+        "RadialProblem",
+        "RefinementResult",
+        "auto_grid",
+        "dump_eigenstate",
+        "extrapolate",
+        "kinetic_expectation",
+        "p4_expectation",
+        "p4_expectation_fd",
+        "perturbative_correction",
+        "potential_expectation",
+        "refine_to_tolerance",
+        "richardson",
+        "solve_radial",
+    ),
+    "verify": ("SweepCell", "SweepReport", "closed_vs_oracle_sweep"),
+}
+_LAZY_NAMES = {name: module for module, names in _LAZY_MODULES.items() for name in names}
+__all__ = sorted(
+    {name for name in globals() if not name.startswith("_")}
+    | set(_LAZY_MODULES)
+    | set(_LAZY_NAMES)
+)
+
+
+def __getattr__(name: str):
+    if name in _LAZY_MODULES:
+        return _import_module(f".{name}", __name__)
+    if name in _LAZY_NAMES:
+        return getattr(_import_module(f".{_LAZY_NAMES[name]}", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -12,10 +12,12 @@ molecule or level); 4 verification failure; 1 unexpected internal error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import os
 import sys
+import warnings
 from pathlib import Path
 
 from .core import (
@@ -27,10 +29,15 @@ from .core import (
     FitError,
     GupmolError,
     Molecule,
+    PerturbationWarning,
     QuantumNumbers,
     gamma,
 )
-from .kratzer import kratzer_energy_deformed, kratzer_spectroscopic_constants
+from .kratzer import (
+    FIRST_ORDER_WARN_RATIO,
+    kratzer_energy_deformed,
+    kratzer_spectroscopic_constants,
+)
 from .pho import pho_energy_deformed, pho_spectroscopic_constants
 from .spectroscopy import (
     closed_form_table,
@@ -40,7 +47,6 @@ from .spectroscopy import (
     load_molecules,
     packaged_data_path,
 )
-from .verify import DEFAULT_TOL_CORRECTION, DEFAULT_TOL_ENERGY, closed_vs_oracle_sweep
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -50,6 +56,19 @@ EXIT_VERIFY = 4
 
 QN_CAP = 200  # safety cap on --nmax / --lmax
 DATA_DIR_ENV = "GUPMOL_DATA_DIR"
+
+# verify flag -> closed_vs_oracle_sweep keyword; unset flags keep the sweep's defaults
+SWEEP_OPTIONS = {
+    "gamma": "gammas",
+    "nmax": "n_max",
+    "lmax": "l_max",
+    "beta": "beta",
+    "tol_energy": "tol_energy",
+    "tol_correction": "tol_correction",
+    "grid_points": "base_points",
+    "levels": "levels",
+    "rmax": "r_max",
+}
 
 
 def _fmt(x: float) -> str:
@@ -110,6 +129,32 @@ def _emit_json(payload: dict) -> None:
     sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+@contextlib.contextmanager
+def _summarize_perturbation_warnings():
+    """Fold the PerturbationWarnings of one command into one stderr line.
+
+    Other warnings are shown as usual, once the recording filters are gone.
+    """
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", PerturbationWarning)
+            yield
+    finally:
+        flagged = []
+        for w in caught:
+            if issubclass(w.category, PerturbationWarning):
+                flagged.append(w.message)
+            else:
+                warnings.showwarning(w.message, w.category, w.filename, w.lineno)
+        if flagged:
+            worst = max(flagged, key=lambda w: w.ratio)
+            print(f"warning: {len(flagged)} levels have a first-order shift above "
+                  f"{FIRST_ORDER_WARN_RATIO:g} of the level (PerturbationWarning); worst "
+                  f"n={worst.qn.n} l={worst.qn.ell} with |delta_e|/|e0| = {worst.ratio:.3g}",
+                  file=sys.stderr)
+
+
+@_summarize_perturbation_warnings()
 def cmd_spectrum(args: argparse.Namespace) -> int:
     _check_caps(args)
     molecule = _resolve_molecule(args)
@@ -151,6 +196,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@_summarize_perturbation_warnings()
 def cmd_constants(args: argparse.Namespace) -> int:
     _check_caps(args)
     molecule = _resolve_molecule(args)
@@ -202,20 +248,15 @@ def cmd_constants(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .verify import closed_vs_oracle_sweep  # loads the solver and scipy
+
     _check_caps(args)
+    options = {keyword: getattr(args, flag) for flag, keyword in SWEEP_OPTIONS.items()
+               if getattr(args, flag) is not None}
+    if "gammas" in options:
+        options["gammas"] = tuple(options["gammas"])
     potentials = (args.potential,) if args.potential else ("kratzer", "pho")
-    report = closed_vs_oracle_sweep(
-        potentials=potentials,
-        gammas=tuple(args.gamma),
-        n_max=args.nmax,
-        l_max=args.lmax,
-        beta=args.beta if args.beta is not None else 1e-6,
-        tol_energy=args.tol_energy,
-        tol_correction=args.tol_correction,
-        base_points=args.grid_points,
-        levels=args.levels,
-        r_max=args.rmax,
-    )
+    report = closed_vs_oracle_sweep(potentials=potentials, **options)
 
     header = ["potential", "gamma", "n", "l", "e_closed", "e_oracle", "e_rel_err",
               "de_closed", "de_oracle", "de_rel_err", "status"]
@@ -366,13 +407,13 @@ def build_parser() -> argparse.ArgumentParser:
                     help="restrict to one potential (default: both)")
     vp.add_argument("--gamma", type=float, action="append", default=None,
                     help="well-depth parameter; repeatable (default: 20 and 100)")
-    vp.add_argument("--nmax", type=int, default=3)
-    vp.add_argument("--lmax", type=int, default=2)
-    vp.add_argument("--beta", type=float, default=1e-6)
-    vp.add_argument("--tol-energy", type=float, default=DEFAULT_TOL_ENERGY)
-    vp.add_argument("--tol-correction", type=float, default=DEFAULT_TOL_CORRECTION)
-    vp.add_argument("--grid-points", type=int, default=4001)
-    vp.add_argument("--levels", type=int, default=3, help="refinement levels")
+    vp.add_argument("--nmax", type=int)
+    vp.add_argument("--lmax", type=int)
+    vp.add_argument("--beta", type=float)
+    vp.add_argument("--tol-energy", type=float)
+    vp.add_argument("--tol-correction", type=float)
+    vp.add_argument("--grid-points", type=int)
+    vp.add_argument("--levels", type=int, help="refinement levels")
     vp.add_argument("--rmax", type=float, help="override the automatic box size")
     vp.add_argument("--format", choices=("csv", "json"), default="csv")
     vp.set_defaults(func=cmd_verify)

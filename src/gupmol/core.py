@@ -21,21 +21,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy import constants as _codata
-
 HBAR = 1.0
 
-# CODATA factors via scipy.constants: hbar*c in eV*Angstrom, eV <-> cm^-1,
-# and amu -> internal mass = (amu c^2 in eV) / (hbar c in eV*A)^2.
-HBARC_EV_ANGSTROM = (
-    _codata.physical_constants["reduced Planck constant times c in MeV fm"][0] * 10.0
-)
-EV_TO_CM1 = _codata.physical_constants["electron volt-inverse meter relationship"][0] / 100.0
-AMU_TO_INTERNAL = (
-    _codata.physical_constants["atomic mass constant energy equivalent in MeV"][0]
-    * 1.0e6
-    / HBARC_EV_ANGSTROM**2
-)
+# CODATA 2022 factors, as scipy 1.17's scipy.constants gives them (pinned here
+# so that importing the package loads no scipy): hbar*c in MeV fm, eV in
+# inverse metres, and the atomic mass constant in MeV.  From them: hbar*c in
+# eV*Angstrom, eV <-> cm^-1, and amu -> internal mass
+# = (amu c^2 in eV) / (hbar c in eV*A)^2.
+_HBARC_MEV_FM = 197.3269804593025
+_EV_INVERSE_METRE = 806554.3937349211
+_AMU_MEV = 931.49410372
+
+HBARC_EV_ANGSTROM = _HBARC_MEV_FM * 10.0
+EV_TO_CM1 = _EV_INVERSE_METRE / 100.0
+AMU_TO_INTERNAL = _AMU_MEV * 1.0e6 / HBARC_EV_ANGSTROM**2
 
 ENERGY_UNITS = ("internal", "eV", "cm-1")
 
@@ -65,7 +64,17 @@ class FitError(GupmolError, ValueError):
 
 
 class PerturbationWarning(UserWarning):
-    """First-order correction is not small against the level it corrects."""
+    """First-order correction is not small against the level it corrects.
+
+    The level functions set ``qn``, the level's quantum numbers, and ``ratio``,
+    |shift| / |undeformed level|, so that a caller can summarize many warnings.
+    """
+
+    def __init__(self, message: str, qn: QuantumNumbers | None = None,
+                 ratio: float = math.nan) -> None:
+        super().__init__(message)
+        self.qn = qn
+        self.ratio = ratio
 
 
 @dataclass(frozen=True)

@@ -113,8 +113,12 @@ def kratzer_energy_deformed(m: Molecule, d: Deformation, qn: QuantumNumbers) -> 
     de = d.beta * kratzer_correction_slope(m, qn)
     if abs(de) > FIRST_ORDER_WARN_RATIO * abs(e0):
         warnings.warn(
-            f"first-order shift |{de:.3e}| exceeds {FIRST_ORDER_WARN_RATIO:g} of |e0| = "
-            f"{abs(e0):.3e} for {m.name!r} (n={qn.n}, ell={qn.ell})",
+            PerturbationWarning(
+                f"first-order shift |{de:.3e}| exceeds {FIRST_ORDER_WARN_RATIO:g} of |e0| = "
+                f"{abs(e0):.3e} for {m.name!r} (n={qn.n}, ell={qn.ell})",
+                qn=qn,
+                ratio=abs(de) / abs(e0) if e0 else math.inf,
+            ),
             PerturbationWarning,
             stacklevel=2,
         )

@@ -11,7 +11,14 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .core import Deformation, GupmolError, Molecule, QuantumNumbers, synthetic_molecule
+from .core import (
+    Deformation,
+    DomainError,
+    GupmolError,
+    Molecule,
+    QuantumNumbers,
+    synthetic_molecule,
+)
 from .kratzer import KratzerPotential, kratzer_correction_slope, kratzer_energy_undeformed
 from .oracle import auto_grid, extrapolate, p4_expectation, solve_radial
 from .pho import PhoPotential, pho_correction_slope, pho_energy_undeformed
@@ -88,6 +95,8 @@ def closed_vs_oracle_sweep(
     FAIL with the diagnostic in ``note`` instead of aborting the sweep, so a
     deliberately coarse grid produces a failing report rather than a crash.
     """
+    if levels < 1:
+        raise DomainError(f"levels must be >= 1, got {levels}")
     t0 = time.perf_counter()
     deformation = Deformation(beta)
     cells: list[SweepCell] = []

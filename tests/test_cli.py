@@ -3,10 +3,20 @@ import io
 import json
 import subprocess
 import sys
+import warnings
 
 import pytest
 
-from gupmol import QuantumNumbers, kratzer_energy_deformed, Deformation, synthetic_molecule
+from gupmol import (
+    Deformation,
+    PerturbationWarning,
+    QuantumNumbers,
+    kratzer_energy_deformed,
+    load_molecules,
+    packaged_data_path,
+    pho_energy_deformed,
+    synthetic_molecule,
+)
 from gupmol.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_VERIFY, main
 
 
@@ -163,6 +173,77 @@ class TestVerify:
         assert code == EXIT_OK
         rows = parse_csv(out)
         assert all(float(r["de_rel_err"]) == 0.0 for r in rows)
+
+    def test_default_gammas(self, capsys):
+        code, out, err = run_main(
+            capsys, "verify", "--potential", "kratzer", "--nmax", "0", "--lmax", "0",
+        )
+        assert code == EXIT_OK, err
+        assert [float(r["gamma"]) for r in parse_csv(out)] == [20.0, 100.0]
+
+    @pytest.mark.parametrize("levels", ["0", "-1"])
+    def test_levels_below_one_is_config_error(self, capsys, levels):
+        code, out, err = run_main(
+            capsys, "verify", "--gamma", "20", "--nmax", "0", "--lmax", "0", "--levels", levels,
+        )
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert err.startswith("error:") and "levels" in err
+        assert len(err.splitlines()) == 1
+
+
+class TestPerturbationWarningSummary:
+    ARGV = ["spectrum", "--potential", "pho", "--molecule", "H2-kratzer", "--beta", "1e-5",
+            "--nmax", "40", "--lmax", "40"]
+
+    def test_one_stderr_line_with_count_and_worst_level(self, capsys):
+        code, out, err = run_main(capsys, *self.ARGV)
+        assert code == EXIT_OK
+        assert len(parse_csv(out)) == 41 * 41
+        (line,) = err.splitlines()
+        assert line.startswith("warning: ")
+        assert "PerturbationWarning" in line
+
+        (molecule,) = [m for m in load_molecules(packaged_data_path("molecules.csv"))
+                       if m.name == "H2-kratzer"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for n in range(41):
+                for ell in range(41):
+                    pho_energy_deformed(molecule, Deformation(1e-5), QuantumNumbers(n, ell))
+        flagged = [w.message for w in caught if issubclass(w.category, PerturbationWarning)]
+        assert 0 < len(flagged) < 41 * 41
+        worst = max(flagged, key=lambda w: w.ratio)
+        assert f"warning: {len(flagged)} levels " in line
+        assert f"worst n={worst.qn.n} l={worst.qn.ell} " in line
+
+    def test_constants_fit_summarized(self, capsys):
+        code, _, err = run_main(
+            capsys, "constants", "--potential", "pho", "--molecule", "H2-kratzer",
+            "--beta", "1e-2", "--fit", "--nmax", "4", "--lmax", "4",
+        )
+        assert code == EXIT_OK
+        (line,) = err.splitlines()
+        assert line.startswith("warning: ") and "PerturbationWarning" in line
+
+    def test_other_warnings_pass_through(self, capsys, tmp_path):
+        empty = tmp_path / "molecules.csv"
+        empty.write_text("")
+        with pytest.warns(UserWarning, match="no records"):
+            code, _, err = run_main(
+                capsys, "spectrum", "--potential", "kratzer", "--molecule", "X",
+                "--molecules-file", str(empty),
+            )
+        assert code == EXIT_DATA
+        assert err.startswith("data error:")
+
+    def test_library_still_warns_per_level(self, unit_molecule):
+        with pytest.warns(PerturbationWarning) as record:
+            level = kratzer_energy_deformed(unit_molecule, Deformation(0.06),
+                                            QuantumNumbers(0, 0))
+        (w,) = record
+        assert w.message.qn == QuantumNumbers(0, 0)
+        assert w.message.ratio == pytest.approx(abs(level.de / level.e0))
 
 
 class TestFitBeta:

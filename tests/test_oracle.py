@@ -11,6 +11,7 @@ from gupmol import (
     RadialGrid,
     RadialProblem,
     auto_grid,
+    closed_vs_oracle_sweep,
     dump_eigenstate,
     extrapolate,
     kinetic_expectation,
@@ -276,3 +277,10 @@ class TestClosedFormAgreement:
             g = g.refined()
         exact = pho_energy_undeformed(m, QuantumNumbers(0, 0))
         assert extrapolate(ladder) == pytest.approx(exact, rel=1e-7)
+
+
+class TestSweep:
+    @pytest.mark.parametrize("levels", [0, -1])
+    def test_levels_below_one_rejected(self, levels):
+        with pytest.raises(DomainError, match="levels"):
+            closed_vs_oracle_sweep(gammas=(20.0,), n_max=0, l_max=0, levels=levels)
