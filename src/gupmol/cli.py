@@ -22,6 +22,7 @@ from pathlib import Path
 
 from .core import (
     ENERGY_UNITS,
+    FIRST_ORDER_WARN_RATIO,
     UNITS,
     DataFormatError,
     Deformation,
@@ -33,16 +34,12 @@ from .core import (
     QuantumNumbers,
     gamma,
 )
-from .kratzer import (
-    FIRST_ORDER_WARN_RATIO,
-    kratzer_energy_deformed,
-    kratzer_spectroscopic_constants,
-)
-from .pho import pho_energy_deformed, pho_spectroscopic_constants
 from .spectroscopy import (
+    MODELS,
     closed_form_table,
     fit_beta_bound,
     fit_dunham,
+    get_model,
     load_levels,
     load_molecules,
     packaged_data_path,
@@ -117,10 +114,10 @@ def _check_caps(args: argparse.Namespace) -> None:
             raise DomainError(f"--{label} must be within [0, {QN_CAP}], got {value}")
 
 
-def _emit_csv(header: list[str], rows: list[list[str]], comments: list[str]) -> None:
+def _emit_csv(header: list[str], rows: list[list[str]], meta: dict) -> None:
     writer = csv.writer(sys.stdout, lineterminator="\n")
-    for comment in comments:
-        sys.stdout.write(f"# {comment}\n")
+    for k, v in meta.items():
+        sys.stdout.write(f"# {k}={v if isinstance(v, str) else _fmt(v)}\n")
     writer.writerow(header)
     writer.writerows(rows)
 
@@ -159,13 +156,13 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     _check_caps(args)
     molecule = _resolve_molecule(args)
     deformation = _resolve_deformation(args)
-    level_fn = kratzer_energy_deformed if args.potential == "kratzer" else pho_energy_deformed
+    model = get_model(args.potential)
     unit = args.units
 
     rows = []
     for n in range(args.nmax + 1):
         for ell in range(args.lmax + 1):
-            level = level_fn(molecule, deformation, QuantumNumbers(n=n, ell=ell))
+            level = model.level(molecule, deformation, QuantumNumbers(n=n, ell=ell))
             rows.append(
                 {
                     "n": n,
@@ -191,7 +188,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
             ["n", "l", "e0", "delta_e", "total"],
             [[str(r["n"]), str(r["l"]), _fmt(r["e0"]), _fmt(r["delta_e"]), _fmt(r["total"])]
              for r in rows],
-            [f"{k}={v if isinstance(v, str) else _fmt(v)}" for k, v in meta.items()],
+            meta,
         )
     return EXIT_OK
 
@@ -201,17 +198,15 @@ def cmd_constants(args: argparse.Namespace) -> int:
     _check_caps(args)
     molecule = _resolve_molecule(args)
     deformation = _resolve_deformation(args)
-    constants_fn = (
-        kratzer_spectroscopic_constants if args.potential == "kratzer"
-        else pho_spectroscopic_constants
-    )
-    closed = constants_fn(molecule, deformation).as_dict()
+    closed = get_model(args.potential).constants(molecule, deformation).as_dict()
     unit = args.units
 
-    fitted = None
+    fitted = rel_diff = None
     if args.fit:
         table = closed_form_table(molecule, deformation, args.potential, args.nmax, args.lmax)
         fitted = fit_dunham(table).constants.as_dict()
+        rel_diff = {k: (fitted[k] - closed[k]) / closed[k] if closed[k] != 0.0 else fitted[k]
+                    for k in closed}
 
     meta = {
         "potential": args.potential,
@@ -225,10 +220,7 @@ def cmd_constants(args: argparse.Namespace) -> int:
         payload = {"meta": meta, "constants": {k: UNITS.energy_from_internal(closed[k], unit) for k in names}}
         if fitted is not None:
             payload["fitted"] = {k: UNITS.energy_from_internal(fitted[k], unit) for k in names}
-            payload["rel_diff"] = {
-                k: (fitted[k] - closed[k]) / closed[k] if closed[k] != 0.0 else fitted[k]
-                for k in names
-            }
+            payload["rel_diff"] = rel_diff
         _emit_json(payload)
     else:
         header = ["constant", "value"]
@@ -236,14 +228,11 @@ def cmd_constants(args: argparse.Namespace) -> int:
         for k in names:
             row = [k, _fmt(UNITS.energy_from_internal(closed[k], unit))]
             if fitted is not None:
-                row.append(_fmt(UNITS.energy_from_internal(fitted[k], unit)))
-                rel = (fitted[k] - closed[k]) / closed[k] if closed[k] != 0.0 else fitted[k]
-                row.append(_fmt(rel))
+                row += [_fmt(UNITS.energy_from_internal(fitted[k], unit)), _fmt(rel_diff[k])]
             rows.append(row)
         if fitted is not None:
             header += ["fitted", "rel_diff"]
-        _emit_csv(header, rows,
-                  [f"{k}={v if isinstance(v, str) else _fmt(v)}" for k, v in meta.items()])
+        _emit_csv(header, rows, meta)
     return EXIT_OK
 
 
@@ -255,8 +244,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
                if getattr(args, flag) is not None}
     if "gammas" in options:
         options["gammas"] = tuple(options["gammas"])
-    potentials = (args.potential,) if args.potential else ("kratzer", "pho")
-    report = closed_vs_oracle_sweep(potentials=potentials, **options)
+    if args.potential:
+        options["potentials"] = (args.potential,)
+    report = closed_vs_oracle_sweep(**options)
 
     header = ["potential", "gamma", "n", "l", "e_closed", "e_oracle", "e_rel_err",
               "de_closed", "de_oracle", "de_rel_err", "status"]
@@ -265,24 +255,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
         rows.append([c.potential, _fmt(c.gamma), str(c.n), str(c.ell), _fmt(c.e_closed),
                      _fmt(c.e_oracle), _fmt(c.e_rel_err), _fmt(c.de_closed), _fmt(c.de_oracle),
                      _fmt(c.de_rel_err), "PASS" if c.passed else "FAIL"])
-    meta = [
-        f"tol_energy={_fmt(report.tol_energy)}",
-        f"tol_correction={_fmt(report.tol_correction)}",
-        f"beta={_fmt(report.beta)}",
-        f"max_energy_rel_err={_fmt(report.max_energy_error)}",
-        f"max_correction_rel_err={_fmt(report.max_correction_error)}",
-        f"result={'PASS' if report.all_passed else 'FAIL'}",
-    ]
+    meta = {
+        "tol_energy": report.tol_energy,
+        "tol_correction": report.tol_correction,
+        "beta": report.beta,
+        "max_energy_rel_err": report.max_energy_error,
+        "max_correction_rel_err": report.max_correction_error,
+        "result": "PASS" if report.all_passed else "FAIL",
+    }
     if args.format == "json":
         _emit_json({
-            "meta": {
-                "tol_energy": report.tol_energy,
-                "tol_correction": report.tol_correction,
-                "beta": report.beta,
-                "max_energy_rel_err": report.max_energy_error,
-                "max_correction_rel_err": report.max_correction_error,
-                "result": "PASS" if report.all_passed else "FAIL",
-            },
+            "meta": meta,
             "cells": [
                 {
                     "potential": c.potential,
@@ -350,7 +333,7 @@ def cmd_fit_beta(args: argparse.Namespace) -> int:
             [[payload["molecule"], payload["potential"], str(payload["n"]), str(payload["l"]),
               _fmt(payload["e_exp_eV"]), _fmt(payload["beta_upper_A2"]),
               _fmt(payload["min_length_upper_A"])]],
-            [f"basis={bound.basis}", f"experimental_source={source}"],
+            {"basis": bound.basis, "experimental_source": source},
         )
     return EXIT_OK
 
@@ -381,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("spectrum", help="emit a (n, l) level table")
-    sp.add_argument("--potential", choices=("kratzer", "pho"), required=True)
+    sp.add_argument("--potential", choices=tuple(MODELS), required=True)
     _add_molecule_flags(sp)
     _add_beta_flags(sp)
     sp.add_argument("--nmax", type=int, default=3)
@@ -391,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_spectrum)
 
     cp = sub.add_parser("constants", help="emit the six band-spectrum constants")
-    cp.add_argument("--potential", choices=("kratzer", "pho"), required=True)
+    cp.add_argument("--potential", choices=tuple(MODELS), required=True)
     _add_molecule_flags(cp)
     _add_beta_flags(cp)
     cp.add_argument("--fit", action="store_true",
@@ -403,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     cp.set_defaults(func=cmd_constants)
 
     vp = sub.add_parser("verify", help="closed forms vs the numerical solver")
-    vp.add_argument("--potential", choices=("kratzer", "pho"),
+    vp.add_argument("--potential", choices=tuple(MODELS),
                     help="restrict to one potential (default: both)")
     vp.add_argument("--gamma", type=float, action="append", default=None,
                     help="well-depth parameter; repeatable (default: 20 and 100)")
@@ -419,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     vp.set_defaults(func=cmd_verify)
 
     fp = sub.add_parser("fit-beta", help="upper bound on beta from one experimental level")
-    fp.add_argument("--potential", choices=("kratzer", "pho"), default="kratzer")
+    fp.add_argument("--potential", choices=tuple(MODELS), default="kratzer")
     _add_molecule_flags(fp)
     fp.add_argument("--levels-file", help="experimental levels CSV (default: packaged data or "
                     f"${DATA_DIR_ENV}/levels.csv)")

@@ -19,7 +19,9 @@ is derived from.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import warnings
+from dataclasses import asdict, dataclass
+from typing import Any, Callable
 
 HBAR = 1.0
 
@@ -37,6 +39,9 @@ EV_TO_CM1 = _EV_INVERSE_METRE / 100.0
 AMU_TO_INTERNAL = _AMU_MEV * 1.0e6 / HBARC_EV_ANGSTROM**2
 
 ENERGY_UNITS = ("internal", "eV", "cm-1")
+
+# |de| / |e0| above which the first-order shift is flagged as untrustworthy.
+FIRST_ORDER_WARN_RATIO = 0.1
 
 
 class GupmolError(Exception):
@@ -241,3 +246,57 @@ class EnergyLevel:
     @property
     def total(self) -> float:
         return self.e0 + self.de
+
+
+@dataclass(frozen=True)
+class SpectroscopicConstants:
+    """The six coefficients of the master energy expression (internal eV)."""
+
+    y00: float
+    we: float
+    wexe: float
+    weye: float
+    be: float
+    alphae: float
+
+    def as_dict(self) -> dict[str, float]:
+        return asdict(self)
+
+
+@dataclass(frozen=True)
+class Model:
+    """One potential's closed forms, as every routine that takes a kind reads them.
+
+    V(r) from a molecule, the undeformed level, its shift per unit beta, the
+    band constants, and the offset that moves a level to the well minimum.
+    """
+
+    name: str
+    potential: Callable[[Molecule], Any]
+    undeformed: Callable[[Molecule, QuantumNumbers], float]
+    slope: Callable[[Molecule, QuantumNumbers], float]
+    constants: Callable[[Molecule, Deformation], SpectroscopicConstants]
+    well_offset: Callable[[Molecule], float]
+
+    def level(self, m: Molecule, d: Deformation, qn: QuantumNumbers) -> EnergyLevel:
+        """Level with its minimal-length shift; exact to first order in beta.
+
+        At beta = 0 the slope, whose poles a shallow well can reach, is not
+        evaluated.  Warns (PerturbationWarning) when |shift| exceeds
+        FIRST_ORDER_WARN_RATIO of |e0|, where first order stops being a
+        controlled approximation.
+        """
+        e0 = self.undeformed(m, qn)
+        de = 0.0 if d.beta == 0.0 else d.beta * self.slope(m, qn)
+        if abs(de) > FIRST_ORDER_WARN_RATIO * abs(e0):
+            warnings.warn(
+                PerturbationWarning(
+                    f"first-order shift |{de:.3e}| exceeds {FIRST_ORDER_WARN_RATIO:g} of |e0| = "
+                    f"{abs(e0):.3e} for {m.name!r} (n={qn.n}, ell={qn.ell})",
+                    qn=qn,
+                    ratio=abs(de) / abs(e0) if e0 else math.inf,
+                ),
+                PerturbationWarning,
+                stacklevel=3,  # the call site of kratzer_energy_deformed and the like
+            )
+        return EnergyLevel(qn=qn, e0=e0, de=de)

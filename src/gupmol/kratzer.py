@@ -7,26 +7,23 @@ series implies.  Everything is analytic; the numerical cross-checks live in
 """
 from __future__ import annotations
 
-import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
+    FIRST_ORDER_WARN_RATIO,  # noqa: F401  (one of this module's public names)
     Deformation,
     DomainError,
     EnergyLevel,
+    Model,
     Molecule,
-    PerturbationWarning,
     QuantumNumbers,
+    SpectroscopicConstants,
+    _require_positive,
     gamma,
     lambda_kratzer,
 )
-from .spectroscopy import SpectroscopicConstants
-
-# |de| / |e0| above which the first-order shift is flagged as untrustworthy.
-FIRST_ORDER_WARN_RATIO = 0.1
 
 
 @dataclass(frozen=True)
@@ -41,10 +38,8 @@ class KratzerPotential:
     g2: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.g1) and self.g1 > 0.0):
-            raise DomainError(f"g1 must be finite and > 0, got {self.g1!r}")
-        if not (math.isfinite(self.g2) and self.g2 > 0.0):
-            raise DomainError(f"g2 must be finite and > 0, got {self.g2!r}")
+        _require_positive("g1", self.g1)
+        _require_positive("g2", self.g2)
 
     @classmethod
     def from_molecule(cls, m: Molecule) -> "KratzerPotential":
@@ -104,25 +99,8 @@ def kratzer_correction_slope(m: Molecule, qn: QuantumNumbers) -> float:
 
 
 def kratzer_energy_deformed(m: Molecule, d: Deformation, qn: QuantumNumbers) -> EnergyLevel:
-    """Level with its minimal-length shift; exact to first order in beta.
-
-    Warns (PerturbationWarning) when |shift| exceeds 10% of the undeformed
-    level, where first order stops being a controlled approximation.
-    """
-    e0 = kratzer_energy_undeformed(m, qn)
-    de = d.beta * kratzer_correction_slope(m, qn)
-    if abs(de) > FIRST_ORDER_WARN_RATIO * abs(e0):
-        warnings.warn(
-            PerturbationWarning(
-                f"first-order shift |{de:.3e}| exceeds {FIRST_ORDER_WARN_RATIO:g} of |e0| = "
-                f"{abs(e0):.3e} for {m.name!r} (n={qn.n}, ell={qn.ell})",
-                qn=qn,
-                ratio=abs(de) / abs(e0) if e0 else math.inf,
-            ),
-            PerturbationWarning,
-            stacklevel=2,
-        )
-    return EnergyLevel(qn=qn, e0=e0, de=de)
+    """Level with its minimal-length shift; exact to first order in beta (see Model.level)."""
+    return KRATZER.level(m, d, qn)
 
 
 def kratzer_energy_expansion(m: Molecule, d: Deformation, qn: QuantumNumbers) -> float:
@@ -177,3 +155,13 @@ def kratzer_spectroscopic_constants(m: Molecule, d: Deformation) -> Spectroscopi
         be=m.de / (g * g),
         alphae=3.0 * m.de / g**3 - 8.0 * bm / g**3,
     )
+
+
+KRATZER = Model(
+    name="kratzer",
+    potential=KratzerPotential.from_molecule,
+    undeformed=kratzer_energy_undeformed,
+    slope=kratzer_correction_slope,
+    constants=kratzer_spectroscopic_constants,
+    well_offset=lambda m: m.de,  # the well bottom sits at -de
+)

@@ -5,6 +5,7 @@ equation
 
     -(hbar^2 / 2 mu) u'' + [V(r) + hbar^2 ell(ell+1) / (2 mu r^2)] u = E u
 
+(hbar = 1 in the package's internal units, so no expression below carries it)
 on a uniform grid with Dirichlet ends, solved as a symmetric tridiagonal
 eigenproblem.  The scheme is O(h^2), so halving the spacing and combining
 levels pairwise (Richardson) gains two orders per step; every quantity this
@@ -36,7 +37,6 @@ from scipy.integrate import simpson, trapezoid
 from scipy.linalg import eigh_tridiagonal
 
 from .core import (
-    HBAR,
     ConvergenceError,
     Deformation,
     DomainError,
@@ -60,8 +60,14 @@ BOUNDARY_AMPLITUDE_TOL = 1e-5
 #: finer r_min effects are covered by the r_min-insensitivity validation.
 INNER_AMPLITUDE_TOL = 1e-2
 
-#: Default WKB decay budget (e-foldings past the turning point) for auto boxes.
+#: WKB decay budget (e-foldings past the turning point) for auto boxes.
 DECAY_BUDGET = 36.0
+
+#: Fewest points a grid may have.
+MIN_GRID_POINTS = 16
+
+#: Inner wall of an automatic box, in units of its length scale.
+INNER_WALL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -75,8 +81,8 @@ class RadialGrid:
     def __post_init__(self) -> None:
         if not (0.0 < self.r_min < self.r_max):
             raise DomainError(f"need 0 < r_min < r_max, got [{self.r_min!r}, {self.r_max!r}]")
-        if self.points < 16:
-            raise DomainError(f"need at least 16 grid points, got {self.points}")
+        if self.points < MIN_GRID_POINTS:
+            raise DomainError(f"need at least {MIN_GRID_POINTS} grid points, got {self.points}")
 
     @property
     def spacing(self) -> float:
@@ -109,7 +115,6 @@ class RadialProblem:
     ell: int
     mu: float
     grid: RadialGrid
-    hbar: float = HBAR
 
 
 def _count_nodes(u: np.ndarray) -> int:
@@ -124,7 +129,6 @@ def solve_radial(
     mu: float,
     grid: RadialGrid,
     count: int,
-    hbar: float = HBAR,
 ) -> list[RadialEigenstate]:
     """Lowest ``count`` bound states, ordered by energy and labeled by nodes.
 
@@ -146,16 +150,16 @@ def solve_radial(
     v_bare = np.asarray(potential(interior), dtype=float)
     if not np.all(np.isfinite(v_bare)):
         raise DomainError("potential is not finite on the grid interior")
-    centrifugal = hbar * hbar * ell * (ell + 1) / (2.0 * mu * interior * interior)
+    centrifugal = ell * (ell + 1) / (2.0 * mu * interior * interior)
     v_eff = v_bare + centrifugal
 
-    kin = hbar * hbar / (2.0 * mu * h * h)
+    kin = 1.0 / (2.0 * mu * h * h)
     diag = 2.0 * kin + v_eff
     offdiag = np.full(len(interior) - 1, -kin)
     energies, vectors = eigh_tridiagonal(diag, offdiag, select="i", select_range=(0, count - 1))
 
     # Bound on this box means decaying at the outer end: E below V_eff there.
-    v_eff_end = _potential_at(potential, grid.r_max) + hbar * hbar * ell * (ell + 1) / (
+    v_eff_end = _potential_at(potential, grid.r_max) + ell * (ell + 1) / (
         2.0 * mu * grid.r_max * grid.r_max
     )
     n_bound = int(np.sum(energies < v_eff_end))
@@ -167,7 +171,7 @@ def solve_radial(
 
     v_eff_start = _potential_at(potential, grid.r_min)
     if ell:
-        v_eff_start += hbar * hbar * ell * (ell + 1) / (2.0 * mu * grid.r_min * grid.r_min)
+        v_eff_start += ell * (ell + 1) / (2.0 * mu * grid.r_min * grid.r_min)
 
     states: list[RadialEigenstate] = []
     for k in range(count):
@@ -213,9 +217,7 @@ def _edge_extrapolated(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def p4_expectation(
-    state: RadialEigenstate, potential: RadialPotential, mu: float, hbar: float = HBAR
-) -> float:
+def p4_expectation(state: RadialEigenstate, potential: RadialPotential, mu: float) -> float:
     """<p^4> = 4 mu^2 * integral of u^2 (E - V)^2 dr; strictly positive.
 
     ``potential`` is the bare radial potential: the centrifugal term is part
@@ -229,9 +231,7 @@ def p4_expectation(
     return value
 
 
-def p4_expectation_fd(
-    state: RadialEigenstate, potential: RadialPotential, mu: float, hbar: float = HBAR
-) -> float:
+def p4_expectation_fd(state: RadialEigenstate, potential: RadialPotential, mu: float) -> float:
     """Cross-check route for <p^4> via explicit second differences of u.
 
     Computes p^2 u = -hbar^2 u'' + hbar^2 ell(ell+1) u / r^2 directly and
@@ -242,8 +242,8 @@ def p4_expectation_fd(
     h = r[1] - r[0]
     ell = state.qn.ell
     p2u = np.empty_like(u)
-    p2u[1:-1] = -hbar * hbar * (u[2:] - 2.0 * u[1:-1] + u[:-2]) / (h * h)
-    p2u[1:-1] += hbar * hbar * ell * (ell + 1) * u[1:-1] / (r[1:-1] * r[1:-1])
+    p2u[1:-1] = -(u[2:] - 2.0 * u[1:-1] + u[:-2]) / (h * h)
+    p2u[1:-1] += ell * (ell + 1) * u[1:-1] / (r[1:-1] * r[1:-1])
     p2u = _edge_extrapolated(p2u)
     return float(simpson(p2u * p2u, x=r))
 
@@ -253,13 +253,12 @@ def perturbative_correction(
     potential: RadialPotential,
     mu: float,
     d: Deformation,
-    hbar: float = HBAR,
 ) -> float:
     """First-order shift (beta/mu) <p^4> = 4 mu beta <(E - V)^2>; linear in beta."""
-    return d.beta / mu * p4_expectation(state, potential, mu, hbar=hbar)
+    return d.beta / mu * p4_expectation(state, potential, mu)
 
 
-def kinetic_expectation(state: RadialEigenstate, mu: float, hbar: float = HBAR) -> float:
+def kinetic_expectation(state: RadialEigenstate, mu: float) -> float:
     """<p^2>/2mu from du/dr (central differences) plus the centrifugal piece.
 
     Independent of the eigensolve's own identity E = T + V on the discrete
@@ -268,7 +267,7 @@ def kinetic_expectation(state: RadialEigenstate, mu: float, hbar: float = HBAR) 
     r, u = state.r, state.u
     du = np.gradient(u, r, edge_order=2)
     ell = state.qn.ell
-    h2m = hbar * hbar / (2.0 * mu)
+    h2m = 1.0 / (2.0 * mu)
     value = h2m * float(simpson(du * du, x=r))
     if ell:
         value += h2m * ell * (ell + 1) * float(simpson(u * u / (r * r), x=r))
@@ -356,9 +355,7 @@ def refine_to_tolerance(
     previous_estimate: float | None = None
 
     for _ in range(max_levels):
-        states = solve_radial(
-            problem.potential, problem.ell, problem.mu, grid, state_index + 1, hbar=problem.hbar
-        )
+        states = solve_radial(problem.potential, problem.ell, problem.mu, grid, state_index + 1)
         raw.append(states[state_index].energy)
         if len(raw) == 1:
             levels.append(RefinementLevel(grid.points, raw[-1], None, None))
@@ -396,8 +393,6 @@ def auto_grid(
     n_max: int,
     r_scale: float,
     points: int = 4001,
-    hbar: float = HBAR,
-    decay: float = DECAY_BUDGET,
     r_min: float | None = None,
     r_max: float | None = None,
 ) -> RadialGrid:
@@ -405,8 +400,9 @@ def auto_grid(
 
     The top energy is a harmonic estimate at the well minimum, capped below
     the dissociation threshold for open wells; the outer edge then buys
-    ``decay`` WKB e-foldings past the classical turning point.  r_scale sets
-    the inner wall (1e-3 * r_scale) and the search window for the minimum.
+    DECAY_BUDGET WKB e-foldings past the classical turning point.  r_scale
+    sets the inner wall (INNER_WALL * r_scale) and the search window for the
+    minimum.
     Raises DomainError when the effective potential has no interior well.
     """
 
@@ -414,10 +410,10 @@ def auto_grid(
         r = np.asarray(r, dtype=float)
         out = np.asarray(potential(r), dtype=float)
         if ell:
-            out = out + hbar * hbar * ell * (ell + 1) / (2.0 * mu * r * r)
+            out = out + ell * (ell + 1) / (2.0 * mu * r * r)
         return out
 
-    inner = r_min if r_min is not None else 1e-3 * r_scale
+    inner = r_min if r_min is not None else INNER_WALL * r_scale
     if r_max is not None:
         return RadialGrid(inner, r_max, points)
 
@@ -432,7 +428,7 @@ def auto_grid(
     curvature = float(v_eff(np.array([r0 + step]))[0] - 2.0 * v0 + v_eff(np.array([r0 - step]))[0])
     curvature /= step * step
     omega = math.sqrt(max(curvature, 0.0) / mu)
-    e_top = v0 + hbar * omega * (2.0 * n_max + 2.5)
+    e_top = v0 + omega * (2.0 * n_max + 2.5)
     v_inf = float(v_eff(np.array([5e4 * r_scale]))[0])
     if e_top > v_inf:
         # Open (dissociative) well: stay safely below threshold.
@@ -445,8 +441,8 @@ def auto_grid(
         if r > 1e6 * r_scale:
             raise DomainError("no outer turning point found; potential looks unbound")
     accumulated = 0.0
-    while accumulated < decay:
-        k_local = math.sqrt(2.0 * mu * max(float(v_eff(np.array([r]))[0]) - e_top, 0.0)) / hbar
+    while accumulated < DECAY_BUDGET:
+        k_local = math.sqrt(2.0 * mu * max(float(v_eff(np.array([r]))[0]) - e_top, 0.0))
         accumulated += k_local * dr
         r += dr
         if r > 1e6 * r_scale:

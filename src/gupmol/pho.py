@@ -1,15 +1,14 @@
 """Closed-form spectra for the pseudoharmonic potential de*(r/re - re/r)^2.
 
-Same layout as :mod:`gupmol.kratzer`: exact levels, first-order
-minimal-length shift, large-gamma series, and the derived band-spectrum
-constants.  The undeformed spectrum is exactly linear in n, so the
-anharmonicity and rotation-vibration coupling constants vanish at beta = 0
-and are generated purely by the deformation, with a negative sign.
+Exact levels, first-order minimal-length shift, large-gamma series, and the
+derived band-spectrum constants; the model record ``PHO`` holds the ones the
+package dispatches on, as ``KRATZER`` does in :mod:`gupmol.kratzer`.  The
+undeformed spectrum is exactly linear in n, so the anharmonicity and
+rotation-vibration coupling constants vanish at beta = 0 and are generated
+purely by the deformation, with a negative sign.
 """
 from __future__ import annotations
 
-import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,14 +17,14 @@ from .core import (
     Deformation,
     DomainError,
     EnergyLevel,
+    Model,
     Molecule,
-    PerturbationWarning,
     QuantumNumbers,
+    SpectroscopicConstants,
+    _require_positive,
     gamma,
     lambda_pho,
 )
-from .kratzer import FIRST_ORDER_WARN_RATIO
-from .spectroscopy import SpectroscopicConstants
 
 
 @dataclass(frozen=True)
@@ -36,10 +35,8 @@ class PhoPotential:
     re: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.de) and self.de > 0.0):
-            raise DomainError(f"de must be finite and > 0, got {self.de!r}")
-        if not (math.isfinite(self.re) and self.re > 0.0):
-            raise DomainError(f"re must be finite and > 0, got {self.re!r}")
+        _require_positive("de", self.de)
+        _require_positive("re", self.re)
 
     @classmethod
     def from_molecule(cls, m: Molecule) -> "PhoPotential":
@@ -97,21 +94,8 @@ def pho_correction_slope(m: Molecule, qn: QuantumNumbers) -> float:
 
 
 def pho_energy_deformed(m: Molecule, d: Deformation, qn: QuantumNumbers) -> EnergyLevel:
-    """Level with its minimal-length shift, exact to first order in beta."""
-    e0 = pho_energy_undeformed(m, qn)
-    de = d.beta * pho_correction_slope(m, qn)
-    if abs(de) > FIRST_ORDER_WARN_RATIO * abs(e0):
-        warnings.warn(
-            PerturbationWarning(
-                f"first-order shift |{de:.3e}| exceeds {FIRST_ORDER_WARN_RATIO:g} of |e0| = "
-                f"{abs(e0):.3e} for {m.name!r} (n={qn.n}, ell={qn.ell})",
-                qn=qn,
-                ratio=abs(de) / abs(e0) if e0 else math.inf,
-            ),
-            PerturbationWarning,
-            stacklevel=2,
-        )
-    return EnergyLevel(qn=qn, e0=e0, de=de)
+    """Level with its minimal-length shift, exact to first order in beta (see Model.level)."""
+    return PHO.level(m, d, qn)
 
 
 def pho_energy_expansion(m: Molecule, d: Deformation, qn: QuantumNumbers) -> float:
@@ -159,3 +143,13 @@ def pho_spectroscopic_constants(m: Molecule, d: Deformation) -> SpectroscopicCon
         be=m.de / (g * g),
         alphae=-16.0 * bm / g**3,
     )
+
+
+PHO = Model(
+    name="pho",
+    potential=PhoPotential.from_molecule,
+    undeformed=pho_energy_undeformed,
+    slope=pho_correction_slope,
+    constants=pho_spectroscopic_constants,
+    well_offset=lambda m: 0.0,  # the well bottom sits at 0
+)

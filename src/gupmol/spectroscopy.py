@@ -33,12 +33,20 @@ from .core import (
     Deformation,
     DomainError,
     FitError,
+    Model,
     Molecule,
     QuantumNumbers,
+    SpectroscopicConstants,
     UnitSystem,
 )
+from .kratzer import KRATZER
+from .pho import PHO
 
-PROVENANCES = ("computed-kratzer", "computed-pho", "experimental")
+# The one table of potentials: every command and routine that takes a
+# potential kind looks it up here.
+MODELS = {model.name: model for model in (KRATZER, PHO)}
+
+PROVENANCES = tuple(f"computed-{kind}" for kind in MODELS) + ("experimental",)
 
 # Distinct quantum-number coverage needed for the six-parameter model: the
 # cubic in (n+1/2) needs four distinct n, the two ell columns two distinct ell.
@@ -46,26 +54,11 @@ MIN_DISTINCT_N = 4
 MIN_DISTINCT_L = 2
 
 
-@dataclass(frozen=True)
-class SpectroscopicConstants:
-    """The six coefficients of the master energy expression (internal eV)."""
-
-    y00: float
-    we: float
-    wexe: float
-    weye: float
-    be: float
-    alphae: float
-
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "y00": self.y00,
-            "we": self.we,
-            "wexe": self.wexe,
-            "weye": self.weye,
-            "be": self.be,
-            "alphae": self.alphae,
-        }
+def get_model(kind: str) -> Model:
+    """The record of one potential kind; DomainError names the known kinds."""
+    if kind not in MODELS:
+        raise DomainError(f"unknown potential kind {kind!r}; expected one of {tuple(MODELS)}")
+    return MODELS[kind]
 
 
 def master_energy(c: SpectroscopicConstants, qn: QuantumNumbers) -> float:
@@ -156,34 +149,22 @@ def fit_dunham(table: LevelTable) -> DunhamFit:
     )
 
 
-def _closed_form_level(m: Molecule, d: Deformation, qn: QuantumNumbers, kind: str):
-    # Local import: kratzer/pho import SpectroscopicConstants from this module.
-    if kind == "kratzer":
-        from .kratzer import kratzer_energy_deformed
-
-        return kratzer_energy_deformed(m, d, qn), m.de
-    if kind == "pho":
-        from .pho import pho_energy_deformed
-
-        return pho_energy_deformed(m, d, qn), 0.0
-    raise DomainError(f"unknown potential kind {kind!r}; expected 'kratzer' or 'pho'")
-
-
 def closed_form_table(
     m: Molecule, d: Deformation, kind: str, n_max: int, l_max: int
 ) -> LevelTable:
     """Level table from the closed forms, energies from the potential minimum.
 
-    The 1/r^2 - 1/r well sits at -de, so its levels are shifted by +de here;
-    the pseudoharmonic well is already zero at its minimum.  This reference
+    Each level is moved by its model's ``well_offset``: the 1/r^2 - 1/r well
+    sits at -de, so its levels are shifted by +de; the pseudoharmonic well is
+    already zero at its minimum.  This reference
     makes fitted y00 directly comparable with the closed-form constant.
     """
+    model = get_model(kind)
     entries = []
     for n in range(n_max + 1):
         for ell in range(l_max + 1):
             qn = QuantumNumbers(n=n, ell=ell)
-            level, offset = _closed_form_level(m, d, qn, kind)
-            entries.append((qn, level.total + offset))
+            entries.append((qn, model.level(m, d, qn).total + model.well_offset(m)))
     return LevelTable(molecule=m, entries=tuple(entries), provenance=f"computed-{kind}")
 
 
@@ -213,18 +194,11 @@ def fit_beta_bound(m: Molecule, e_exp: float, qn: QuantumNumbers, kind: str) -> 
     convention as the levels data file.  A zero gap returns a zero bound; a
     vanishing shift coefficient cannot bound anything and raises FitError.
     """
-    if kind == "kratzer":
-        from .kratzer import kratzer_correction_slope, kratzer_energy_undeformed
-
-        e_theory = kratzer_energy_undeformed(m, qn) + m.de
-        slope = kratzer_correction_slope(m, qn)
-    elif kind == "pho":
-        from .pho import pho_correction_slope, pho_energy_undeformed
-
-        e_theory = pho_energy_undeformed(m, qn)
-        slope = pho_correction_slope(m, qn)
-    else:
-        raise DomainError(f"unknown potential kind {kind!r}; expected 'kratzer' or 'pho'")
+    model = get_model(kind)
+    if not math.isfinite(e_exp):
+        raise DomainError(f"e_exp must be finite, got {e_exp!r}")
+    e_theory = model.undeformed(m, qn) + model.well_offset(m)
+    slope = model.slope(m, qn)
 
     gap = abs(e_exp - e_theory)
     if gap == 0.0:

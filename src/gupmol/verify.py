@@ -8,6 +8,7 @@ acceptance values (1e-6 on energies, 1e-4 on the beta shift).
 """
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -15,13 +16,13 @@ from .core import (
     Deformation,
     DomainError,
     GupmolError,
-    Molecule,
     QuantumNumbers,
+    _require_positive,
     synthetic_molecule,
 )
-from .kratzer import KratzerPotential, kratzer_correction_slope, kratzer_energy_undeformed
-from .oracle import auto_grid, extrapolate, p4_expectation, solve_radial
-from .pho import PhoPotential, pho_correction_slope, pho_energy_undeformed
+from .oracle import (INNER_WALL, MIN_GRID_POINTS, auto_grid, extrapolate, p4_expectation,
+                     solve_radial)
+from .spectroscopy import MODELS, get_model
 
 DEFAULT_GAMMAS = (20.0, 100.0)
 DEFAULT_TOL_ENERGY = 1e-6
@@ -65,20 +66,12 @@ class SweepReport:
         return max((c.de_rel_err for c in self.cells), default=0.0)
 
 
-def _closed_forms(kind: str, m: Molecule):
-    if kind == "kratzer":
-        return KratzerPotential.from_molecule(m), kratzer_energy_undeformed, kratzer_correction_slope
-    if kind == "pho":
-        return PhoPotential.from_molecule(m), pho_energy_undeformed, pho_correction_slope
-    raise GupmolError(f"unknown potential kind {kind!r}")
-
-
 def _rel(err_abs: float, reference: float) -> float:
     return err_abs / max(abs(reference), 1e-300)
 
 
 def closed_vs_oracle_sweep(
-    potentials: tuple[str, ...] = ("kratzer", "pho"),
+    potentials: tuple[str, ...] = tuple(MODELS),
     gammas: tuple[float, ...] = DEFAULT_GAMMAS,
     n_max: int = 3,
     l_max: int = 2,
@@ -94,17 +87,28 @@ def closed_vs_oracle_sweep(
     Solver failures (box too small, non-convergence) mark the affected cells
     FAIL with the diagnostic in ``note`` instead of aborting the sweep, so a
     deliberately coarse grid produces a failing report rather than a crash.
+    Configuration errors (unknown potential, tolerances, grid size, box) raise
+    DomainError before the first solve.
     """
+    models = [get_model(kind) for kind in potentials]
+    molecules = [synthetic_molecule(gamma_value) for gamma_value in gammas]
     if levels < 1:
         raise DomainError(f"levels must be >= 1, got {levels}")
+    _require_positive("tol_energy", tol_energy)
+    _require_positive("tol_correction", tol_correction)
+    if base_points < MIN_GRID_POINTS:
+        raise DomainError(f"base_points must be >= {MIN_GRID_POINTS}, got {base_points}")
+    if r_max is not None and not (math.isfinite(r_max)
+                                  and all(r_max > INNER_WALL * m.re for m in molecules)):
+        raise DomainError(f"r_max must be finite and above the inner wall ({INNER_WALL:g} re), "
+                          f"got {r_max!r}")
     t0 = time.perf_counter()
     deformation = Deformation(beta)
     cells: list[SweepCell] = []
 
-    for kind in potentials:
-        for gamma_value in gammas:
-            m = synthetic_molecule(gamma_value)
-            potential, energy_fn, slope_fn = _closed_forms(kind, m)
+    for model in models:
+        for gamma_value, m in zip(gammas, molecules):
+            potential = model.potential(m)
             for ell in range(l_max + 1):
                 try:
                     grid = auto_grid(potential, m.mu, ell, n_max, m.re,
@@ -123,11 +127,11 @@ def closed_vs_oracle_sweep(
 
                 for n in range(n_max + 1):
                     qn = QuantumNumbers(n=n, ell=ell)
-                    e_closed = energy_fn(m, qn)
-                    de_closed = deformation.beta * slope_fn(m, qn)
+                    e_closed = model.undeformed(m, qn)
+                    de_closed = deformation.beta * model.slope(m, qn)
                     if failure is not None:
                         cells.append(
-                            SweepCell(kind, gamma_value, n, ell, e_closed, float("nan"),
+                            SweepCell(model.name, gamma_value, n, ell, e_closed, float("nan"),
                                       float("inf"), de_closed, float("nan"), float("inf"),
                                       passed=False, note=failure)
                         )
@@ -140,7 +144,7 @@ def closed_vs_oracle_sweep(
                     else:
                         de_rel = _rel(abs(de_oracle - de_closed), de_closed)
                     cells.append(
-                        SweepCell(kind, gamma_value, n, ell, e_closed, e_oracle, e_rel,
+                        SweepCell(model.name, gamma_value, n, ell, e_closed, e_oracle, e_rel,
                                   de_closed, de_oracle, de_rel,
                                   passed=(e_rel <= tol_energy and de_rel <= tol_correction))
                     )

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -9,15 +10,22 @@ import pytest
 
 from gupmol import (
     Deformation,
+    DomainError,
+    Molecule,
     PerturbationWarning,
     QuantumNumbers,
+    closed_form_table,
+    fit_beta_bound,
     kratzer_energy_deformed,
+    kratzer_energy_undeformed,
     load_molecules,
     packaged_data_path,
     pho_energy_deformed,
+    pho_energy_undeformed,
     synthetic_molecule,
 )
-from gupmol.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_VERIFY, main
+from gupmol.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_VERIFY, build_parser, main
+from gupmol.spectroscopy import MODELS
 
 
 def run_main(capsys, *argv):
@@ -191,6 +199,85 @@ class TestVerify:
         assert err.startswith("error:") and "levels" in err
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("flags", [
+        ["--tol-energy", "nan"],
+        ["--tol-correction", "-1"],
+        ["--grid-points", "5"],
+        ["--rmax", "-1"],
+    ])
+    def test_sweep_configuration_is_checked_before_solving(self, capsys, flags):
+        code, out, err = run_main(
+            capsys, "verify", "--gamma", "20", "--nmax", "0", "--lmax", "0", *flags,
+        )
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert err.startswith("error:")
+        assert len(err.splitlines()) == 1
+
+
+class TestShallowWell:
+    """gamma ~ 0.447: the shift formulas have poles there, the undeformed levels do not."""
+
+    SYNTHETIC = "1,1,0.1"
+    MOLECULE = Molecule(name="synthetic", de=1.0, re=1.0, mu=0.1)
+
+    @pytest.mark.parametrize("kind, undeformed", [("kratzer", kratzer_energy_undeformed),
+                                                  ("pho", pho_energy_undeformed)])
+    def test_spectrum_at_zero_beta(self, capsys, kind, undeformed):
+        code, out, err = run_main(
+            capsys, "spectrum", "--potential", kind, "--synthetic", self.SYNTHETIC,
+            "--nmax", "1", "--lmax", "1", "--units", "internal", "--format", "json",
+        )
+        assert code == EXIT_OK, err
+        levels = json.loads(out)["levels"]
+        assert len(levels) == 4
+        for level in levels:
+            assert level["e0"] == undeformed(self.MOLECULE, QuantumNumbers(level["n"], level["l"]))
+            assert level["delta_e"] == 0.0
+
+    @pytest.mark.parametrize("kind", ["kratzer", "pho"])
+    def test_constants_fit_at_zero_beta(self, capsys, kind):
+        code, out, err = run_main(
+            capsys, "constants", "--potential", kind, "--synthetic", self.SYNTHETIC, "--fit",
+        )
+        assert code == EXIT_OK, err
+        assert len(parse_csv(out)) == 6
+
+    @pytest.mark.parametrize("kind", ["kratzer", "pho"])
+    def test_nonzero_beta_still_hits_the_pole(self, capsys, kind):
+        code, out, err = run_main(
+            capsys, "spectrum", "--potential", kind, "--synthetic", self.SYNTHETIC,
+            "--beta", "1e-6", "--nmax", "0", "--lmax", "0",
+        )
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert "pole" in err
+
+    @pytest.mark.parametrize("kind", ["kratzer", "pho"])
+    def test_fit_beta_bound_keeps_the_pole_error(self, kind):
+        with pytest.raises(DomainError, match="pole"):
+            fit_beta_bound(self.MOLECULE, 0.5, QuantumNumbers(0, 0), kind)
+
+
+def test_potential_kinds_have_one_dispatch_point():
+    from gupmol.verify import closed_vs_oracle_sweep
+
+    m = synthetic_molecule(20.0)
+    calls = [
+        lambda: closed_form_table(m, Deformation(0.0), "morse", 1, 1),
+        lambda: fit_beta_bound(m, 0.1, QuantumNumbers(0, 0), "morse"),
+        lambda: closed_vs_oracle_sweep(potentials=("kratzer", "morse"), gammas=(20.0,)),
+    ]
+    for call in calls:
+        with pytest.raises(DomainError, match=r"unknown potential kind 'morse'.*'kratzer', 'pho'"):
+            call()
+
+    (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(commands.choices) == {"spectrum", "constants", "verify", "fit-beta"}
+    for command in commands.choices.values():
+        (potential,) = [a for a in command._actions if "--potential" in a.option_strings]
+        assert tuple(potential.choices) == tuple(MODELS)
+
 
 class TestPerturbationWarningSummary:
     ARGV = ["spectrum", "--potential", "pho", "--molecule", "H2-kratzer", "--beta", "1e-5",
@@ -267,6 +354,14 @@ class TestFitBeta:
         assert code == EXIT_OK
         (row,) = parse_csv(out)
         assert float(row["beta_upper_A2"]) == pytest.approx(beta_true, rel=1e-6)
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_e_exp_is_config_error(self, capsys, value):
+        code, out, err = run_main(capsys, "fit-beta", "--molecule", "H2-kratzer",
+                                  "--e-exp", value)
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert err.startswith("error: e_exp must be finite")
 
     def test_unknown_molecule_is_data_error(self, capsys):
         code, _, err = run_main(capsys, "fit-beta", "--molecule", "XYZ")
