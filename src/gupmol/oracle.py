@@ -5,9 +5,9 @@ equation
 
     -(hbar^2 / 2 mu) u'' + [V(r) + hbar^2 ell(ell+1) / (2 mu r^2)] u = E u
 
-(hbar = 1 in the package's internal units, so no expression below carries it)
 on a uniform grid with Dirichlet ends, solved as a symmetric tridiagonal
-eigenproblem.  The scheme is O(h^2), so halving the spacing and combining
+eigenproblem; hbar = 1 in the package's internal units, so the code below
+never writes it.  The scheme is O(h^2), so halving the spacing and combining
 levels pairwise (Richardson) gains two orders per step; every quantity this
 module produces is designed to sit on that ladder.
 
