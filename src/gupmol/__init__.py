@@ -75,8 +75,6 @@ _LAZY_MODULES = {
     "oracle": (
         "RadialEigenstate",
         "RadialGrid",
-        "RadialProblem",
-        "RefinementResult",
         "auto_grid",
         "dump_eigenstate",
         "extrapolate",
@@ -85,7 +83,6 @@ _LAZY_MODULES = {
         "p4_expectation_fd",
         "perturbative_correction",
         "potential_expectation",
-        "refine_to_tolerance",
         "richardson",
         "solve_radial",
     ),

@@ -6,8 +6,9 @@ byte-identical stdout.  Machine-readable output is CSV (default, with a
 header row and '#' metadata comments) or JSON mirroring the same fields.
 
 Exit codes: 0 success; 2 configuration or domain error (bad flags, unknown
-units, formula poles); 3 data error (missing or malformed files, unknown
-molecule or level); 4 verification failure; 1 unexpected internal error.
+units, formula poles, inputs that overflow a float); 3 data error (missing,
+unreadable or malformed files, unknown molecule or level); 4 verification
+failure; 1 unexpected internal error, reported on one line.
 """
 from __future__ import annotations
 
@@ -28,7 +29,6 @@ from .core import (
     Deformation,
     DomainError,
     FitError,
-    GupmolError,
     Molecule,
     PerturbationWarning,
     QuantumNumbers,
@@ -88,7 +88,10 @@ def _resolve_molecule(args: argparse.Namespace) -> Molecule:
         parts = args.synthetic.split(",")
         if len(parts) != 3:
             raise DomainError("--synthetic expects DE,RE,MU (internal units)")
-        de, re, mu = (float(p) for p in parts)
+        try:
+            de, re, mu = (float(p) for p in parts)
+        except ValueError as exc:
+            raise DomainError(str(exc)) from None
         return Molecule(name="synthetic", de=de, re=re, mu=mu)
     if not getattr(args, "molecule", None):
         raise DomainError("select a molecule with --molecule NAME or --synthetic DE,RE,MU")
@@ -424,14 +427,17 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DataFormatError, FileNotFoundError) as exc:
+    except (DataFormatError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (DomainError, FitError, ValueError) as exc:
+    except (DomainError, FitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except GupmolError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
+    except OverflowError as exc:  # float ** on inputs beyond the formulas' range
+        print(f"error: input out of floating-point range: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

@@ -57,7 +57,7 @@ class GridError(GupmolError, RuntimeError):
 
 
 class ConvergenceError(GupmolError, RuntimeError):
-    """Grid refinement failed to reach the requested tolerance."""
+    """solve_radial found a state whose node count does not match its index."""
 
 
 class DataFormatError(GupmolError, ValueError):
@@ -223,6 +223,14 @@ def gamma(m: Molecule) -> float:
     if not (math.isfinite(value) and value > 0.0):
         raise DomainError(f"gamma is not finite and positive for {m.name!r}")
     return value
+
+
+def _series_gamma(m: Molecule) -> float:
+    """gamma for the 1/gamma band-spectrum series, whose 1/gamma^3 terms need gamma^3 > 0."""
+    g = gamma(m)
+    if g**3 == 0.0:
+        raise DomainError(f"gamma = {g!r} is too small for the 1/gamma series of {m.name!r}")
+    return g
 
 
 def lambda_kratzer(gamma_value: float, ell: int) -> float:

@@ -21,6 +21,7 @@ from .core import (
     QuantumNumbers,
     SpectroscopicConstants,
     _require_positive,
+    _series_gamma,
     gamma,
     lambda_kratzer,
 )
@@ -122,7 +123,7 @@ def kratzer_energy_expansion(m: Molecule, d: Deformation, qn: QuantumNumbers) ->
     log-log slope.  Note the undeformed 1/g^4 coefficient vanishes
     identically when n == ell.
     """
-    g = gamma(m)
+    g = _series_gamma(m)
     nu = qn.n + 0.5
     lh = (qn.ell + 0.5) ** 2
     undeformed = m.de * (
@@ -145,7 +146,7 @@ def kratzer_spectroscopic_constants(m: Molecule, d: Deformation) -> Spectroscopi
     not part of it).  The rotational constant be = de/gamma^2 carries no beta
     term: the deformation leaves it untouched.
     """
-    g = gamma(m)
+    g = _series_gamma(m)
     bm = d.beta * m.mu * m.de * m.de
     return SpectroscopicConstants(
         y00=m.de / (4.0 * g * g) + 1.5 * bm / g**2,

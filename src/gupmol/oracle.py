@@ -107,16 +107,6 @@ class RadialEigenstate:
     norm_check: float
 
 
-@dataclass(frozen=True)
-class RadialProblem:
-    """Everything solve_radial needs, minus the resolution."""
-
-    potential: RadialPotential
-    ell: int
-    mu: float
-    grid: RadialGrid
-
-
 def _count_nodes(u: np.ndarray) -> int:
     significant = np.abs(u) > 1e-9 * np.max(np.abs(u))
     signs = np.sign(u[significant])
@@ -308,82 +298,6 @@ def extrapolate(values: Sequence[float]) -> float:
     while len(work) > 1:
         work = richardson(work)
     return work[0]
-
-
-@dataclass(frozen=True)
-class RefinementLevel:
-    points: int
-    value: float
-    extrapolated: float | None
-    error_estimate: float | None
-
-
-@dataclass(frozen=True)
-class RefinementResult:
-    """Extrapolated value with the error estimate that stopped the ladder."""
-
-    value: float
-    error_estimate: float
-    levels: tuple[RefinementLevel, ...]
-
-
-def refine_to_tolerance(
-    problem: RadialProblem,
-    state_index: int,
-    tolerance: float,
-    max_levels: int = 6,
-) -> RefinementResult:
-    """Solve on doubled grids until the eigenvalue is converged to ``tolerance``.
-
-    The error estimate after the first refinement is |extrapolated - raw| (a
-    bound on the raw O(h^2) error, conservative for the extrapolated value);
-    afterwards it is the change between successive extrapolated values.  The
-    estimate must shrink monotonically, and failing to reach the tolerance
-    within ``max_levels`` grids raises ConvergenceError carrying the level
-    history - a tolerance below the discretization floor fails loudly rather
-    than returning a silently wrong number.
-    """
-    if not tolerance >= 1e-8:
-        raise DomainError(f"tolerance must be >= 1e-8, got {tolerance!r}")
-    if max_levels < 2:
-        raise DomainError("need at least 2 levels to extrapolate")
-
-    grid = problem.grid
-    raw: list[float] = []
-    levels: list[RefinementLevel] = []
-    previous_extrapolated: float | None = None
-    previous_estimate: float | None = None
-
-    for _ in range(max_levels):
-        states = solve_radial(problem.potential, problem.ell, problem.mu, grid, state_index + 1)
-        raw.append(states[state_index].energy)
-        if len(raw) == 1:
-            levels.append(RefinementLevel(grid.points, raw[-1], None, None))
-        else:
-            extrapolated = (4.0 * raw[-1] - raw[-2]) / 3.0
-            if previous_extrapolated is None:
-                estimate = abs(extrapolated - raw[-1])
-            else:
-                estimate = abs(extrapolated - previous_extrapolated)
-            levels.append(RefinementLevel(grid.points, raw[-1], extrapolated, estimate))
-            scale = max(abs(extrapolated), 1e-300)
-            if estimate <= tolerance * scale:
-                return RefinementResult(
-                    value=extrapolated, error_estimate=estimate, levels=tuple(levels)
-                )
-            if previous_estimate is not None and estimate >= previous_estimate:
-                raise ConvergenceError(
-                    "error estimate stopped shrinking "
-                    f"({previous_estimate:.3e} -> {estimate:.3e}); hit the discretization "
-                    f"floor before tolerance {tolerance:g}; levels: {levels}"
-                )
-            previous_extrapolated = extrapolated
-            previous_estimate = estimate
-        grid = grid.refined()
-
-    raise ConvergenceError(
-        f"tolerance {tolerance:g} not reached within {max_levels} levels; levels: {levels}"
-    )
 
 
 def auto_grid(

@@ -22,6 +22,7 @@ from .core import (
     QuantumNumbers,
     SpectroscopicConstants,
     _require_positive,
+    _series_gamma,
     gamma,
     lambda_pho,
 )
@@ -73,9 +74,9 @@ def pho_correction_slope(m: Molecule, qn: QuantumNumbers) -> float:
     """
     g = gamma(m)
     lam = lambda_pho(g, qn.ell)
-    if lam <= 1.0:
+    if lam <= 1.0 or g * g == 0.0:
         raise DomainError(
-            f"correction formula has a pole for lambda <= 1; got lambda = {lam!r} "
+            f"correction formula has a pole for lambda <= 1 or gamma^2 = 0; got lambda = {lam!r} "
             f"(gamma = {g!r}, ell = {qn.ell})"
         )
     n = qn.n
@@ -110,7 +111,7 @@ def pho_energy_expansion(m: Molecule, d: Deformation, qn: QuantumNumbers) -> flo
     only dimensionally consistent possibility, the remainder being O(1/g^4).
     There is no nu^3 term: the deformed spectrum is exactly quadratic in n.
     """
-    g = gamma(m)
+    g = _series_gamma(m)
     nu = qn.n + 0.5
     ll = qn.ell * (qn.ell + 1.0)
     undeformed = m.de * (0.25 / g**2 + 4.0 * nu / g + ll / g**2)
@@ -133,7 +134,7 @@ def pho_spectroscopic_constants(m: Molecule, d: Deformation) -> SpectroscopicCon
     untouched by the deformation and equals the 1/r^2 - 1/r result for the
     same molecule.
     """
-    g = gamma(m)
+    g = _series_gamma(m)
     bm = d.beta * m.mu * m.de * m.de
     return SpectroscopicConstants(
         y00=m.de / (4.0 * g * g) + 6.0 * bm / g**2,

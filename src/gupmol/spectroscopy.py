@@ -238,9 +238,12 @@ class ExperimentalLevel:
 def _data_rows(path: Path, expected_fields: int):
     """Yield (lineno, fields) from a CSV, skipping blanks, comments, header."""
     with open(path, newline="") as handle:
-        reader = csv.reader(handle)
+        try:
+            rows = list(csv.reader(handle))
+        except UnicodeDecodeError as exc:
+            raise DataFormatError(f"{path}: not a UTF-8 text file ({exc.reason})") from None
         header_skipped = False
-        for lineno, row in enumerate(reader, start=1):
+        for lineno, row in enumerate(rows, start=1):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
             if row[0].lstrip().startswith("#"):

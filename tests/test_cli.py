@@ -6,6 +6,7 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
 from gupmol import (
@@ -24,7 +25,16 @@ from gupmol import (
     pho_energy_undeformed,
     synthetic_molecule,
 )
-from gupmol.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_VERIFY, build_parser, main
+from gupmol import cli
+from gupmol.cli import (
+    EXIT_CONFIG,
+    EXIT_DATA,
+    EXIT_INTERNAL,
+    EXIT_OK,
+    EXIT_VERIFY,
+    build_parser,
+    main,
+)
 from gupmol.spectroscopy import MODELS
 
 
@@ -188,6 +198,17 @@ class TestVerify:
         )
         assert code == EXIT_OK, err
         assert [float(r["gamma"]) for r in parse_csv(out)] == [20.0, 100.0]
+
+    def test_beta_zero_skips_the_slope_pole(self, capsys):
+        # gamma 0.5 pho: the slope has a pole, but at beta = 0 the shift is 0
+        code, out, err = run_main(
+            capsys, "verify", "--gamma", "0.5", "--beta", "0", "--potential", "pho",
+            "--nmax", "0", "--lmax", "0",
+        )
+        assert code != EXIT_CONFIG, err
+        (row,) = parse_csv(out)
+        assert (row["potential"], row["gamma"], row["n"], row["l"]) == ("pho", "0.5", "0", "0")
+        assert float(row["de_closed"]) == 0.0
 
     @pytest.mark.parametrize("levels", ["0", "-1"])
     def test_levels_below_one_is_config_error(self, capsys, levels):
@@ -400,3 +421,69 @@ class TestDataDirEnv:
         )
         assert code == EXIT_DATA
         assert "H2" in err
+
+
+class TestExitCodes:
+    """Every failure ends in its documented exit code and one stderr line."""
+
+    @pytest.mark.parametrize("argv, expected", [
+        # float ** overflows on inputs beyond the formulas' range
+        (["spectrum", "--potential", "kratzer", "--synthetic", "1,1,1e300", "--beta", "1e-10"],
+         EXIT_CONFIG),
+        (["constants", "--potential", "pho", "--synthetic", "1,1,1e300", "--beta", "1e-10",
+          "--fit"], EXIT_CONFIG),
+        (["fit-beta", "--potential", "kratzer", "--synthetic", "1,1,1e300", "--e-exp", "1",
+          "--units", "eV"], EXIT_CONFIG),
+        (["spectrum", "--potential", "kratzer", "--synthetic", "1,1e200,1"], EXIT_CONFIG),
+        (["verify", "--gamma", "1e200"], EXIT_CONFIG),
+        # gamma so small that gamma^3 (series) or gamma^2 (pho slope) is 0.0
+        (["constants", "--potential", "kratzer", "--synthetic", "1,1,1e-245"], EXIT_CONFIG),
+        (["fit-beta", "--potential", "pho", "--synthetic", "1,1e-300,1", "--l", "1",
+          "--e-exp", "1", "--units", "eV"], EXIT_CONFIG),
+        # a directory where a data file is expected
+        (["spectrum", "--potential", "kratzer", "--molecule", "H2", "--molecules-file", "{dir}"],
+         EXIT_DATA),
+        (["fit-beta", "--molecule", "H2-kratzer", "--levels-file", "{dir}"], EXIT_DATA),
+    ], ids=["spectrum-large-mu", "constants-fit-large-mu", "fit-beta-large-mu", "spectrum-large-re",
+            "verify-large-gamma", "constants-tiny-gamma", "fit-beta-tiny-gamma",
+            "molecules-file-dir", "levels-file-dir"])
+    def test_one_line_error(self, capsys, tmp_path, argv, expected):
+        argv = [arg.replace("{dir}", str(tmp_path)) for arg in argv]
+        code, out, err = run_main(capsys, *argv)
+        assert code == expected
+        assert out == ""
+        assert len(err.splitlines()) == 1
+
+    def test_large_gamma_at_zero_beta_still_prints(self, capsys):
+        code, out, _ = run_main(capsys, "spectrum", "--potential", "kratzer",
+                                "--synthetic", "1,1,1e200", "--beta", "0")
+        assert code == EXIT_OK
+        assert len(parse_csv(out)) == 12
+
+    def test_unparsable_synthetic_is_config_error(self, capsys):
+        code, out, err = run_main(capsys, "spectrum", "--potential", "kratzer",
+                                  "--synthetic", "1,1,x")
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert err == "error: could not convert string to float: 'x'\n"
+
+    def test_non_utf8_data_file_is_data_error(self, capsys, tmp_path):
+        path = tmp_path / "molecules.csv"
+        path.write_bytes(b"name,De_eV,re_angstrom,mu_amu\nH2,\xff\xfe,1,1\n")
+        code, out, err = run_main(capsys, "spectrum", "--potential", "kratzer",
+                                  "--molecule", "H2", "--molecules-file", str(path))
+        assert code == EXIT_DATA
+        assert out == ""
+        assert err.startswith("data error:") and "UTF-8" in err
+
+    @pytest.mark.parametrize("exc", [RuntimeError("boom"), np.linalg.LinAlgError("boom")])
+    def test_unexpected_exception_is_one_line_internal_error(self, capsys, monkeypatch, exc):
+        def broken(args):
+            raise exc
+
+        monkeypatch.setattr(cli, "cmd_spectrum", broken)
+        code, out, err = run_main(capsys, "spectrum", "--potential", "kratzer",
+                                  "--synthetic", "1,1,1")
+        assert code == EXIT_INTERNAL
+        assert out == ""
+        assert err == f"internal error: {type(exc).__name__}: boom\n"

@@ -2,14 +2,12 @@ import numpy as np
 import pytest
 
 from gupmol import (
-    ConvergenceError,
     Deformation,
     DomainError,
     GridError,
     KratzerPotential,
     PhoPotential,
     RadialGrid,
-    RadialProblem,
     auto_grid,
     closed_vs_oracle_sweep,
     dump_eigenstate,
@@ -21,7 +19,6 @@ from gupmol import (
     perturbative_correction,
     pho_energy_undeformed,
     potential_expectation,
-    refine_to_tolerance,
     solve_radial,
     synthetic_molecule,
 )
@@ -154,35 +151,6 @@ class TestPerturbation:
             ratios.append(lhs / rhs)
             g = g.refined()
         assert extrapolate(ratios) == pytest.approx(1.0, abs=1e-6)
-
-
-class TestRefinement:
-    def test_coulomb_reaches_tolerance(self):
-        problem = RadialProblem(coulomb, 0, 1.0, RadialGrid(1e-9, 60.0, 2000))
-        result = refine_to_tolerance(problem, 0, 1e-6, max_levels=5)
-        assert len(result.levels) <= 5
-        assert result.value == pytest.approx(-0.5, rel=2e-6)
-        assert result.error_estimate <= 1e-6 * 0.5
-
-    def test_already_converged_returns_after_confirmation(self):
-        problem = RadialProblem(coulomb, 0, 1.0, RadialGrid(1e-9, 60.0, 16001))
-        result = refine_to_tolerance(problem, 0, 1e-6)
-        assert len(result.levels) == 2
-
-    def test_unreachable_tolerance_fails_loudly(self):
-        problem = RadialProblem(coulomb, 0, 1.0, RadialGrid(1e-9, 60.0, 301))
-        with pytest.raises(ConvergenceError):
-            refine_to_tolerance(problem, 0, 1e-8, max_levels=3)
-
-    def test_tolerance_precondition(self):
-        problem = RadialProblem(coulomb, 0, 1.0, RadialGrid(1e-9, 60.0, 2000))
-        with pytest.raises(DomainError):
-            refine_to_tolerance(problem, 0, 1e-9)
-
-    def test_history_attached_to_failure(self):
-        problem = RadialProblem(coulomb, 0, 1.0, RadialGrid(1e-9, 60.0, 301))
-        with pytest.raises(ConvergenceError, match="levels"):
-            refine_to_tolerance(problem, 0, 1e-8, max_levels=3)
 
 
 class TestGridChoice:

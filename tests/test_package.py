@@ -14,8 +14,8 @@ EXPORTS = (
     "DomainError", "DunhamFit", "EV_TO_CM1", "EnergyLevel", "ExperimentalLevel", "FitError",
     "GridError", "GupmolError", "HBAR", "HBARC_EV_ANGSTROM", "KratzerPotential", "LevelTable",
     "Molecule", "NO_DEFORMATION", "PerturbationWarning", "PhoPotential", "QuantumNumbers",
-    "RadialEigenstate", "RadialGrid", "RadialProblem", "RefinementResult",
-    "SpectroscopicConstants", "SweepCell", "SweepReport", "UNITS", "UnitSystem", "auto_grid",
+    "RadialEigenstate", "RadialGrid", "SpectroscopicConstants", "SweepCell", "SweepReport",
+    "UNITS", "UnitSystem", "auto_grid",
     "beta_from_minimal_length", "closed_form_table", "closed_vs_oracle_sweep", "core",
     "dump_eigenstate", "extrapolate", "fit_beta_bound", "fit_dunham", "gamma",
     "kinetic_expectation", "kratzer", "kratzer_correction_slope", "kratzer_energy_deformed",
@@ -24,8 +24,8 @@ EXPORTS = (
     "minimal_length", "oracle", "p4_expectation", "p4_expectation_fd", "packaged_data_path",
     "perturbative_correction", "pho", "pho_correction_slope", "pho_energy_deformed",
     "pho_energy_expansion", "pho_energy_undeformed", "pho_spectroscopic_constants",
-    "potential_expectation", "refine_to_tolerance", "richardson", "solve_radial",
-    "spectroscopy", "synthetic_molecule", "verify",
+    "potential_expectation", "richardson", "solve_radial", "spectroscopy", "synthetic_molecule",
+    "verify",
 )
 
 
