@@ -35,6 +35,7 @@ from .core import (
     gamma,
     lambda_kratzer,
     lambda_pho,
+    master_energy,
     minimal_length,
     synthetic_molecule,
 )
@@ -65,7 +66,6 @@ from .spectroscopy import (
     fit_dunham,
     load_levels,
     load_molecules,
-    master_energy,
     packaged_data_path,
 )
 
@@ -81,9 +81,7 @@ _LAZY_MODULES = {
         "kinetic_expectation",
         "p4_expectation",
         "p4_expectation_fd",
-        "perturbative_correction",
         "potential_expectation",
-        "richardson",
         "solve_radial",
     ),
     "verify": ("SweepCell", "SweepReport", "closed_vs_oracle_sweep"),

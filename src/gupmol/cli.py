@@ -16,6 +16,7 @@ import argparse
 import contextlib
 import csv
 import json
+import math
 import os
 import sys
 import warnings
@@ -117,6 +118,14 @@ def _check_caps(args: argparse.Namespace) -> None:
             raise DomainError(f"--{label} must be within [0, {QN_CAP}], got {value}")
 
 
+def _require_finite(*groups: dict) -> None:
+    """Refuse to print a non-finite number: the inputs overflowed a formula."""
+    for group in groups:
+        for key, value in group.items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise DomainError(f"{key} = {value} is out of floating-point range for these inputs")
+
+
 def _emit_csv(header: list[str], rows: list[list[str]], meta: dict) -> None:
     writer = csv.writer(sys.stdout, lineterminator="\n")
     for k, v in meta.items():
@@ -133,12 +142,15 @@ def _emit_json(payload: dict) -> None:
 def _summarize_perturbation_warnings():
     """Fold the PerturbationWarnings of one command into one stderr line.
 
+    A command that fails printed no levels, so its error line stands alone.
     Other warnings are shown as usual, once the recording filters are gone.
     """
+    succeeded = False
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", PerturbationWarning)
             yield
+        succeeded = True
     finally:
         flagged = []
         for w in caught:
@@ -146,7 +158,7 @@ def _summarize_perturbation_warnings():
                 flagged.append(w.message)
             else:
                 warnings.showwarning(w.message, w.category, w.filename, w.lineno)
-        if flagged:
+        if flagged and succeeded:
             worst = max(flagged, key=lambda w: w.ratio)
             print(f"warning: {len(flagged)} levels have a first-order shift above "
                   f"{FIRST_ORDER_WARN_RATIO:g} of the level (PerturbationWarning); worst "
@@ -184,6 +196,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         "min_length_angstrom": deformation.minimal_length,
         "units": unit,
     }
+    _require_finite(meta, *rows)
     if args.format == "json":
         _emit_json({"meta": meta, "levels": rows})
     else:
@@ -202,14 +215,19 @@ def cmd_constants(args: argparse.Namespace) -> int:
     molecule = _resolve_molecule(args)
     deformation = _resolve_deformation(args)
     closed = get_model(args.potential).constants(molecule, deformation).as_dict()
+    _require_finite(closed)
     unit = args.units
 
-    fitted = rel_diff = None
+    names = ["y00", "we", "wexe", "weye", "be", "alphae"]
+    values = {"constants": {k: UNITS.energy_from_internal(closed[k], unit) for k in names}}
     if args.fit:
         table = closed_form_table(molecule, deformation, args.potential, args.nmax, args.lmax)
+        _require_finite({f"level (n={qn.n}, l={qn.ell})": e for qn, e in table.entries})
         fitted = fit_dunham(table).constants.as_dict()
-        rel_diff = {k: (fitted[k] - closed[k]) / closed[k] if closed[k] != 0.0 else fitted[k]
-                    for k in closed}
+        values["fitted"] = {k: UNITS.energy_from_internal(fitted[k], unit) for k in names}
+        values["rel_diff"] = {k: (fitted[k] - closed[k]) / closed[k] if closed[k] != 0.0
+                              else fitted[k] for k in names}
+    _require_finite(*values.values())
 
     meta = {
         "potential": args.potential,
@@ -218,24 +236,12 @@ def cmd_constants(args: argparse.Namespace) -> int:
         "beta": deformation.beta,
         "units": unit,
     }
-    names = ["y00", "we", "wexe", "weye", "be", "alphae"]
     if args.format == "json":
-        payload = {"meta": meta, "constants": {k: UNITS.energy_from_internal(closed[k], unit) for k in names}}
-        if fitted is not None:
-            payload["fitted"] = {k: UNITS.energy_from_internal(fitted[k], unit) for k in names}
-            payload["rel_diff"] = rel_diff
-        _emit_json(payload)
+        _emit_json({"meta": meta, **values})
     else:
-        header = ["constant", "value"]
-        rows = []
-        for k in names:
-            row = [k, _fmt(UNITS.energy_from_internal(closed[k], unit))]
-            if fitted is not None:
-                row += [_fmt(UNITS.energy_from_internal(fitted[k], unit)), _fmt(rel_diff[k])]
-            rows.append(row)
-        if fitted is not None:
-            header += ["fitted", "rel_diff"]
-        _emit_csv(header, rows, meta)
+        columns = list(values.values())
+        header = ["constant", "value", "fitted", "rel_diff"][:len(columns) + 1]
+        _emit_csv(header, [[k] + [_fmt(column[k]) for column in columns] for k in names], meta)
     return EXIT_OK
 
 
@@ -328,6 +334,7 @@ def cmd_fit_beta(args: argparse.Namespace) -> int:
         "basis": bound.basis,
         "experimental_source": source,
     }
+    _require_finite(payload)
     if args.format == "json":
         _emit_json(payload)
     else:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass
 from typing import Any, Callable
 
 HBAR = 1.0
@@ -57,7 +57,7 @@ class GridError(GupmolError, RuntimeError):
 
 
 class ConvergenceError(GupmolError, RuntimeError):
-    """solve_radial found a state whose node count does not match its index."""
+    """solve_radial's eigensolve failed, or found a state whose node count is not its index."""
 
 
 class DataFormatError(GupmolError, ValueError):
@@ -142,15 +142,9 @@ class Molecule:
         _require_positive("mu", self.mu)
 
     @classmethod
-    def from_spectroscopic(
-        cls,
-        name: str,
-        de_ev: float,
-        re_angstrom: float,
-        mu_amu: float,
-        units: UnitSystem = UNITS,
-    ) -> "Molecule":
-        return cls(name=name, de=de_ev, re=re_angstrom, mu=units.mass_to_internal(mu_amu))
+    def from_spectroscopic(cls, name: str, de_ev: float, re_angstrom: float,
+                           mu_amu: float) -> "Molecule":
+        return cls(name=name, de=de_ev, re=re_angstrom, mu=UNITS.mass_to_internal(mu_amu))
 
 
 def synthetic_molecule(gamma_value: float, de: float = 1.0, re: float = 1.0,
@@ -271,12 +265,26 @@ class SpectroscopicConstants:
         return asdict(self)
 
 
+def _master_basis(qn: QuantumNumbers) -> list[float]:
+    """[1, nu, -nu^2, nu^3, L, -nu L]: the master expression is the constants dotted with it."""
+    nu = qn.n + 0.5
+    ll = qn.ell * (qn.ell + 1.0)
+    return [1.0, nu, -nu * nu, nu**3, ll, -nu * ll]
+
+
+def master_energy(c: SpectroscopicConstants, qn: QuantumNumbers) -> float:
+    """Evaluate the master expression for one level."""
+    return sum(x * b for x, b in zip(astuple(c), _master_basis(qn)))
+
+
 @dataclass(frozen=True)
 class Model:
     """One potential's closed forms, as every routine that takes a kind reads them.
 
     V(r) from a molecule, the undeformed level, its shift per unit beta, the
     band constants, and the offset that moves a level to the well minimum.
+    The large-gamma series of a level is the master expression of the band
+    constants; it has no home of its own.
     """
 
     name: str
@@ -287,15 +295,13 @@ class Model:
     well_offset: Callable[[Molecule], float]
 
     def level(self, m: Molecule, d: Deformation, qn: QuantumNumbers) -> EnergyLevel:
-        """Level with its minimal-length shift; exact to first order in beta.
-
-        At beta = 0 the slope, whose poles a shallow well can reach, is not
-        evaluated.  Warns (PerturbationWarning) when |shift| exceeds
+        """Level with its minimal-length shift (see shift); exact to first order
+        in beta.  Warns (PerturbationWarning) when |shift| exceeds
         FIRST_ORDER_WARN_RATIO of |e0|, where first order stops being a
         controlled approximation.
         """
         e0 = self.undeformed(m, qn)
-        de = 0.0 if d.beta == 0.0 else d.beta * self.slope(m, qn)
+        de = self.shift(m, d, qn)
         if abs(de) > FIRST_ORDER_WARN_RATIO * abs(e0):
             warnings.warn(
                 PerturbationWarning(
@@ -308,3 +314,13 @@ class Model:
                 stacklevel=3,  # the call site of kratzer_energy_deformed and the like
             )
         return EnergyLevel(qn=qn, e0=e0, de=de)
+
+    def shift(self, m: Molecule, d: Deformation, qn: QuantumNumbers) -> float:
+        """First-order shift beta*slope; at beta = 0 the slope, whose poles a
+        shallow well can reach, is not evaluated."""
+        return 0.0 if d.beta == 0.0 else d.beta * self.slope(m, qn)
+
+    def expansion(self, m: Molecule, d: Deformation, qn: QuantumNumbers) -> float:
+        """Large-gamma series of the deformed level, truncated at 1/gamma^3, on
+        the level's own energy scale (the band constants' scale less well_offset)."""
+        return master_energy(self.constants(m, d), qn) - self.well_offset(m)

@@ -107,7 +107,8 @@ def kratzer_energy_deformed(m: Molecule, d: Deformation, qn: QuantumNumbers) -> 
 def kratzer_energy_expansion(m: Molecule, d: Deformation, qn: QuantumNumbers) -> float:
     """Large-gamma series of the deformed level, truncated at 1/gamma^3.
 
-    Undeformed part:
+    It is the master expression of :func:`kratzer_spectroscopic_constants`
+    less the well depth (see Model.expansion).  Undeformed part:
 
         de * [-1 + 2 nu/g + ((ell+1/2)^2 - 3 nu^2)/g^2
               + (4 nu^3 - 3 nu (ell+1/2)^2)/g^3],    nu = n + 1/2.
@@ -123,24 +124,12 @@ def kratzer_energy_expansion(m: Molecule, d: Deformation, qn: QuantumNumbers) ->
     log-log slope.  Note the undeformed 1/g^4 coefficient vanishes
     identically when n == ell.
     """
-    g = _series_gamma(m)
-    nu = qn.n + 0.5
-    lh = (qn.ell + 0.5) ** 2
-    undeformed = m.de * (
-        -1.0 + 2.0 * nu / g + (lh - 3.0 * nu * nu) / g**2 + (4.0 * nu**3 - 3.0 * nu * lh) / g**3
-    )
-    beta_part = (
-        d.beta
-        * m.mu
-        * m.de
-        * m.de
-        * (6.0 * (nu * nu + 0.25) / g**2 + 2.0 * nu * (-0.25 + 4.0 * lh - 15.0 * nu * nu) / g**3)
-    )
-    return undeformed + beta_part
+    return KRATZER.expansion(m, d, qn)
 
 
 def kratzer_spectroscopic_constants(m: Molecule, d: Deformation) -> SpectroscopicConstants:
-    """Band-spectrum constants implied by the 1/gamma series.
+    """Band-spectrum constants implied by the 1/gamma series; the one home of
+    its coefficients.
 
     y00 is referenced to the potential minimum (the well-depth offset -de is
     not part of it).  The rotational constant be = de/gamma^2 carries no beta

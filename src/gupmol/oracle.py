@@ -30,25 +30,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
 from scipy.integrate import simpson, trapezoid
 from scipy.linalg import eigh_tridiagonal
 
-from .core import (
-    ConvergenceError,
-    Deformation,
-    DomainError,
-    GridError,
-    QuantumNumbers,
-)
+from .core import ConvergenceError, DomainError, GridError, QuantumNumbers
 
 RadialPotential = Callable[[np.ndarray], np.ndarray]
-
-
-def _potential_at(potential: RadialPotential, r: float) -> float:
-    return float(np.asarray(potential(np.array([r])), dtype=float).reshape(-1)[0])
 
 #: Relative amplitude allowed at the outer grid end before the box is
 #: declared too small; bound states decay exponentially there.
@@ -68,6 +59,10 @@ MIN_GRID_POINTS = 16
 
 #: Inner wall of an automatic box, in units of its length scale.
 INNER_WALL = 1e-3
+
+#: Most 0.02 r0 steps auto_grid walks outward before giving up; real boxes
+#: take a few thousand, a shallow open well (gamma << 1) millions.
+MAX_WALK_STEPS = 20_000
 
 
 @dataclass(frozen=True)
@@ -107,6 +102,14 @@ class RadialEigenstate:
     norm_check: float
 
 
+def _v_eff(potential: RadialPotential, ell: int, mu: float, r: np.ndarray) -> np.ndarray:
+    """V(r) plus the centrifugal term ell(ell+1)/(2 mu r^2)."""
+    out = np.asarray(potential(r), dtype=float)
+    if ell:
+        out = out + ell * (ell + 1) / (2.0 * mu * r * r)
+    return out
+
+
 def _count_nodes(u: np.ndarray) -> int:
     significant = np.abs(u) > 1e-9 * np.max(np.abs(u))
     signs = np.sign(u[significant])
@@ -125,7 +128,7 @@ def solve_radial(
     Raises GridError when fewer than ``count`` states are bound on the box or
     when the wavefunction amplitude at a classically forbidden end exceeds
     BOUNDARY_AMPLITUDE_TOL (box too small), and ConvergenceError when the
-    node count of the k-th state is not k.
+    eigensolve fails or the node count of the k-th state is not k.
     """
     if count < 1:
         raise DomainError(f"count must be >= 1, got {count}")
@@ -136,32 +139,25 @@ def solve_radial(
 
     r = grid.positions()
     h = grid.spacing
-    interior = r[1:-1]
-    v_bare = np.asarray(potential(interior), dtype=float)
-    if not np.all(np.isfinite(v_bare)):
+    v_eff = _v_eff(potential, ell, mu, r)
+    if not np.all(np.isfinite(v_eff[1:-1])):
         raise DomainError("potential is not finite on the grid interior")
-    centrifugal = ell * (ell + 1) / (2.0 * mu * interior * interior)
-    v_eff = v_bare + centrifugal
 
     kin = 1.0 / (2.0 * mu * h * h)
-    diag = 2.0 * kin + v_eff
-    offdiag = np.full(len(interior) - 1, -kin)
-    energies, vectors = eigh_tridiagonal(diag, offdiag, select="i", select_range=(0, count - 1))
+    diag = 2.0 * kin + v_eff[1:-1]
+    offdiag = np.full(grid.points - 3, -kin)
+    try:
+        energies, vectors = eigh_tridiagonal(diag, offdiag, select="i", select_range=(0, count - 1))
+    except np.linalg.LinAlgError as exc:  # e.g. a kinetic term 1e240 times the potential
+        raise ConvergenceError(f"tridiagonal eigensolve failed: {exc}") from None
 
     # Bound on this box means decaying at the outer end: E below V_eff there.
-    v_eff_end = _potential_at(potential, grid.r_max) + ell * (ell + 1) / (
-        2.0 * mu * grid.r_max * grid.r_max
-    )
-    n_bound = int(np.sum(energies < v_eff_end))
+    n_bound = int(np.sum(energies < v_eff[-1]))
     if n_bound < count:
         raise GridError(
             f"only {n_bound} of the requested {count} states are bound on "
-            f"[{grid.r_min:g}, {grid.r_max:g}] (V_eff at r_max = {v_eff_end:g}); enlarge the box"
+            f"[{grid.r_min:g}, {grid.r_max:g}] (V_eff at r_max = {v_eff[-1]:g}); enlarge the box"
         )
-
-    v_eff_start = _potential_at(potential, grid.r_min)
-    if ell:
-        v_eff_start += ell * (ell + 1) / (2.0 * mu * grid.r_min * grid.r_min)
 
     states: list[RadialEigenstate] = []
     for k in range(count):
@@ -177,7 +173,7 @@ def solve_radial(
                 f"state {k}: amplitude {abs(u[-2]):.2e} at r_max (relative "
                 f"{abs(u[-2]) / peak:.2e}) exceeds {BOUNDARY_AMPLITUDE_TOL:g}; enlarge r_max"
             )
-        if v_eff_start > energies[k] and abs(u[1]) > INNER_AMPLITUDE_TOL * peak:
+        if v_eff[0] > energies[k] and abs(u[1]) > INNER_AMPLITUDE_TOL * peak:
             raise GridError(
                 f"state {k}: amplitude {abs(u[1]):.2e} at r_min (relative "
                 f"{abs(u[1]) / peak:.2e}) exceeds {INNER_AMPLITUDE_TOL:g}; shrink r_min"
@@ -238,16 +234,6 @@ def p4_expectation_fd(state: RadialEigenstate, potential: RadialPotential, mu: f
     return float(simpson(p2u * p2u, x=r))
 
 
-def perturbative_correction(
-    state: RadialEigenstate,
-    potential: RadialPotential,
-    mu: float,
-    d: Deformation,
-) -> float:
-    """First-order shift (beta/mu) <p^4> = 4 mu beta <(E - V)^2>; linear in beta."""
-    return d.beta / mu * p4_expectation(state, potential, mu)
-
-
 def kinetic_expectation(state: RadialEigenstate, mu: float) -> float:
     """<p^2>/2mu from du/dr (central differences) plus the centrifugal piece.
 
@@ -287,16 +273,11 @@ def dump_eigenstate(state: RadialEigenstate, destination) -> None:
             handle.writelines(lines)
 
 
-def richardson(values: Sequence[float]) -> list[float]:
-    """One Richardson step for an O(h^2) sequence on halved spacings."""
-    return [(4.0 * b - a) / 3.0 for a, b in zip(values, values[1:])]
-
-
 def extrapolate(values: Sequence[float]) -> float:
-    """Repeated Richardson of an O(h^2) ladder down to a single value."""
+    """Repeated Richardson steps of an O(h^2) ladder on halved spacings, down to one value."""
     work = list(values)
     while len(work) > 1:
-        work = richardson(work)
+        work = [(4.0 * b - a) / 3.0 for a, b in zip(work, work[1:])]
     return work[0]
 
 
@@ -317,16 +298,10 @@ def auto_grid(
     DECAY_BUDGET WKB e-foldings past the classical turning point.  r_scale
     sets the inner wall (INNER_WALL * r_scale) and the search window for the
     minimum.
-    Raises DomainError when the effective potential has no interior well.
+    Raises DomainError when the effective potential has no interior well, and
+    GridError when the walk to the box edge takes more than MAX_WALK_STEPS.
     """
-
-    def v_eff(r: np.ndarray) -> np.ndarray:
-        r = np.asarray(r, dtype=float)
-        out = np.asarray(potential(r), dtype=float)
-        if ell:
-            out = out + ell * (ell + 1) / (2.0 * mu * r * r)
-        return out
-
+    v_eff = partial(_v_eff, potential, ell, mu)
     inner = r_min if r_min is not None else INNER_WALL * r_scale
     if r_max is not None:
         return RadialGrid(inner, r_max, points)
@@ -350,15 +325,25 @@ def auto_grid(
 
     r = r0
     dr = 0.02 * r0
+    steps = 0
+
+    def advance(r: float) -> float:
+        nonlocal steps
+        steps += 1
+        if steps > MAX_WALK_STEPS:
+            raise GridError(f"box edge not reached in {MAX_WALK_STEPS} steps of {dr:.3g} past "
+                            f"the minimum at {r0:.3g}; the well is too shallow, pass r_max")
+        return r + dr
+
     while float(v_eff(np.array([r]))[0]) < e_top:
-        r += dr
+        r = advance(r)
         if r > 1e6 * r_scale:
             raise DomainError("no outer turning point found; potential looks unbound")
     accumulated = 0.0
     while accumulated < DECAY_BUDGET:
         k_local = math.sqrt(2.0 * mu * max(float(v_eff(np.array([r]))[0]) - e_top, 0.0))
         accumulated += k_local * dr
-        r += dr
+        r = advance(r)
         if r > 1e6 * r_scale:
             break
     return RadialGrid(inner, r, points)

@@ -100,7 +100,8 @@ def pho_energy_deformed(m: Molecule, d: Deformation, qn: QuantumNumbers) -> Ener
 
 
 def pho_energy_expansion(m: Molecule, d: Deformation, qn: QuantumNumbers) -> float:
-    """Large-gamma series of the deformed level, truncated at 1/gamma^3.
+    """Large-gamma series of the deformed level, truncated at 1/gamma^3: the
+    master expression of :func:`pho_spectroscopic_constants` (see Model.expansion).
 
         de/(4 g^2) + (4 de/g) nu + de*ell(ell+1)/g^2
         + beta*mu*de^2 * [6/g^2 + 24 nu^2/g^2 + 12 nu/g^3
@@ -111,22 +112,11 @@ def pho_energy_expansion(m: Molecule, d: Deformation, qn: QuantumNumbers) -> flo
     only dimensionally consistent possibility, the remainder being O(1/g^4).
     There is no nu^3 term: the deformed spectrum is exactly quadratic in n.
     """
-    g = _series_gamma(m)
-    nu = qn.n + 0.5
-    ll = qn.ell * (qn.ell + 1.0)
-    undeformed = m.de * (0.25 / g**2 + 4.0 * nu / g + ll / g**2)
-    beta_part = (
-        d.beta
-        * m.mu
-        * m.de
-        * m.de
-        * (6.0 / g**2 + 24.0 * nu * nu / g**2 + 12.0 * nu / g**3 + 16.0 * nu * ll / g**3)
-    )
-    return undeformed + beta_part
+    return PHO.expansion(m, d, qn)
 
 
 def pho_spectroscopic_constants(m: Molecule, d: Deformation) -> SpectroscopicConstants:
-    """Band-spectrum constants implied by the series.
+    """Band-spectrum constants implied by the series; the one home of its coefficients.
 
     At beta = 0 the anharmonicity wexe, the coupling alphae and weye are all
     exactly zero; for beta > 0, wexe and alphae turn on with a negative sign,

@@ -27,7 +27,6 @@ from pathlib import Path
 import numpy as np
 
 from .core import (
-    HBAR,
     UNITS,
     DataFormatError,
     Deformation,
@@ -37,7 +36,8 @@ from .core import (
     Molecule,
     QuantumNumbers,
     SpectroscopicConstants,
-    UnitSystem,
+    _master_basis,
+    master_energy,  # noqa: F401  (one of this module's public names)
 )
 from .kratzer import KRATZER
 from .pho import PHO
@@ -59,20 +59,6 @@ def get_model(kind: str) -> Model:
     if kind not in MODELS:
         raise DomainError(f"unknown potential kind {kind!r}; expected one of {tuple(MODELS)}")
     return MODELS[kind]
-
-
-def master_energy(c: SpectroscopicConstants, qn: QuantumNumbers) -> float:
-    """Evaluate the master expression for one level."""
-    nu = qn.n + 0.5
-    ll = qn.ell * (qn.ell + 1.0)
-    return (
-        c.y00
-        + c.we * nu
-        - c.wexe * nu * nu
-        + c.weye * nu**3
-        + c.be * ll
-        - c.alphae * nu * ll
-    )
 
 
 @dataclass(frozen=True)
@@ -126,19 +112,12 @@ def fit_dunham(table: LevelTable) -> DunhamFit:
     if problems:
         raise FitError("level table cannot determine all six constants; need " + "; ".join(problems))
 
-    rows = []
-    energies = []
-    for qn, e in entries:
-        nu = qn.n + 0.5
-        ll = qn.ell * (qn.ell + 1.0)
-        # Signs folded into the design so the solution vector is the constants.
-        rows.append([1.0, nu, -nu * nu, nu**3, ll, -nu * ll])
-        energies.append(e)
-    design = np.array(rows)
-    rhs = np.array(energies)
-    if np.linalg.matrix_rank(design) < 6:
+    # The basis carries the master expression's signs, so the solution vector is the constants.
+    design = np.array([_master_basis(qn) for qn, _ in entries])
+    rhs = np.array([e for _, e in entries])
+    coeff, _, rank, _ = np.linalg.lstsq(design, rhs, rcond=None)
+    if rank < 6:
         raise FitError("design matrix is rank deficient despite quantum-number coverage")
-    coeff, *_ = np.linalg.lstsq(design, rhs, rcond=None)
     residuals = design @ coeff - rhs
     constants = SpectroscopicConstants(*coeff)
     return DunhamFit(
@@ -181,7 +160,7 @@ class BetaBound:
     basis: str
 
     def __post_init__(self) -> None:
-        expected = HBAR * math.sqrt(5.0 * self.beta_upper)
+        expected = Deformation(self.beta_upper).minimal_length
         if not math.isclose(self.minimal_length_upper, expected, rel_tol=1e-12, abs_tol=1e-300):
             raise DomainError("minimal_length_upper inconsistent with beta_upper")
 
@@ -209,6 +188,8 @@ def fit_beta_bound(m: Molecule, e_exp: float, qn: QuantumNumbers, kind: str) -> 
                 f"level (n={qn.n}, ell={qn.ell}) has zero deformation sensitivity; cannot bound beta"
             )
         beta_upper = gap / abs(slope)
+        if math.isinf(beta_upper):
+            raise DomainError(f"beta bound {gap:.6e} / {abs(slope):.6e} overflows a float")
     basis = (
         f"full |experiment - theory(beta=0)| gap of {gap:.6e} eV for {m.name!r} "
         f"(n={qn.n}, ell={qn.ell}, {kind}) attributed to the deformation shift "
@@ -216,7 +197,7 @@ def fit_beta_bound(m: Molecule, e_exp: float, qn: QuantumNumbers, kind: str) -> 
     )
     return BetaBound(
         beta_upper=beta_upper,
-        minimal_length_upper=HBAR * math.sqrt(5.0 * beta_upper),
+        minimal_length_upper=Deformation(beta_upper).minimal_length,
         basis=basis,
     )
 
@@ -274,7 +255,7 @@ def _parse_float(path: Path, lineno: int, name: str, text: str) -> float:
         raise DataFormatError(f"{path}:{lineno}: field {name!r} is not a number: {text!r}") from None
 
 
-def load_molecules(path, units: UnitSystem = UNITS) -> list[Molecule]:
+def load_molecules(path) -> list[Molecule]:
     """Read a molecules CSV (name, De_eV, re_angstrom, mu_amu[, source]).
 
     Values are converted to internal units; nonpositive parameters and
@@ -298,7 +279,7 @@ def load_molecules(path, units: UnitSystem = UNITS) -> list[Molecule]:
         re_a = _parse_float(path, lineno, "re_angstrom", row[2])
         mu_amu = _parse_float(path, lineno, "mu_amu", row[3])
         try:
-            molecule = Molecule.from_spectroscopic(name, de_ev, re_a, mu_amu, units=units)
+            molecule = Molecule.from_spectroscopic(name, de_ev, re_a, mu_amu)
         except DomainError as exc:
             raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
         seen[name] = lineno
@@ -308,7 +289,7 @@ def load_molecules(path, units: UnitSystem = UNITS) -> list[Molecule]:
     return molecules
 
 
-def load_levels(path, units: UnitSystem = UNITS) -> list[ExperimentalLevel]:
+def load_levels(path) -> list[ExperimentalLevel]:
     """Read a levels CSV (molecule, n, l, energy, unit[, source]).
 
     Energies are converted to internal eV and are understood to be measured
@@ -330,7 +311,7 @@ def load_levels(path, units: UnitSystem = UNITS) -> list[ExperimentalLevel]:
         value = _parse_float(path, lineno, "energy", row[3])
         unit = row[4]
         try:
-            energy = units.energy_to_internal(value, unit)
+            energy = UNITS.energy_to_internal(value, unit)
         except DomainError as exc:
             raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
         key = (name, qn.n, qn.ell)

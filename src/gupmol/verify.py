@@ -128,9 +128,7 @@ def closed_vs_oracle_sweep(
                 for n in range(n_max + 1):
                     qn = QuantumNumbers(n=n, ell=ell)
                     e_closed = model.undeformed(m, qn)
-                    # as in Model.level, the slope (poles for shallow wells) is skipped at beta = 0
-                    de_closed = (0.0 if deformation.beta == 0.0
-                                 else deformation.beta * model.slope(m, qn))
+                    de_closed = model.shift(m, deformation, qn)
                     if failure is not None:
                         cells.append(
                             SweepCell(model.name, gamma_value, n, ell, e_closed, float("nan"),

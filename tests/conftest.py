@@ -1,7 +1,16 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import gupmol
 from gupmol import Molecule
+
+# Tests that start `python -m gupmol` in a subprocess import the same package as the tests.
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(Path(gupmol.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")])
+)
 
 
 @pytest.fixture

@@ -440,12 +440,20 @@ class TestExitCodes:
         (["constants", "--potential", "kratzer", "--synthetic", "1,1,1e-245"], EXIT_CONFIG),
         (["fit-beta", "--potential", "pho", "--synthetic", "1,1e-300,1", "--l", "1",
           "--e-exp", "1", "--units", "eV"], EXIT_CONFIG),
+        # a shift, a constant or a bound that overflows to inf: never printed
+        (["spectrum", "--potential", "kratzer", "--synthetic", "1,1,1", "--beta", "1e308"],
+         EXIT_CONFIG),
+        (["constants", "--potential", "kratzer", "--synthetic", "1,1,1", "--beta", "1e308",
+          "--fit"], EXIT_CONFIG),
+        (["fit-beta", "--potential", "kratzer", "--synthetic", "1,1,100", "--e-exp", "1e308",
+          "--units", "eV"], EXIT_CONFIG),
         # a directory where a data file is expected
         (["spectrum", "--potential", "kratzer", "--molecule", "H2", "--molecules-file", "{dir}"],
          EXIT_DATA),
         (["fit-beta", "--molecule", "H2-kratzer", "--levels-file", "{dir}"], EXIT_DATA),
     ], ids=["spectrum-large-mu", "constants-fit-large-mu", "fit-beta-large-mu", "spectrum-large-re",
             "verify-large-gamma", "constants-tiny-gamma", "fit-beta-tiny-gamma",
+            "spectrum-inf-shift", "constants-fit-inf", "fit-beta-inf-length",
             "molecules-file-dir", "levels-file-dir"])
     def test_one_line_error(self, capsys, tmp_path, argv, expected):
         argv = [arg.replace("{dir}", str(tmp_path)) for arg in argv]

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from gupmol import (
-    Deformation,
     DomainError,
     GridError,
     KratzerPotential,
@@ -16,13 +15,13 @@ from gupmol import (
     kratzer_energy_undeformed,
     p4_expectation,
     p4_expectation_fd,
-    perturbative_correction,
     pho_energy_undeformed,
     potential_expectation,
     solve_radial,
     synthetic_molecule,
 )
 from gupmol.core import QuantumNumbers
+from gupmol.oracle import MAX_WALK_STEPS
 
 
 def coulomb(r):
@@ -115,13 +114,6 @@ class TestPerturbation:
         m, pot, _, states = kratzer_case
         for state in states:
             assert p4_expectation(state, pot, m.mu) > 0.0
-
-    def test_correction_linear_in_beta(self, kratzer_case):
-        m, pot, _, states = kratzer_case
-        c1 = perturbative_correction(states[0], pot, m.mu, Deformation(1e-7))
-        c2 = perturbative_correction(states[0], pot, m.mu, Deformation(2e-7))
-        assert c2 == 2.0 * c1
-        assert perturbative_correction(states[0], pot, m.mu, Deformation(0.0)) == 0.0
 
     def test_second_difference_route_agrees(self, kratzer_case):
         m, pot, _, states = kratzer_case
@@ -252,3 +244,11 @@ class TestSweep:
     def test_levels_below_one_rejected(self, levels):
         with pytest.raises(DomainError, match="levels"):
             closed_vs_oracle_sweep(gammas=(20.0,), n_max=0, l_max=0, levels=levels)
+
+    def test_shallow_well_cell_fails_fast(self):
+        report = closed_vs_oracle_sweep(potentials=("kratzer",), gammas=(1e-3,), n_max=0,
+                                        l_max=0, beta=0.0)
+        (cell,) = report.cells
+        assert not cell.passed
+        assert f"box edge not reached in {MAX_WALK_STEPS} steps" in cell.note
+        assert report.runtime_s < 20.0  # the unbounded walk took about 100 s

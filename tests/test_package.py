@@ -22,9 +22,9 @@ EXPORTS = (
     "kratzer_energy_expansion", "kratzer_energy_undeformed", "kratzer_spectroscopic_constants",
     "lambda_kratzer", "lambda_pho", "load_levels", "load_molecules", "master_energy",
     "minimal_length", "oracle", "p4_expectation", "p4_expectation_fd", "packaged_data_path",
-    "perturbative_correction", "pho", "pho_correction_slope", "pho_energy_deformed",
+    "pho", "pho_correction_slope", "pho_energy_deformed",
     "pho_energy_expansion", "pho_energy_undeformed", "pho_spectroscopic_constants",
-    "potential_expectation", "richardson", "solve_radial", "spectroscopy", "synthetic_molecule",
+    "potential_expectation", "solve_radial", "spectroscopy", "synthetic_molecule",
     "verify",
 )
 

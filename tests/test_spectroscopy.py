@@ -78,6 +78,18 @@ class TestFitDunham:
         with pytest.raises(FitError, match="6 levels"):
             fit_dunham(table)
 
+    def test_rank_deficiency_behind_full_coverage(self):
+        # n = 0..3 at ell = 0 plus n = 0 at ell = 1, 2: four n and three ell pass the
+        # coverage checks, but every ell > 0 level has nu = 1/2, so nu L = L / 2.
+        constants = SpectroscopicConstants(1.0, 2.0, 0.1, 0.01, 3.0, 0.05)
+        entries = tuple(
+            (QuantumNumbers(n, ell), master_energy(constants, QuantumNumbers(n, ell)))
+            for n, ell in [(0, 0), (1, 0), (2, 0), (3, 0), (0, 1), (0, 2)]
+        )
+        table = LevelTable(molecule=None, entries=entries, provenance="experimental")
+        with pytest.raises(FitError, match="rank deficient"):
+            fit_dunham(table)
+
     def test_duplicate_levels_rejected(self):
         qn = QuantumNumbers(0, 0)
         with pytest.raises(DomainError, match="duplicate"):
