@@ -22,6 +22,8 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
+
 from .core import (
     ENERGY_UNITS,
     FIRST_ORDER_WARN_RATIO,
@@ -171,22 +173,13 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     _check_caps(args)
     molecule = _resolve_molecule(args)
     deformation = _resolve_deformation(args)
-    model = get_model(args.potential)
     unit = args.units
 
-    rows = []
-    for n in range(args.nmax + 1):
-        for ell in range(args.lmax + 1):
-            level = model.level(molecule, deformation, QuantumNumbers(n=n, ell=ell))
-            rows.append(
-                {
-                    "n": n,
-                    "l": ell,
-                    "e0": UNITS.energy_from_internal(level.e0, unit),
-                    "delta_e": UNITS.energy_from_internal(level.de, unit),
-                    "total": UNITS.energy_from_internal(level.total, unit),
-                }
-            )
+    qns, e0, _, de = get_model(args.potential).table(molecule, deformation, args.nmax, args.lmax)
+    with np.errstate(over="ignore"):  # an overflow is inf, which _require_finite refuses
+        columns = [UNITS.energy_from_internal(x, unit).tolist() for x in (e0, de, e0 + de)]
+    rows = [{"n": qn.n, "l": qn.ell, "e0": a, "delta_e": b, "total": c}
+            for qn, a, b, c in zip(qns, *columns)]
 
     meta = {
         "potential": args.potential,
@@ -246,6 +239,9 @@ def cmd_constants(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    # The tridiagonal eigensolves are too small to gain from BLAS threads, which
+    # only double the CPU time; the variable is read when scipy loads its BLAS.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     from .verify import closed_vs_oracle_sweep  # loads the solver and scipy
 
     _check_caps(args)

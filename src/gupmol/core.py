@@ -21,7 +21,10 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import asdict, astuple, dataclass
+from functools import lru_cache
 from typing import Any, Callable
+
+import numpy as np
 
 HBAR = 1.0
 
@@ -227,14 +230,37 @@ def _series_gamma(m: Molecule) -> float:
     return g
 
 
-def lambda_kratzer(gamma_value: float, ell: int) -> float:
-    """Effective radial index 1/2 + sqrt((ell+1/2)^2 + gamma^2); always > 1."""
-    return 0.5 + math.sqrt((ell + 0.5) ** 2 + gamma_value**2)
+def lambda_kratzer(gamma_value: float, ell):
+    """Effective radial index 1/2 + sqrt((ell+1/2)^2 + gamma^2); always > 1.
+    Elementwise over an array of ell."""
+    return 0.5 + lambda_pho(gamma_value, ell)
 
 
-def lambda_pho(gamma_value: float, ell: int) -> float:
-    """Effective radial index sqrt(gamma^2 + (ell+1/2)^2); no 1/2 shift here."""
-    return math.sqrt(gamma_value**2 + (ell + 0.5) ** 2)
+def lambda_pho(gamma_value: float, ell):
+    """Effective radial index sqrt(gamma^2 + (ell+1/2)^2); no 1/2 shift here.
+    Elementwise over an array of ell."""
+    a = np.add(ell, 0.5)
+    return np.sqrt(gamma_value * gamma_value + a * a)
+
+
+def _pole_at(bad, lam, n, ell) -> tuple[float, int] | None:
+    """(lambda, ell) of the first level, in n-major order, where ``bad`` holds;
+    None if it holds nowhere.  The arguments broadcast as the kernels' do."""
+    if not np.any(bad):
+        return None
+    shape = np.broadcast_shapes(np.shape(bad), np.shape(n), np.shape(ell))
+    k = int(np.argmax(np.broadcast_to(bad, shape)))
+    return float(np.broadcast_to(lam, shape).flat[k]), int(np.broadcast_to(ell, shape).flat[k])
+
+
+@lru_cache(maxsize=8, typed=True)
+def _quantum_grid(n_max: int, l_max: int) -> tuple[QuantumNumbers, ...]:
+    """QuantumNumbers of every level n <= n_max, ell <= l_max in n-major order,
+    built once per size (the records are frozen, so callers share them)."""
+    for label, value in (("n_max", n_max), ("l_max", l_max)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+            raise DomainError(f"{label} must be a nonnegative integer, got {value!r}")
+    return tuple(QuantumNumbers(n, ell) for n in range(n_max + 1) for ell in range(l_max + 1))
 
 
 @dataclass(frozen=True)
@@ -265,34 +291,54 @@ class SpectroscopicConstants:
         return asdict(self)
 
 
-def _master_basis(qn: QuantumNumbers) -> list[float]:
-    """[1, nu, -nu^2, nu^3, L, -nu L]: the master expression is the constants dotted with it."""
-    nu = qn.n + 0.5
-    ll = qn.ell * (qn.ell + 1.0)
-    return [1.0, nu, -nu * nu, nu**3, ll, -nu * ll]
+def _master_basis(n, ell) -> np.ndarray:
+    """[1, nu, -nu^2, nu^3, L, -nu L] on the last axis, elementwise over arrays of
+    n and ell: the master expression is the constants dotted with it."""
+    nu, ll = np.broadcast_arrays(np.add(n, 0.5), np.multiply(ell, np.add(ell, 1.0)))
+    return np.stack([np.ones_like(nu), nu, -nu * nu, nu * nu * nu, ll, -nu * ll], axis=-1)
 
 
 def master_energy(c: SpectroscopicConstants, qn: QuantumNumbers) -> float:
     """Evaluate the master expression for one level."""
-    return sum(x * b for x, b in zip(astuple(c), _master_basis(qn)))
+    return sum(x * b for x, b in zip(astuple(c), _master_basis(qn.n, qn.ell).tolist()))
 
 
 @dataclass(frozen=True)
 class Model:
     """One potential's closed forms, as every routine that takes a kind reads them.
 
-    V(r) from a molecule, the undeformed level, its shift per unit beta, the
-    band constants, and the offset that moves a level to the well minimum.
-    The large-gamma series of a level is the master expression of the band
-    constants; it has no home of its own.
+    V(r) from a molecule; two array kernels, each the one home of its
+    formulas; the band constants; and the offset that moves a level to the
+    well minimum.  ``energies(m, n, ell)`` gives the undeformed level on the
+    potential's own scale (from dissociation for the 1/r^2 - 1/r well) and the
+    level above the well minimum; ``slopes(m, n, ell)`` gives the shift per
+    unit beta.  Both take arrays of n and ell that broadcast (a column of n
+    against a row of ell for a table) and are written so that no large terms
+    cancel.  The scalar methods are float views of one-element evaluations, so
+    a level equals its table entry bit for bit.  The large-gamma series of a
+    level is the master expression of the band constants; it has no home of
+    its own.
     """
 
     name: str
     potential: Callable[[Molecule], Any]
-    undeformed: Callable[[Molecule, QuantumNumbers], float]
-    slope: Callable[[Molecule, QuantumNumbers], float]
+    energies: Callable[[Molecule, Any, Any], tuple[np.ndarray, np.ndarray]]
+    slopes: Callable[[Molecule, Any, Any], np.ndarray]
     constants: Callable[[Molecule, Deformation], SpectroscopicConstants]
     well_offset: Callable[[Molecule], float]
+
+    def undeformed(self, m: Molecule, qn: QuantumNumbers) -> float:
+        """Undeformed level on the potential's own energy scale."""
+        return float(self.energies(m, qn.n, qn.ell)[0])
+
+    def slope(self, m: Molecule, qn: QuantumNumbers) -> float:
+        """First-order shift per unit beta; DomainError at the formula's pole."""
+        return float(self.slopes(m, qn.n, qn.ell))
+
+    def shift(self, m: Molecule, d: Deformation, qn: QuantumNumbers) -> float:
+        """First-order shift beta*slope; at beta = 0 the slope, whose poles a
+        shallow well can reach, is not evaluated."""
+        return 0.0 if d.beta == 0.0 else d.beta * self.slope(m, qn)
 
     def level(self, m: Molecule, d: Deformation, qn: QuantumNumbers) -> EnergyLevel:
         """Level with its minimal-length shift (see shift); exact to first order
@@ -300,25 +346,42 @@ class Model:
         FIRST_ORDER_WARN_RATIO of |e0|, where first order stops being a
         controlled approximation.
         """
-        e0 = self.undeformed(m, qn)
-        de = self.shift(m, d, qn)
-        if abs(de) > FIRST_ORDER_WARN_RATIO * abs(e0):
+        e0, _, de = self._evaluate(m, d, qn.n, qn.ell, (qn,))
+        return EnergyLevel(qn=qn, e0=float(e0[0]), de=float(de[0]))
+
+    def table(self, m: Molecule, d: Deformation, n_max: int, l_max: int):
+        """Every level n <= n_max, ell <= l_max in n-major order, one kernel call each:
+        (QuantumNumbers, e0, level above the minimum, shift), the last three
+        as flat arrays.  Warns as ``level`` does, once per flagged level.
+        """
+        qns = _quantum_grid(n_max, l_max)
+        n = np.arange(n_max + 1.0)[:, None]
+        ell = np.arange(l_max + 1.0)
+        return (qns, *self._evaluate(m, d, n, ell, qns))
+
+    def _evaluate(self, m, d, n, ell, qns):
+        """e0, level above the minimum and shift, raveled in the order of qns."""
+        e0, e_min = self.energies(m, n, ell)
+        if d.beta == 0.0:
+            de = np.zeros_like(e0)
+        else:
+            with np.errstate(over="ignore"):  # an overflowing shift is inf; the CLI refuses it
+                de = d.beta * self.slopes(m, n, ell)
+        e0, e_min, de = e0.ravel(), e_min.ravel(), de.ravel()
+        for k in np.flatnonzero(np.abs(de) > FIRST_ORDER_WARN_RATIO * np.abs(e0)).tolist():
+            shift, level = float(de[k]), float(e0[k])
+            qn = qns[k]
             warnings.warn(
                 PerturbationWarning(
-                    f"first-order shift |{de:.3e}| exceeds {FIRST_ORDER_WARN_RATIO:g} of |e0| = "
-                    f"{abs(e0):.3e} for {m.name!r} (n={qn.n}, ell={qn.ell})",
+                    f"first-order shift |{shift:.3e}| exceeds {FIRST_ORDER_WARN_RATIO:g} of "
+                    f"|e0| = {abs(level):.3e} for {m.name!r} (n={qn.n}, ell={qn.ell})",
                     qn=qn,
-                    ratio=abs(de) / abs(e0) if e0 else math.inf,
+                    ratio=abs(shift) / abs(level) if level else math.inf,
                 ),
                 PerturbationWarning,
-                stacklevel=3,  # the call site of kratzer_energy_deformed and the like
+                stacklevel=4,  # the caller of kratzer_energy_deformed, closed_form_table and the like
             )
-        return EnergyLevel(qn=qn, e0=e0, de=de)
-
-    def shift(self, m: Molecule, d: Deformation, qn: QuantumNumbers) -> float:
-        """First-order shift beta*slope; at beta = 0 the slope, whose poles a
-        shallow well can reach, is not evaluated."""
-        return 0.0 if d.beta == 0.0 else d.beta * self.slope(m, qn)
+        return e0, e_min, de
 
     def expansion(self, m: Molecule, d: Deformation, qn: QuantumNumbers) -> float:
         """Large-gamma series of the deformed level, truncated at 1/gamma^3, on

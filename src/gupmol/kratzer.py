@@ -20,10 +20,12 @@ from .core import (
     Molecule,
     QuantumNumbers,
     SpectroscopicConstants,
+    _pole_at,
     _require_positive,
     _series_gamma,
     gamma,
     lambda_kratzer,
+    lambda_pho,
 )
 
 
@@ -65,38 +67,83 @@ class KratzerPotential:
     __call__ = value
 
 
+def _slope_polynomial(lam, n, a2):
+    """P(lambda, n, a^2), the slope's bracket times
+    16 lambda (lambda-1) N (2lambda-3)(2lambda-1)(2lambda+1) once gamma^2 =
+    (lambda-1/2)^2 - a^2 is substituted: the paper's O(1) terms, which cancel
+    to O(1/gamma^2), cancel here symbolically.  Horner form in lambda; plain
+    arithmetic, so it also takes sympy symbols.
+    """
+    nn = n * n
+    a4 = a2 * a2
+    return (
+        (
+            ((48 * nn + 48 * n + 24) * lam + 32 * a2 * (2 * n + 1) - 96 * nn - 40 * n - 20) * lam
+            + 32 * a4 + a2 * (32 * nn - 64 * n - 96) + 40 * nn - 44 * n + 10
+        ) * lam
+        + a4 * (96 * n + 16) - a2 * (32 * nn + 240 * n + 56) + 8 * nn + 90 * n + 13
+    ) * lam + nn * (48 * a4 - 120 * a2 + 27)
+
+
+def _energies(m: Molecule, n, ell) -> tuple[np.ndarray, np.ndarray]:
+    """Exact bound level -gamma^2 de/N^2 (N = lambda + n), always in (-de, 0),
+    and the same level above the well minimum,
+
+        de (n + 1/2 + a^2/(R + gamma)) (N + gamma)/N^2,   a = ell + 1/2,
+        R = lambda - 1/2 = sqrt(a^2 + gamma^2),
+
+    the difference of squares de (N - gamma)(N + gamma)/N^2 with
+    N - gamma = n + 1/2 + R - gamma written without cancellation.
+    """
+    g = gamma(m)
+    n = np.asarray(n, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = lambda_pho(g, ell)
+        a = np.add(ell, 0.5)
+        nn = (0.5 + r) + n
+        e0 = -g * g * m.de / (nn * nn)
+        e_min = m.de * (n + 0.5 + a * a / (r + g)) * (nn + g) / (nn * nn)
+    return e0, e_min
+
+
+def _slopes(m: Molecule, n, ell) -> np.ndarray:
+    """First-order level shift per unit beta, d(Delta E)/d(beta):
+
+        mu de^2 (2 gamma/N)^4 P / (16 lambda (lambda-1) N (2lambda-3)(2lambda-1)(2lambda+1))
+
+    with P from _slope_polynomial.  The closed form has poles at lambda = 1
+    and lambda = 3/2 coming from the inverse-power expectation values it is
+    built from, so lambda <= 3/2 (gamma^2 + ell(ell+1) <= 3/4 + ...) is
+    rejected; physical molecules have gamma >> 1 and never get near the guard.
+    """
+    g = gamma(m)
+    n = np.asarray(n, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lam = lambda_kratzer(g, ell)
+        pole = _pole_at(lam <= 1.5, lam, n, ell)
+        if pole is not None:
+            raise DomainError(
+                f"correction formula has poles for lambda <= 3/2; got lambda = {pole[0]!r} "
+                f"(gamma = {g!r}, ell = {pole[1]})"
+            )
+        a = np.add(ell, 0.5)
+        nn = lam + n
+        t = 2.0 * g / nn
+        t2 = t * t
+        return (m.mu * m.de * m.de * (t2 * t2) * _slope_polynomial(lam, n, a * a)
+                / (16.0 * lam * (lam - 1.0) * nn * (2.0 * lam - 3.0) * (2.0 * lam - 1.0)
+                   * (2.0 * lam + 1.0)))
+
+
 def kratzer_energy_undeformed(m: Molecule, qn: QuantumNumbers) -> float:
     """Exact bound level -gamma^2*de/(lambda+n)^2; always in (-de, 0)."""
-    g = gamma(m)
-    lam = lambda_kratzer(g, qn.ell)
-    return -g * g * m.de / (lam + qn.n) ** 2
+    return KRATZER.undeformed(m, qn)
 
 
 def kratzer_correction_slope(m: Molecule, qn: QuantumNumbers) -> float:
-    """First-order level shift per unit beta, d(Delta E)/d(beta).
-
-    The closed form has poles at lambda = 1 and lambda = 3/2 coming from the
-    inverse-power expectation values it is built from, so lambda <= 3/2
-    (gamma^2 + ell(ell+1) <= 3/4 + ...) is rejected; physical molecules have
-    gamma >> 1 and never get near the guard.
-    """
-    g = gamma(m)
-    lam = lambda_kratzer(g, qn.ell)
-    if lam <= 1.5:
-        raise DomainError(
-            f"correction formula has poles for lambda <= 3/2; got lambda = {lam!r} "
-            f"(gamma = {g!r}, ell = {qn.ell})"
-        )
-    n = qn.n
-    nn = lam + n
-    bracket = (
-        -0.75
-        + (nn / (lam - 0.5)) * (1.0 + (g * g / 2.0) * (1.0 / (nn * nn) - 2.0 / (lam * (lam - 1.0))))
-        + (g**4 / 4.0)
-        * (1.0 / ((lam - 0.5) * (lam - 1.0) * (lam - 1.5) * nn))
-        * (1.0 + 3.0 * n * (2.0 * lam + n) / (lam * (2.0 * lam + 1.0)))
-    )
-    return m.mu * m.de * m.de * (2.0 * g / nn) ** 4 * bracket
+    """First-order level shift per unit beta (see _slopes); DomainError for
+    lambda <= 3/2, where the closed form has poles."""
+    return KRATZER.slope(m, qn)
 
 
 def kratzer_energy_deformed(m: Molecule, d: Deformation, qn: QuantumNumbers) -> EnergyLevel:
@@ -150,8 +197,8 @@ def kratzer_spectroscopic_constants(m: Molecule, d: Deformation) -> Spectroscopi
 KRATZER = Model(
     name="kratzer",
     potential=KratzerPotential.from_molecule,
-    undeformed=kratzer_energy_undeformed,
-    slope=kratzer_correction_slope,
+    energies=_energies,
+    slopes=_slopes,
     constants=kratzer_spectroscopic_constants,
     well_offset=lambda m: m.de,  # the well bottom sits at -de
 )

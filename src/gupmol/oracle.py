@@ -139,7 +139,8 @@ def solve_radial(
 
     r = grid.positions()
     h = grid.spacing
-    v_eff = _v_eff(potential, ell, mu, r)
+    with np.errstate(over="ignore"):  # r^2 beyond float range: inf or 0, checked below
+        v_eff = _v_eff(potential, ell, mu, r)
     if not np.all(np.isfinite(v_eff[1:-1])):
         raise DomainError("potential is not finite on the grid interior")
 

@@ -21,6 +21,7 @@ from .core import (
     Molecule,
     QuantumNumbers,
     SpectroscopicConstants,
+    _pole_at,
     _require_positive,
     _series_gamma,
     gamma,
@@ -54,44 +55,72 @@ class PhoPotential:
     __call__ = value
 
 
-def pho_energy_undeformed(m: Molecule, qn: QuantumNumbers) -> float:
-    """Exact level -2*de*(1 - (2n + 1 + lambda)/gamma), measured from the minimum.
+def _slope_polynomial(lam, delta, n):
+    """Q(lambda, delta, n), the paper's slope bracket over de^2 times
+    gamma^2 lambda (lambda^2 - 1) once gamma = lambda - delta is substituted:
+    its O(1) terms, which cancel to O(1/gamma^2), cancel here symbolically.
+    Horner form in lambda; plain arithmetic, so it also takes sympy symbols.
+    """
+    s = 2 * n + 1
+    d2 = delta * delta
+    return (
+        ((6 * n * n + 6 * n + 3 + 4 * delta * s + 4 * d2) * lam
+         + s - 4 * delta + d2 * (2 * s - 4 * delta)) * lam
+        - 6 * n * n - 6 * n - 2 - 8 * delta * s + d2 * (2 - 4 * delta * s + d2)
+    ) * lam + d2 * (d2 * s + 4 * s)
 
-    lambda > gamma makes this strictly positive, and consecutive n are spaced
-    by exactly 4*de/gamma: the spectrum is harmonic in n with no truncation.
+
+def _energies(m: Molecule, n, ell) -> tuple[np.ndarray, np.ndarray]:
+    """Exact level 2 de (2n + 1 + delta)/gamma, measured from the minimum
+    (the well's own zero), twice: as the level and as the level above the
+    minimum.  delta = lambda - gamma = (ell+1/2)^2/(lambda + gamma) > 0 makes
+    it strictly positive, and consecutive n are spaced by exactly
+    4*de/gamma: the spectrum is harmonic in n with no truncation.
     """
     g = gamma(m)
-    lam = lambda_pho(g, qn.ell)
-    return -2.0 * m.de * (1.0 - (2.0 * qn.n + 1.0 + lam) / g)
+    n = np.asarray(n, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = np.add(ell, 0.5)
+        delta = a * a / (lambda_pho(g, ell) + g)
+        e0 = 2.0 * m.de * (2.0 * n + 1.0 + delta) / g
+    return e0, e0
+
+
+def _slopes(m: Molecule, n, ell) -> np.ndarray:
+    """First-order level shift per unit beta,
+
+        4 mu de^2 Q / (gamma^2 lambda (lambda^2 - 1))
+
+    with Q from _slope_polynomial.  The inverse-quartic expectation value
+    behind the paper's last term brings the lambda*(lambda^2 - 1)
+    denominator, so lambda <= 1 is rejected; gamma > 1 already guarantees
+    lambda > 1.
+    """
+    g = gamma(m)
+    n = np.asarray(n, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lam = lambda_pho(g, ell)
+        pole = _pole_at((lam <= 1.0) | (g * g == 0.0), lam, n, ell)
+        if pole is not None:
+            raise DomainError(
+                f"correction formula has a pole for lambda <= 1 or gamma^2 = 0; got lambda = "
+                f"{pole[0]!r} (gamma = {g!r}, ell = {pole[1]})"
+            )
+        a = np.add(ell, 0.5)
+        delta = a * a / (lam + g)
+        return (4.0 * m.mu * m.de * m.de * _slope_polynomial(lam, delta, n)
+                / (g * g * lam * (lam - 1.0) * (lam + 1.0)))
+
+
+def pho_energy_undeformed(m: Molecule, qn: QuantumNumbers) -> float:
+    """Exact level 2*de*(2n + 1 + lambda - gamma)/gamma, measured from the minimum."""
+    return PHO.undeformed(m, qn)
 
 
 def pho_correction_slope(m: Molecule, qn: QuantumNumbers) -> float:
-    """First-order level shift per unit beta.
-
-    The inverse-quartic expectation value behind the last term brings a
-    lambda*(lambda^2 - 1) denominator, so lambda <= 1 is rejected; gamma > 1
-    already guarantees lambda > 1.
-    """
-    g = gamma(m)
-    lam = lambda_pho(g, qn.ell)
-    if lam <= 1.0 or g * g == 0.0:
-        raise DomainError(
-            f"correction formula has a pole for lambda <= 1 or gamma^2 = 0; got lambda = {lam!r} "
-            f"(gamma = {g!r}, ell = {qn.ell})"
-        )
-    n = qn.n
-    e0 = pho_energy_undeformed(m, qn)
-    de = m.de
-    s = lam + 2.0 * n + 1.0
-    return 4.0 * m.mu * (
-        e0 * e0
-        + 4.0 * de * e0
-        + 6.0 * de * de
-        - (4.0 * de * de + 2.0 * de * e0) * s / g
-        + de * de * (lam * lam + (6.0 * n + 3.0) * lam + 6.0 * n * (n + 1.0) + 2.0) / (g * g)
-        - g * 2.0 * de * (2.0 * de + e0) / lam
-        + de * de * g * g * s / (lam * (lam * lam - 1.0))
-    )
+    """First-order level shift per unit beta (see _slopes); DomainError for
+    lambda <= 1, where the closed form has a pole."""
+    return PHO.slope(m, qn)
 
 
 def pho_energy_deformed(m: Molecule, d: Deformation, qn: QuantumNumbers) -> EnergyLevel:
@@ -139,8 +168,8 @@ def pho_spectroscopic_constants(m: Molecule, d: Deformation) -> SpectroscopicCon
 PHO = Model(
     name="pho",
     potential=PhoPotential.from_molecule,
-    undeformed=pho_energy_undeformed,
-    slope=pho_correction_slope,
+    energies=_energies,
+    slopes=_slopes,
     constants=pho_spectroscopic_constants,
     well_offset=lambda m: 0.0,  # the well bottom sits at 0
 )

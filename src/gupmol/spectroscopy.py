@@ -72,12 +72,13 @@ class LevelTable:
     def __post_init__(self) -> None:
         if self.provenance not in PROVENANCES:
             raise DomainError(f"provenance must be one of {PROVENANCES}, got {self.provenance!r}")
-        seen = set()
-        for qn, _ in self.entries:
-            key = (qn.n, qn.ell)
-            if key in seen:
-                raise DomainError(f"duplicate level (n={qn.n}, ell={qn.ell}) in table")
-            seen.add(key)
+        if len({(qn.n, qn.ell) for qn, _ in self.entries}) < len(self.entries):
+            seen = set()  # walk the entries only to name the duplicate
+            for qn, _ in self.entries:
+                key = (qn.n, qn.ell)
+                if key in seen:
+                    raise DomainError(f"duplicate level (n={qn.n}, ell={qn.ell}) in table")
+                seen.add(key)
 
 
 @dataclass(frozen=True)
@@ -113,17 +114,23 @@ def fit_dunham(table: LevelTable) -> DunhamFit:
         raise FitError("level table cannot determine all six constants; need " + "; ".join(problems))
 
     # The basis carries the master expression's signs, so the solution vector is the constants.
-    design = np.array([_master_basis(qn) for qn, _ in entries])
+    labels = np.array([(qn.n, qn.ell) for qn, _ in entries], dtype=float)
+    design = _master_basis(labels[:, 0], labels[:, 1])
     rhs = np.array([e for _, e in entries])
     coeff, _, rank, _ = np.linalg.lstsq(design, rhs, rcond=None)
     if rank < 6:
         raise FitError("design matrix is rank deficient despite quantum-number coverage")
     residuals = design @ coeff - rhs
-    constants = SpectroscopicConstants(*coeff)
+    # The RMS is taken on residuals scaled by the largest, which cannot overflow.
+    residual_max = float(np.max(np.abs(residuals)))
+    if 0.0 < residual_max < math.inf:
+        residual_rms = residual_max * float(np.sqrt(np.mean((residuals / residual_max) ** 2)))
+    else:
+        residual_rms = residual_max
     return DunhamFit(
-        constants=constants,
-        residual_max=float(np.max(np.abs(residuals))),
-        residual_rms=float(np.sqrt(np.mean(residuals**2))),
+        constants=SpectroscopicConstants(*coeff),
+        residual_max=residual_max,
+        residual_rms=residual_rms,
         n_entries=len(entries),
     )
 
@@ -133,18 +140,15 @@ def closed_form_table(
 ) -> LevelTable:
     """Level table from the closed forms, energies from the potential minimum.
 
-    Each level is moved by its model's ``well_offset``: the 1/r^2 - 1/r well
-    sits at -de, so its levels are shifted by +de; the pseudoharmonic well is
-    already zero at its minimum.  This reference
-    makes fitted y00 directly comparable with the closed-form constant.
+    One evaluation of the model's kernels over the whole (n, ell) grid, rows
+    in n-major order.  Each energy is the kernel's level above the well
+    minimum plus its shift, so fitted y00 is directly comparable with the
+    closed-form constant.  n_max and l_max must be nonnegative integers.
     """
-    model = get_model(kind)
-    entries = []
-    for n in range(n_max + 1):
-        for ell in range(l_max + 1):
-            qn = QuantumNumbers(n=n, ell=ell)
-            entries.append((qn, model.level(m, d, qn).total + model.well_offset(m)))
-    return LevelTable(molecule=m, entries=tuple(entries), provenance=f"computed-{kind}")
+    qns, _, e_min, de = get_model(kind).table(m, d, n_max, l_max)
+    with np.errstate(over="ignore"):  # a level beyond float range is inf
+        energies = (e_min + de).tolist()
+    return LevelTable(molecule=m, entries=tuple(zip(qns, energies)), provenance=f"computed-{kind}")
 
 
 @dataclass(frozen=True)
@@ -176,7 +180,7 @@ def fit_beta_bound(m: Molecule, e_exp: float, qn: QuantumNumbers, kind: str) -> 
     model = get_model(kind)
     if not math.isfinite(e_exp):
         raise DomainError(f"e_exp must be finite, got {e_exp!r}")
-    e_theory = model.undeformed(m, qn) + model.well_offset(m)
+    e_theory = float(model.energies(m, qn.n, qn.ell)[1])  # the level above the minimum
     slope = model.slope(m, qn)
 
     gap = abs(e_exp - e_theory)

@@ -95,6 +95,12 @@ class TestFitDunham:
         with pytest.raises(DomainError, match="duplicate"):
             LevelTable(molecule=None, entries=((qn, 1.0), (qn, 2.0)), provenance="experimental")
 
+    def test_first_duplicate_named(self):
+        entries = tuple((QuantumNumbers(n, ell), 1.0) for n, ell in
+                        ((0, 0), (1, 2), (0, 1), (1, 2), (0, 0)))
+        with pytest.raises(DomainError, match=r"duplicate level \(n=1, ell=2\)"):
+            LevelTable(molecule=None, entries=entries, provenance="experimental")
+
     def test_bad_provenance_rejected(self):
         with pytest.raises(DomainError):
             LevelTable(molecule=None, entries=(), provenance="guessed")
@@ -145,9 +151,8 @@ class TestBetaBound:
     def test_zero_gap_gives_zero_bound(self):
         m = synthetic_molecule(200.0)
         qn = QuantumNumbers(0, 0)
-        from gupmol import kratzer_energy_undeformed
-
-        e_theory = kratzer_energy_undeformed(m, qn) + m.de
+        # the theory level above the minimum, as the level table gives it
+        ((_, e_theory),) = closed_form_table(m, NO_DEFORMATION, "kratzer", 0, 0).entries
         bound = fit_beta_bound(m, e_theory, qn, "kratzer")
         assert bound.beta_upper == 0.0
         assert bound.minimal_length_upper == 0.0
