@@ -239,9 +239,6 @@ def cmd_constants(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    # The tridiagonal eigensolves are too small to gain from BLAS threads, which
-    # only double the CPU time; the variable is read when scipy loads its BLAS.
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     from .verify import closed_vs_oracle_sweep  # loads the solver and scipy
 
     _check_caps(args)
@@ -445,6 +442,14 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry_point() -> None:
+    """The ``gupmol`` command and ``python -m gupmol``: one process, one command.
+
+    verify's tridiagonal eigensolves are too small to gain from BLAS threads,
+    which only double the CPU time.  OpenBLAS reads OPENBLAS_NUM_THREADS when
+    scipy first loads it, so the process sets it here, before any command
+    runs; ``main``, which callers may run in their own process, sets nothing.
+    """
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     sys.exit(main())
 
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import asdict, astuple, dataclass
-from functools import lru_cache
 from typing import Any, Callable
 
 import numpy as np
@@ -239,28 +238,27 @@ def lambda_kratzer(gamma_value: float, ell):
 def lambda_pho(gamma_value: float, ell):
     """Effective radial index sqrt(gamma^2 + (ell+1/2)^2); no 1/2 shift here.
     Elementwise over an array of ell."""
-    a = np.add(ell, 0.5)
-    return np.sqrt(gamma_value * gamma_value + a * a)
+    a = ell + 0.5
+    return _sqrt(gamma_value * gamma_value + a * a)
 
 
-def _pole_at(bad, lam, n, ell) -> tuple[float, int] | None:
-    """(lambda, ell) of the first level, in n-major order, where ``bad`` holds;
-    None if it holds nowhere.  The arguments broadcast as the kernels' do."""
-    if not np.any(bad):
+def _sqrt(x):
+    """np.sqrt of an array, math.sqrt of a number.  Both round correctly, so a
+    level equals its table entry bit for bit, and a number stays a Python
+    float, whose arithmetic overflows to inf without a warning."""
+    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
+
+
+def _pole_at(bad, lam, ell) -> tuple[float, int] | None:
+    """(lambda, ell) at the first ell where ``bad`` holds; None if it holds
+    nowhere.  The kernels' pole masks depend on gamma and ell, never on n, so
+    a table's first offending level is n = 0 at this ell."""
+    if not isinstance(bad, np.ndarray):
+        return (lam, int(ell)) if bad else None
+    if not bad.any():
         return None
-    shape = np.broadcast_shapes(np.shape(bad), np.shape(n), np.shape(ell))
-    k = int(np.argmax(np.broadcast_to(bad, shape)))
-    return float(np.broadcast_to(lam, shape).flat[k]), int(np.broadcast_to(ell, shape).flat[k])
-
-
-@lru_cache(maxsize=8, typed=True)
-def _quantum_grid(n_max: int, l_max: int) -> tuple[QuantumNumbers, ...]:
-    """QuantumNumbers of every level n <= n_max, ell <= l_max in n-major order,
-    built once per size (the records are frozen, so callers share them)."""
-    for label, value in (("n_max", n_max), ("l_max", l_max)):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
-            raise DomainError(f"{label} must be a nonnegative integer, got {value!r}")
-    return tuple(QuantumNumbers(n, ell) for n in range(n_max + 1) for ell in range(l_max + 1))
+    k = int(bad.argmax())
+    return float(lam[k]), int(ell[k])
 
 
 @dataclass(frozen=True)
@@ -291,16 +289,31 @@ class SpectroscopicConstants:
         return asdict(self)
 
 
-def _master_basis(n, ell) -> np.ndarray:
-    """[1, nu, -nu^2, nu^3, L, -nu L] on the last axis, elementwise over arrays of
-    n and ell: the master expression is the constants dotted with it."""
-    nu, ll = np.broadcast_arrays(np.add(n, 0.5), np.multiply(ell, np.add(ell, 1.0)))
-    return np.stack([np.ones_like(nu), nu, -nu * nu, nu * nu * nu, ll, -nu * ll], axis=-1)
+def _master_basis(n, ell) -> tuple:
+    """(1, nu, -nu^2, nu^3, L, -nu L), elementwise over arrays of n and ell: the
+    master expression is the constants dotted with it."""
+    nu = n + 0.5
+    ll = ell * (ell + 1.0)
+    return 1.0, nu, -nu * nu, nu * nu * nu, ll, -nu * ll
 
 
 def master_energy(c: SpectroscopicConstants, qn: QuantumNumbers) -> float:
     """Evaluate the master expression for one level."""
-    return sum(x * b for x, b in zip(astuple(c), _master_basis(qn.n, qn.ell).tolist()))
+    return sum(x * b for x, b in zip(astuple(c), _master_basis(qn.n, qn.ell)))
+
+
+def _warn_first_order(m: Molecule, qn: QuantumNumbers, shift: float, level: float) -> None:
+    """The PerturbationWarning of one level whose shift is not small against it."""
+    warnings.warn(
+        PerturbationWarning(
+            f"first-order shift |{shift:.3e}| exceeds {FIRST_ORDER_WARN_RATIO:g} of "
+            f"|e0| = {abs(level):.3e} for {m.name!r} (n={qn.n}, ell={qn.ell})",
+            qn=qn,
+            ratio=abs(shift) / abs(level) if level else math.inf,
+        ),
+        PerturbationWarning,
+        stacklevel=4,  # the caller of kratzer_energy_deformed, closed_form_table and the like
+    )
 
 
 @dataclass(frozen=True)
@@ -314,10 +327,10 @@ class Model:
     level above the well minimum; ``slopes(m, n, ell)`` gives the shift per
     unit beta.  Both take arrays of n and ell that broadcast (a column of n
     against a row of ell for a table) and are written so that no large terms
-    cancel.  The scalar methods are float views of one-element evaluations, so
-    a level equals its table entry bit for bit.  The large-gamma series of a
-    level is the master expression of the band constants; it has no home of
-    its own.
+    cancel.  The scalar methods are float views of the same kernels run on
+    Python floats, so a level equals its table entry bit for bit.  The
+    large-gamma series of a level is the master expression of the band
+    constants; it has no home of its own.
     """
 
     name: str
@@ -329,11 +342,11 @@ class Model:
 
     def undeformed(self, m: Molecule, qn: QuantumNumbers) -> float:
         """Undeformed level on the potential's own energy scale."""
-        return float(self.energies(m, qn.n, qn.ell)[0])
+        return float(self.energies(m, float(qn.n), float(qn.ell))[0])
 
     def slope(self, m: Molecule, qn: QuantumNumbers) -> float:
         """First-order shift per unit beta; DomainError at the formula's pole."""
-        return float(self.slopes(m, qn.n, qn.ell))
+        return float(self.slopes(m, float(qn.n), float(qn.ell)))
 
     def shift(self, m: Molecule, d: Deformation, qn: QuantumNumbers) -> float:
         """First-order shift beta*slope; at beta = 0 the slope, whose poles a
@@ -346,42 +359,31 @@ class Model:
         FIRST_ORDER_WARN_RATIO of |e0|, where first order stops being a
         controlled approximation.
         """
-        e0, _, de = self._evaluate(m, d, qn.n, qn.ell, (qn,))
-        return EnergyLevel(qn=qn, e0=float(e0[0]), de=float(de[0]))
+        e0 = self.undeformed(m, qn)
+        de = self.shift(m, d, qn)
+        if abs(de) > FIRST_ORDER_WARN_RATIO * abs(e0):
+            _warn_first_order(m, qn, de, e0)
+        return EnergyLevel(qn=qn, e0=e0, de=de)
 
     def table(self, m: Molecule, d: Deformation, n_max: int, l_max: int):
         """Every level n <= n_max, ell <= l_max in n-major order, one kernel call each:
         (QuantumNumbers, e0, level above the minimum, shift), the last three
-        as flat arrays.  Warns as ``level`` does, once per flagged level.
+        as flat arrays.  Warns as ``level`` does, once per flagged level.  A
+        value beyond float range is inf or nan, which callers that print refuse.
         """
-        qns = _quantum_grid(n_max, l_max)
+        for label, value in (("n_max", n_max), ("l_max", l_max)):
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+                raise DomainError(f"{label} must be a nonnegative integer, got {value!r}")
+        qns = tuple(QuantumNumbers(n, ell) for n in range(n_max + 1) for ell in range(l_max + 1))
         n = np.arange(n_max + 1.0)[:, None]
         ell = np.arange(l_max + 1.0)
-        return (qns, *self._evaluate(m, d, n, ell, qns))
-
-    def _evaluate(self, m, d, n, ell, qns):
-        """e0, level above the minimum and shift, raveled in the order of qns."""
-        e0, e_min = self.energies(m, n, ell)
-        if d.beta == 0.0:
-            de = np.zeros_like(e0)
-        else:
-            with np.errstate(over="ignore"):  # an overflowing shift is inf; the CLI refuses it
-                de = d.beta * self.slopes(m, n, ell)
+        with np.errstate(over="ignore", invalid="ignore"):
+            e0, e_min = self.energies(m, n, ell)
+            de = np.zeros_like(e0) if d.beta == 0.0 else d.beta * self.slopes(m, n, ell)
         e0, e_min, de = e0.ravel(), e_min.ravel(), de.ravel()
         for k in np.flatnonzero(np.abs(de) > FIRST_ORDER_WARN_RATIO * np.abs(e0)).tolist():
-            shift, level = float(de[k]), float(e0[k])
-            qn = qns[k]
-            warnings.warn(
-                PerturbationWarning(
-                    f"first-order shift |{shift:.3e}| exceeds {FIRST_ORDER_WARN_RATIO:g} of "
-                    f"|e0| = {abs(level):.3e} for {m.name!r} (n={qn.n}, ell={qn.ell})",
-                    qn=qn,
-                    ratio=abs(shift) / abs(level) if level else math.inf,
-                ),
-                PerturbationWarning,
-                stacklevel=4,  # the caller of kratzer_energy_deformed, closed_form_table and the like
-            )
-        return e0, e_min, de
+            _warn_first_order(m, qns[k], float(de[k]), float(e0[k]))
+        return qns, e0, e_min, de
 
     def expansion(self, m: Molecule, d: Deformation, qn: QuantumNumbers) -> float:
         """Large-gamma series of the deformed level, truncated at 1/gamma^3, on

@@ -71,18 +71,23 @@ def _slope_polynomial(lam, n, a2):
     """P(lambda, n, a^2), the slope's bracket times
     16 lambda (lambda-1) N (2lambda-3)(2lambda-1)(2lambda+1) once gamma^2 =
     (lambda-1/2)^2 - a^2 is substituted: the paper's O(1) terms, which cancel
-    to O(1/gamma^2), cancel here symbolically.  Horner form in lambda; plain
-    arithmetic, so it also takes sympy symbols.
+    to O(1/gamma^2), cancel here symbolically.  Horner form in lambda,
+    plain arithmetic on floats and arrays alike; the coefficients are whole
+    numbers, which sympy's nsimplify recovers exactly.
     """
     nn = n * n
     a4 = a2 * a2
     return (
         (
-            ((48 * nn + 48 * n + 24) * lam + 32 * a2 * (2 * n + 1) - 96 * nn - 40 * n - 20) * lam
-            + 32 * a4 + a2 * (32 * nn - 64 * n - 96) + 40 * nn - 44 * n + 10
+            (
+                (48.0 * nn + 48.0 * n + 24.0) * lam
+                + 32.0 * a2 * (2.0 * n + 1.0) - 96.0 * nn - 40.0 * n - 20.0
+            ) * lam
+            + 32.0 * a4 + a2 * (32.0 * nn - 64.0 * n - 96.0) + 40.0 * nn - 44.0 * n + 10.0
         ) * lam
-        + a4 * (96 * n + 16) - a2 * (32 * nn + 240 * n + 56) + 8 * nn + 90 * n + 13
-    ) * lam + nn * (48 * a4 - 120 * a2 + 27)
+        + a4 * (96.0 * n + 16.0) - a2 * (32.0 * nn + 240.0 * n + 56.0)
+        + 8.0 * nn + 90.0 * n + 13.0
+    ) * lam + nn * (48.0 * a4 - 120.0 * a2 + 27.0)
 
 
 def _energies(m: Molecule, n, ell) -> tuple[np.ndarray, np.ndarray]:
@@ -96,13 +101,11 @@ def _energies(m: Molecule, n, ell) -> tuple[np.ndarray, np.ndarray]:
     N - gamma = n + 1/2 + R - gamma written without cancellation.
     """
     g = gamma(m)
-    n = np.asarray(n, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        r = lambda_pho(g, ell)
-        a = np.add(ell, 0.5)
-        nn = (0.5 + r) + n
-        e0 = -g * g * m.de / (nn * nn)
-        e_min = m.de * (n + 0.5 + a * a / (r + g)) * (nn + g) / (nn * nn)
+    r = lambda_pho(g, ell)
+    a = ell + 0.5
+    nn = (0.5 + r) + n
+    e0 = -g * g * m.de / (nn * nn)
+    e_min = m.de * (n + 0.5 + a * a / (r + g)) * (nn + g) / (nn * nn)
     return e0, e_min
 
 
@@ -117,22 +120,20 @@ def _slopes(m: Molecule, n, ell) -> np.ndarray:
     rejected; physical molecules have gamma >> 1 and never get near the guard.
     """
     g = gamma(m)
-    n = np.asarray(n, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        lam = lambda_kratzer(g, ell)
-        pole = _pole_at(lam <= 1.5, lam, n, ell)
-        if pole is not None:
-            raise DomainError(
-                f"correction formula has poles for lambda <= 3/2; got lambda = {pole[0]!r} "
-                f"(gamma = {g!r}, ell = {pole[1]})"
-            )
-        a = np.add(ell, 0.5)
-        nn = lam + n
-        t = 2.0 * g / nn
-        t2 = t * t
-        return (m.mu * m.de * m.de * (t2 * t2) * _slope_polynomial(lam, n, a * a)
-                / (16.0 * lam * (lam - 1.0) * nn * (2.0 * lam - 3.0) * (2.0 * lam - 1.0)
-                   * (2.0 * lam + 1.0)))
+    lam = lambda_kratzer(g, ell)
+    pole = _pole_at(lam <= 1.5, lam, ell)
+    if pole is not None:
+        raise DomainError(
+            f"correction formula has poles for lambda <= 3/2; got lambda = {pole[0]!r} "
+            f"(gamma = {g!r}, ell = {pole[1]})"
+        )
+    a = ell + 0.5
+    nn = lam + n
+    t = 2.0 * g / nn
+    t2 = t * t
+    return (m.mu * m.de * m.de * (t2 * t2) * _slope_polynomial(lam, n, a * a)
+            / (16.0 * lam * (lam - 1.0) * nn * (2.0 * lam - 3.0) * (2.0 * lam - 1.0)
+               * (2.0 * lam + 1.0)))
 
 
 def kratzer_energy_undeformed(m: Molecule, qn: QuantumNumbers) -> float:

@@ -59,15 +59,16 @@ def _slope_polynomial(lam, delta, n):
     """Q(lambda, delta, n), the paper's slope bracket over de^2 times
     gamma^2 lambda (lambda^2 - 1) once gamma = lambda - delta is substituted:
     its O(1) terms, which cancel to O(1/gamma^2), cancel here symbolically.
-    Horner form in lambda; plain arithmetic, so it also takes sympy symbols.
+    Horner form in lambda, plain arithmetic on floats and arrays alike; the
+    coefficients are whole numbers, which sympy's nsimplify recovers exactly.
     """
-    s = 2 * n + 1
+    s = 2.0 * n + 1.0
     d2 = delta * delta
     return (
-        ((6 * n * n + 6 * n + 3 + 4 * delta * s + 4 * d2) * lam
-         + s - 4 * delta + d2 * (2 * s - 4 * delta)) * lam
-        - 6 * n * n - 6 * n - 2 - 8 * delta * s + d2 * (2 - 4 * delta * s + d2)
-    ) * lam + d2 * (d2 * s + 4 * s)
+        ((6.0 * n * n + 6.0 * n + 3.0 + 4.0 * delta * s + 4.0 * d2) * lam
+         + s - 4.0 * delta + d2 * (2.0 * s - 4.0 * delta)) * lam
+        - 6.0 * n * n - 6.0 * n - 2.0 - 8.0 * delta * s + d2 * (2.0 - 4.0 * delta * s + d2)
+    ) * lam + d2 * (d2 * s + 4.0 * s)
 
 
 def _energies(m: Molecule, n, ell) -> tuple[np.ndarray, np.ndarray]:
@@ -78,11 +79,9 @@ def _energies(m: Molecule, n, ell) -> tuple[np.ndarray, np.ndarray]:
     4*de/gamma: the spectrum is harmonic in n with no truncation.
     """
     g = gamma(m)
-    n = np.asarray(n, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        a = np.add(ell, 0.5)
-        delta = a * a / (lambda_pho(g, ell) + g)
-        e0 = 2.0 * m.de * (2.0 * n + 1.0 + delta) / g
+    a = ell + 0.5
+    delta = a * a / (lambda_pho(g, ell) + g)
+    e0 = 2.0 * m.de * (2.0 * n + 1.0 + delta) / g
     return e0, e0
 
 
@@ -97,19 +96,17 @@ def _slopes(m: Molecule, n, ell) -> np.ndarray:
     lambda > 1.
     """
     g = gamma(m)
-    n = np.asarray(n, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        lam = lambda_pho(g, ell)
-        pole = _pole_at((lam <= 1.0) | (g * g == 0.0), lam, n, ell)
-        if pole is not None:
-            raise DomainError(
-                f"correction formula has a pole for lambda <= 1 or gamma^2 = 0; got lambda = "
-                f"{pole[0]!r} (gamma = {g!r}, ell = {pole[1]})"
-            )
-        a = np.add(ell, 0.5)
-        delta = a * a / (lam + g)
-        return (4.0 * m.mu * m.de * m.de * _slope_polynomial(lam, delta, n)
-                / (g * g * lam * (lam - 1.0) * (lam + 1.0)))
+    lam = lambda_pho(g, ell)
+    pole = _pole_at((lam <= 1.0) | (g * g == 0.0), lam, ell)
+    if pole is not None:
+        raise DomainError(
+            f"correction formula has a pole for lambda <= 1 or gamma^2 = 0; got lambda = "
+            f"{pole[0]!r} (gamma = {g!r}, ell = {pole[1]})"
+        )
+    a = ell + 0.5
+    delta = a * a / (lam + g)
+    return (4.0 * m.mu * m.de * m.de * _slope_polynomial(lam, delta, n)
+            / (g * g * lam * (lam - 1.0) * (lam + 1.0)))
 
 
 def pho_energy_undeformed(m: Molecule, qn: QuantumNumbers) -> float:

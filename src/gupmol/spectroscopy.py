@@ -72,13 +72,12 @@ class LevelTable:
     def __post_init__(self) -> None:
         if self.provenance not in PROVENANCES:
             raise DomainError(f"provenance must be one of {PROVENANCES}, got {self.provenance!r}")
-        if len({(qn.n, qn.ell) for qn, _ in self.entries}) < len(self.entries):
-            seen = set()  # walk the entries only to name the duplicate
-            for qn, _ in self.entries:
-                key = (qn.n, qn.ell)
-                if key in seen:
-                    raise DomainError(f"duplicate level (n={qn.n}, ell={qn.ell}) in table")
-                seen.add(key)
+        seen = set()
+        for qn, _ in self.entries:
+            key = (qn.n, qn.ell)
+            if key in seen:
+                raise DomainError(f"duplicate level (n={qn.n}, ell={qn.ell}) in table")
+            seen.add(key)
 
 
 @dataclass(frozen=True)
@@ -115,7 +114,7 @@ def fit_dunham(table: LevelTable) -> DunhamFit:
 
     # The basis carries the master expression's signs, so the solution vector is the constants.
     labels = np.array([(qn.n, qn.ell) for qn, _ in entries], dtype=float)
-    design = _master_basis(labels[:, 0], labels[:, 1])
+    design = np.column_stack(np.broadcast_arrays(*_master_basis(labels[:, 0], labels[:, 1])))
     rhs = np.array([e for _, e in entries])
     coeff, _, rank, _ = np.linalg.lstsq(design, rhs, rcond=None)
     if rank < 6:

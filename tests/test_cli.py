@@ -2,6 +2,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 import warnings
@@ -234,6 +235,27 @@ class TestVerify:
         assert out == ""
         assert err.startswith("error:")
         assert len(err.splitlines()) == 1
+
+
+class TestBlasThreads:
+    """Only the process entry point pins OpenBLAS to one thread; main sets nothing."""
+
+    def test_main_leaves_the_environment_alone(self, capsys, monkeypatch):
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        code, _, err = run_main(capsys, "verify", "--gamma", "20", "--nmax", "0", "--lmax", "0")
+        assert code == EXIT_OK, err
+        assert "OPENBLAS_NUM_THREADS" not in os.environ
+
+    def test_entry_point_pins_unless_set(self, monkeypatch):
+        monkeypatch.setattr(cli, "main", lambda: EXIT_OK)
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        with pytest.raises(SystemExit):
+            cli.entry_point()
+        assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
+        with pytest.raises(SystemExit):
+            cli.entry_point()
+        assert os.environ["OPENBLAS_NUM_THREADS"] == "4"
 
 
 class TestShallowWell:

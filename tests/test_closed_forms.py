@@ -9,6 +9,7 @@ evaluation of them bounds the kernels' float64 error.  The structural
 properties are tested in test_closed_form_properties.py.
 """
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -64,6 +65,11 @@ def paper_pho(g, a, n, de, mu, sqrt, half):
 PAPER = {"kratzer": paper_kratzer, "pho": paper_pho}
 
 
+def exact(sp, expr):
+    """The code's polynomial with its float coefficients, all whole numbers, as integers."""
+    return sp.nsimplify(expr, rational=True)
+
+
 class TestIdentities:
     """simplify(new - paper) == 0 for both levels and both slopes."""
 
@@ -85,7 +91,7 @@ class TestIdentities:
         lam = half + r
         nn = lam + n
         new_e_min = de * (n + half + a * a / (r + g)) * (nn + g) / (nn * nn)
-        new_slope = (mu * de * de * (2 * g / nn) ** 4 * kratzer._slope_polynomial(lam, n, a * a)
+        new_slope = (mu * de * de * (2 * g / nn) ** 4 * exact(sp, kratzer._slope_polynomial(lam, n, a * a))
                      / (16 * lam * (lam - 1) * nn * (2 * lam - 3) * (2 * lam - 1) * (2 * lam + 1)))
         assert sp.simplify(new_e_min - e_min) == 0
         assert sp.simplify(new_slope - slope) == 0
@@ -96,7 +102,7 @@ class TestIdentities:
         lam = sp.sqrt(g * g + a * a)
         delta = a * a / (lam + g)
         new_e0 = 2 * de * (2 * n + 1 + delta) / g
-        new_slope = (4 * mu * de * de * pho._slope_polynomial(lam, delta, n)
+        new_slope = (4 * mu * de * de * exact(sp, pho._slope_polynomial(lam, delta, n))
                      / (g * g * lam * (lam - 1) * (lam + 1)))
         assert sp.simplify(new_e0 - e0) == 0
         assert sp.simplify(new_slope - slope) == 0
@@ -154,3 +160,17 @@ def test_pole_names_the_first_level_in_n_major_order(kind):
     assert str(table.value) == str(scalar.value)
     assert "ell = 0)" in str(table.value)
     assert math.isfinite(MODELS[kind].slope(m, QuantumNumbers(0, 3)))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("de, re, mu", [(1.0, 1.0, 1e300), (1.0, 1e200, 1.0), (1e150, 1.0, 1e150)])
+def test_scalar_view_out_of_range_is_a_float_without_warnings(kind, de, re, mu):
+    # The scalar view runs the kernels on Python floats: a value beyond float
+    # range comes back as inf or nan, with no exception and no numpy warning.
+    m = Molecule("extreme", de=de, re=re, mu=mu)
+    qn = QuantumNumbers(3, 2)
+    model = MODELS[kind]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = (model.undeformed(m, qn), model.slope(m, qn))
+    assert all(type(v) is float for v in values)
