@@ -2,8 +2,8 @@
 
 Closed-form spectra and band-spectrum constants for the 1/r^2 - 1/r and
 pseudoharmonic molecular potentials in quantum mechanics deformed by a
-smallest resolvable length hbar*sqrt(5 beta), an independent finite-
-difference eigensolver that verifies every formula, and an estimator for the
+smallest resolvable length hbar*sqrt(5 beta), an independent eigensolver
+of the radial equation that verifies every formula, and an estimator for the
 upper bound on beta from experimental data.
 
 The solver (``oracle``) and the sweep built on it (``verify``) load scipy, so

@@ -398,8 +398,11 @@ def build_parser() -> argparse.ArgumentParser:
     vp.add_argument("--beta", type=float)
     vp.add_argument("--tol-energy", type=float)
     vp.add_argument("--tol-correction", type=float)
-    vp.add_argument("--grid-points", type=int)
-    vp.add_argument("--levels", type=int, help="refinement levels")
+    vp.add_argument("--grid-points", type=int,
+                    help="points of the first sinc-DVR solve (default: 64)")
+    vp.add_argument("--levels", type=int,
+                    help="most sinc-DVR solves, each with twice the points of the one "
+                         "before; the last may not exceed the DVR size cap (default: 5)")
     vp.add_argument("--rmax", type=float, help="override the automatic box size")
     vp.add_argument("--format", choices=("csv", "json"), default="csv")
     vp.set_defaults(func=cmd_verify)
@@ -444,8 +447,9 @@ def main(argv: list[str] | None = None) -> int:
 def entry_point() -> None:
     """The ``gupmol`` command and ``python -m gupmol``: one process, one command.
 
-    verify's tridiagonal eigensolves are too small to gain from BLAS threads,
-    which only double the CPU time.  OpenBLAS reads OPENBLAS_NUM_THREADS when
+    verify's dense eigensolves (a few hundred points) are too small to gain
+    from BLAS threads: two threads made the benchmark's sweep slower (0.18 ->
+    0.24 s) at 2.5 times the CPU.  OpenBLAS reads OPENBLAS_NUM_THREADS when
     scipy first loads it, so the process sets it here, before any command
     runs; ``main``, which callers may run in their own process, sets nothing.
     """

@@ -59,7 +59,8 @@ class GridError(GupmolError, RuntimeError):
 
 
 class ConvergenceError(GupmolError, RuntimeError):
-    """solve_radial's eigensolve failed, or found a state whose node count is not its index."""
+    """An eigensolve of the oracle failed or found a state whose node count is
+    not its index, or successive sinc-DVR solves never agreed."""
 
 
 class DataFormatError(GupmolError, ValueError):
@@ -222,9 +223,15 @@ def gamma(m: Molecule) -> float:
 
 
 def _series_gamma(m: Molecule) -> float:
-    """gamma for the 1/gamma band-spectrum series, whose 1/gamma^3 terms need gamma^3 > 0."""
+    """gamma for the 1/gamma band-spectrum series, whose 1/gamma^3 terms need
+    a finite gamma^3 > 0."""
     g = gamma(m)
-    if g**3 == 0.0:
+    try:
+        cube = g**3
+    except OverflowError:  # float ** raises where float * would give inf
+        raise DomainError(
+            f"gamma = {g!r} is too large for the 1/gamma series of {m.name!r}") from None
+    if cube == 0.0:
         raise DomainError(f"gamma = {g!r} is too small for the 1/gamma series of {m.name!r}")
     return g
 

@@ -1,8 +1,9 @@
 """Closed-form vs numerical-solver sweeps.
 
 One cell of the sweep pins a (potential, gamma, n, ell) combination: the
-closed-form level and shift-per-beta are compared against Richardson-
-extrapolated finite-difference values.  Synthetic molecules with de = re = 1
+closed-form level and shift-per-beta are compared against the converged
+sinc DVR in x = ln r (``oracle._dvr_levels``), one small dense eigensolve
+per (potential, gamma, ell) and size.  Synthetic molecules with de = re = 1
 and mu = gamma^2/2 keep the sweep dimensionless; tolerances default to the
 acceptance values (1e-6 on energies, 1e-4 on the beta shift).
 """
@@ -20,8 +21,7 @@ from .core import (
     _require_positive,
     synthetic_molecule,
 )
-from .oracle import (INNER_WALL, MIN_GRID_POINTS, auto_grid, extrapolate, p4_expectation,
-                     solve_radial)
+from .oracle import DVR_MAX_POINTS, INNER_WALL, MIN_GRID_POINTS, _dvr_box, _dvr_levels
 from .spectroscopy import MODELS, get_model
 
 DEFAULT_GAMMAS = (20.0, 100.0)
@@ -78,17 +78,20 @@ def closed_vs_oracle_sweep(
     beta: float = 1e-6,
     tol_energy: float = DEFAULT_TOL_ENERGY,
     tol_correction: float = DEFAULT_TOL_CORRECTION,
-    base_points: int = 4001,
-    levels: int = 3,
+    base_points: int = 64,
+    levels: int = 5,
     r_max: float | None = None,
 ) -> SweepReport:
     """Run the full verification sweep and collect one cell per (n, ell).
 
-    Solver failures (box too small, non-convergence) mark the affected cells
-    FAIL with the diagnostic in ``note`` instead of aborting the sweep, so a
-    deliberately coarse grid produces a failing report rather than a crash.
-    Configuration errors (unknown potential, tolerances, grid size, box) raise
-    DomainError before the first solve.
+    Each (potential, gamma, ell) starts the DVR at ``base_points`` points and
+    doubles them, at most ``levels`` solves, until two successive solves
+    agree (``oracle._dvr_levels``).  Solver failures (box too small, no
+    agreement, a failed check) mark the affected cells FAIL with the
+    diagnostic in ``note`` instead of aborting the sweep, so a deliberately
+    coarse start produces a failing report rather than a crash.
+    Configuration errors (unknown potential, tolerances, grid size above
+    DVR_MAX_POINTS, box) raise DomainError before the first solve.
     """
     models = [get_model(kind) for kind in potentials]
     molecules = [synthetic_molecule(gamma_value) for gamma_value in gammas]
@@ -98,6 +101,10 @@ def closed_vs_oracle_sweep(
     _require_positive("tol_correction", tol_correction)
     if base_points < MIN_GRID_POINTS:
         raise DomainError(f"base_points must be >= {MIN_GRID_POINTS}, got {base_points}")
+    # largest k with base_points * 2**k <= DVR_MAX_POINTS, without forming 2**(levels - 1)
+    if levels - 1 > (DVR_MAX_POINTS // base_points).bit_length() - 1:
+        raise DomainError(f"{levels} solves from {base_points} points exceed the DVR cap of "
+                          f"{DVR_MAX_POINTS} points")
     if r_max is not None and not (math.isfinite(r_max)
                                   and all(r_max > INNER_WALL * m.re for m in molecules)):
         raise DomainError(f"r_max must be finite and above the inner wall ({INNER_WALL:g} re), "
@@ -111,16 +118,9 @@ def closed_vs_oracle_sweep(
             potential = model.potential(m)
             for ell in range(l_max + 1):
                 try:
-                    grid = auto_grid(potential, m.mu, ell, n_max, m.re,
-                                     points=base_points, r_max=r_max)
-                    energy_ladder = [[] for _ in range(n_max + 1)]
-                    slope_ladder = [[] for _ in range(n_max + 1)]
-                    for _ in range(levels):
-                        states = solve_radial(potential, ell, m.mu, grid, n_max + 1)
-                        for n, state in enumerate(states):
-                            energy_ladder[n].append(state.energy)
-                            slope_ladder[n].append(p4_expectation(state, potential, m.mu) / m.mu)
-                        grid = grid.refined()
+                    box = _dvr_box(potential, m.mu, ell, n_max, m.re, r_max)
+                    energies, slopes = _dvr_levels(potential, ell, m.mu, box, n_max + 1,
+                                                   base_points, levels)
                     failure = None
                 except GupmolError as exc:
                     failure = str(exc)
@@ -136,8 +136,8 @@ def closed_vs_oracle_sweep(
                                       passed=False, note=failure)
                         )
                         continue
-                    e_oracle = extrapolate(energy_ladder[n])
-                    de_oracle = deformation.beta * extrapolate(slope_ladder[n])
+                    e_oracle = float(energies[n])
+                    de_oracle = deformation.beta * float(slopes[n])
                     e_rel = _rel(abs(e_oracle - e_closed), e_closed)
                     if deformation.beta == 0.0:
                         de_rel = 0.0  # both shifts are exactly zero

@@ -169,7 +169,7 @@ class TestVerify:
     def test_small_sweep_passes(self, capsys):
         code, out, err = run_main(
             capsys, "verify", "--potential", "kratzer", "--gamma", "20",
-            "--nmax", "1", "--lmax", "0", "--grid-points", "3001",
+            "--nmax", "1", "--lmax", "0", "--grid-points", "64",
         )
         assert code == EXIT_OK, err
         rows = parse_csv(out)
@@ -179,7 +179,7 @@ class TestVerify:
     def test_coarse_grid_fails_with_nonzero_exit(self, capsys):
         code, out, _ = run_main(
             capsys, "verify", "--potential", "kratzer", "--gamma", "20",
-            "--nmax", "1", "--lmax", "0", "--grid-points", "101", "--levels", "2",
+            "--nmax", "1", "--lmax", "0", "--grid-points", "16", "--levels", "2",
         )
         assert code == EXIT_VERIFY
         assert any(r["status"] == "FAIL" for r in parse_csv(out))
@@ -187,7 +187,7 @@ class TestVerify:
     def test_beta_zero_correction_cells_pass(self, capsys):
         code, out, _ = run_main(
             capsys, "verify", "--potential", "kratzer", "--gamma", "20",
-            "--nmax", "1", "--lmax", "0", "--beta", "0", "--grid-points", "3001",
+            "--nmax", "1", "--lmax", "0", "--beta", "0", "--grid-points", "64",
         )
         assert code == EXIT_OK
         rows = parse_csv(out)
@@ -225,6 +225,7 @@ class TestVerify:
         ["--tol-energy", "nan"],
         ["--tol-correction", "-1"],
         ["--grid-points", "5"],
+        ["--grid-points", "4096"],  # above the DVR size cap
         ["--rmax", "-1"],
     ])
     def test_sweep_configuration_is_checked_before_solving(self, capsys, flags):
@@ -460,6 +461,9 @@ class TestExitCodes:
         (["verify", "--gamma", "1e200"], EXIT_CONFIG),
         # gamma so small that gamma^3 (series) or gamma^2 (pho slope) is 0.0
         (["constants", "--potential", "kratzer", "--synthetic", "1,1,1e-245"], EXIT_CONFIG),
+        # gamma so large that gamma^3 (series) is beyond float range
+        (["constants", "--potential", "kratzer", "--synthetic", "1,1e120,1"], EXIT_CONFIG),
+        (["constants", "--potential", "pho", "--synthetic", "1,1e120,1"], EXIT_CONFIG),
         (["fit-beta", "--potential", "pho", "--synthetic", "1,1e-300,1", "--l", "1",
           "--e-exp", "1", "--units", "eV"], EXIT_CONFIG),
         # a shift, a constant or a bound that overflows to inf: never printed
@@ -475,6 +479,7 @@ class TestExitCodes:
         (["fit-beta", "--molecule", "H2-kratzer", "--levels-file", "{dir}"], EXIT_DATA),
     ], ids=["spectrum-large-mu", "constants-fit-large-mu", "fit-beta-large-mu", "spectrum-large-re",
             "verify-large-gamma", "constants-tiny-gamma", "fit-beta-tiny-gamma",
+            "constants-huge-gamma-kratzer", "constants-huge-gamma-pho",
             "spectrum-inf-shift", "constants-fit-inf", "fit-beta-inf-length",
             "molecules-file-dir", "levels-file-dir"])
     def test_one_line_error(self, capsys, tmp_path, argv, expected):
@@ -483,6 +488,14 @@ class TestExitCodes:
         assert code == expected
         assert out == ""
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("kind", ["kratzer", "pho"])
+    def test_series_overflow_names_gamma(self, capsys, kind):
+        code, _, err = run_main(capsys, "constants", "--potential", kind,
+                                "--synthetic", "1,1e120,1")
+        assert code == EXIT_CONFIG
+        assert err.startswith("error: gamma = 1.414213562373095e+120 is too large for the "
+                              "1/gamma series of 'synthetic'")
 
     def test_large_gamma_at_zero_beta_still_prints(self, capsys):
         code, out, _ = run_main(capsys, "spectrum", "--potential", "kratzer",

@@ -6,8 +6,8 @@ reach stderr: an intermediate that overflows is either harmless or turns
 into the command's own error.  ``verify`` gets arbitrary floats for its
 configuration flags, but its integer flags come from small sets that still
 reach every check (-1, 0, 1 and one past the cap of 200 for --nmax/--lmax;
--1, 15, 16 and 64 grid points; -1 to 2 refinement levels), so that no
-example runs the solver on a production-sized grid.
+-1, 15, 16, 64 and, above the DVR size cap, 4096 starting points; -1 to 2
+solves), so that no example runs the solver on a large matrix.
 """
 import contextlib
 import csv
@@ -36,7 +36,7 @@ INTS = st.one_of(
 VERIFY_INTS = {
     "--nmax": [-1, 0, 1, QN_CAP + 1],
     "--lmax": [-1, 0, 1, QN_CAP + 1],
-    "--grid-points": [-1, 15, 16, 64],
+    "--grid-points": [-1, 15, 16, 64, 4096],
     "--levels": [-1, 0, 1, 2],
 }
 

@@ -21,7 +21,8 @@ from gupmol import (
     synthetic_molecule,
 )
 from gupmol.core import QuantumNumbers
-from gupmol.oracle import MAX_WALK_STEPS
+from gupmol.oracle import DVR_MAX_POINTS, INNER_WALL, MAX_WALK_STEPS, _dvr_box, _v_eff
+from gupmol.spectroscopy import get_model
 
 
 def coulomb(r):
@@ -252,3 +253,98 @@ class TestSweep:
         assert not cell.passed
         assert f"box edge not reached in {MAX_WALK_STEPS} steps" in cell.note
         assert report.runtime_s < 20.0  # the unbounded walk took about 100 s
+
+
+def stepwise_outer_wall(potential, mu, ell, n_max, r_scale):
+    """auto_grid's outer wall as the point-by-point walk computed it: the
+    reference for the vectorized walk, which must match it to the last bit."""
+    def v_eff(r):
+        return float(_v_eff(potential, ell, mu, np.array([r]))[0])
+
+    inner = INNER_WALL * r_scale
+    samples = np.geomspace(max(inner, 1e-6 * r_scale), 50.0 * r_scale, 2000)
+    values = _v_eff(potential, ell, mu, samples)
+    i0 = int(np.argmin(values))
+    r0, v0 = samples[i0], float(values[i0])
+    step = 1e-4 * r0
+    curvature = (v_eff(r0 + step) - 2.0 * v0 + v_eff(r0 - step)) / (step * step)
+    omega = np.sqrt(max(curvature, 0.0) / mu)
+    e_top = v0 + omega * (2.0 * n_max + 2.5)
+    v_inf = v_eff(5e4 * r_scale)
+    if e_top > v_inf:
+        e_top = v_inf - 0.1 * (v_inf - v0)
+    r, dr, steps = r0, 0.02 * r0, 0
+    while v_eff(r) < e_top:
+        r, steps = r + dr, steps + 1
+    accumulated = 0.0
+    while accumulated < 36.0:
+        accumulated += float(np.sqrt(2.0 * mu * max(v_eff(r) - e_top, 0.0))) * dr
+        r, steps = r + dr, steps + 1
+    return r, steps
+
+
+class TestWalk:
+    @pytest.mark.parametrize("kind", ["kratzer", "pho"])
+    @pytest.mark.parametrize("gamma_value", [2.0, 5.0, 20.0, 1000.0])
+    def test_outer_wall_matches_the_stepwise_walk(self, kind, gamma_value):
+        m = synthetic_molecule(gamma_value)
+        pot = get_model(kind).potential(m)
+        for ell, n_max in [(0, 0), (3, 4)]:
+            expected, steps = stepwise_outer_wall(pot, m.mu, ell, n_max, m.re)
+            assert steps <= MAX_WALK_STEPS
+            assert auto_grid(pot, m.mu, ell, n_max, m.re).r_max == expected
+            assert _dvr_box(pot, m.mu, ell, n_max, m.re)[1] == expected
+
+
+class TestDVR:
+    def test_matches_the_closed_forms(self):
+        report = closed_vs_oracle_sweep(gammas=(5.0, 20.0, 100.0, 1000.0), n_max=4, l_max=3,
+                                        beta=1e-6, tol_energy=1e-8, tol_correction=1e-8)
+        assert len(report.cells) == 2 * 4 * 5 * 4
+        assert report.all_passed, [c for c in report.cells if not c.passed]
+
+    def test_small_gamma_meets_the_acceptance_tolerances(self):
+        # solving for the lowest few pairs only loses digits as eps * |H| here
+        report = closed_vs_oracle_sweep(gammas=(2.5, 2.8, 3.0), n_max=4, l_max=3)
+        assert report.all_passed, [c for c in report.cells if not c.passed]
+
+    def test_inner_wall_is_the_clamp_only_for_a_shallow_well(self):
+        for kind, gamma_value, clamped in [("pho", 0.5, True), ("kratzer", 5.0, False),
+                                           ("pho", 100.0, False)]:
+            m = synthetic_molecule(gamma_value)
+            r_min, r_max = _dvr_box(get_model(kind).potential(m), m.mu, 0, 0, m.re)
+            assert (r_min == INNER_WALL * m.re) == clamped
+            assert INNER_WALL * m.re <= r_min < m.re < r_max
+
+    def test_one_solve_never_passes(self):
+        report = closed_vs_oracle_sweep(gammas=(20.0,), n_max=1, l_max=1, levels=1)
+        for cell in report.cells:
+            assert not cell.passed
+            assert "not converged" in cell.note
+
+    def test_shallow_well_is_not_a_false_pass(self):
+        # the wavefunction is not small at the clamped inner wall (0.001 re)
+        report = closed_vs_oracle_sweep(potentials=("pho",), gammas=(0.5,), n_max=0, l_max=0,
+                                        beta=0.0)
+        (cell,) = report.cells
+        assert not cell.passed
+        assert cell.note
+
+    def test_more_states_than_starting_points(self):
+        report = closed_vs_oracle_sweep(potentials=("kratzer",), gammas=(100.0,), n_max=20,
+                                        l_max=0, base_points=16, levels=6)
+        assert report.all_passed, report.cells[0].note
+
+    @pytest.mark.parametrize("gamma_value, r_max", [(20.0, 10.0), (1000.0, 3.0)])
+    def test_hand_set_box(self, gamma_value, r_max):
+        # the inner wall is still walked; at the bare clamp gamma 1000 never converges
+        report = closed_vs_oracle_sweep(gammas=(gamma_value,), n_max=3, l_max=2, r_max=r_max)
+        assert report.all_passed
+
+    @pytest.mark.parametrize("base_points, levels", [
+        (2 * DVR_MAX_POINTS, 1), (64, 7), (16, 10**9),
+    ])
+    def test_size_cap_is_checked_before_solving(self, base_points, levels):
+        with pytest.raises(DomainError, match="cap"):
+            closed_vs_oracle_sweep(gammas=(20.0,), n_max=0, l_max=0, base_points=base_points,
+                                   levels=levels)

@@ -85,3 +85,21 @@ def test_closed_form_commands_load_no_scipy():
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
     assert result == {"codes": [0, 0, 0], "scipy": []}
+
+
+SWEEP_START = """
+import json, sys
+from gupmol.verify import closed_vs_oracle_sweep
+report = closed_vs_oracle_sweep(gammas=(20.0,), n_max=1, l_max=1)
+scipy = sorted(n for n in sys.modules if n == "scipy" or n.startswith("scipy."))
+print(json.dumps({"passed": report.all_passed, "scipy": scipy}))
+"""
+
+
+def test_sweep_loads_scipy_linalg_only():
+    proc = subprocess.run([sys.executable, "-c", SWEEP_START], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["passed"]
+    assert "scipy.linalg" in result["scipy"]
+    assert not any(n.startswith("scipy.integrate") for n in result["scipy"])
