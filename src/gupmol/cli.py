@@ -128,16 +128,18 @@ def _require_finite(*groups: dict) -> None:
                 raise DomainError(f"{key} = {value} is out of floating-point range for these inputs")
 
 
-def _emit_csv(header: list[str], rows: list[list[str]], meta: dict) -> None:
+def _emit(fmt: str, meta: dict, rows: list[dict], document: dict) -> None:
+    """Write ``document`` as JSON, or ``meta`` as '# key=value' lines and ``rows``
+    as CSV under a header of their keys; a float goes through _fmt, the rest through str."""
+    if fmt == "json":
+        sys.stdout.write(json.dumps(document, indent=2, sort_keys=True) + "\n")
+        return
+    for key, value in meta.items():
+        sys.stdout.write(f"# {key}={_fmt(value) if isinstance(value, float) else value}\n")
     writer = csv.writer(sys.stdout, lineterminator="\n")
-    for k, v in meta.items():
-        sys.stdout.write(f"# {k}={v if isinstance(v, str) else _fmt(v)}\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-
-
-def _emit_json(payload: dict) -> None:
-    sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    writer.writerow(rows[0])
+    writer.writerows([_fmt(v) if isinstance(v, float) else str(v) for v in row.values()]
+                     for row in rows)
 
 
 @contextlib.contextmanager
@@ -145,30 +147,29 @@ def _summarize_perturbation_warnings():
     """Fold the PerturbationWarnings of one command into one stderr line.
 
     A command that fails printed no levels, so its error line stands alone.
-    Other warnings are shown as usual, once the recording filters are gone.
+    Other warnings are shown as they come, as if no command were wrapped.
     """
-    succeeded = False
-    try:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", PerturbationWarning)
-            yield
-        succeeded = True
-    finally:
-        flagged = []
-        for w in caught:
-            if issubclass(w.category, PerturbationWarning):
-                flagged.append(w.message)
+    flagged = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("always", PerturbationWarning)
+        show = warnings.showwarning
+
+        def collect(message, category, *where):
+            if issubclass(category, PerturbationWarning):
+                flagged.append(message)
             else:
-                warnings.showwarning(w.message, w.category, w.filename, w.lineno)
-        if flagged and succeeded:
-            worst = max(flagged, key=lambda w: w.ratio)
-            print(f"warning: {len(flagged)} levels have a first-order shift above "
-                  f"{FIRST_ORDER_WARN_RATIO:g} of the level (PerturbationWarning); worst "
-                  f"n={worst.qn.n} l={worst.qn.ell} with |delta_e|/|e0| = {worst.ratio:.3g}",
-                  file=sys.stderr)
+                show(message, category, *where)
+
+        warnings.showwarning = collect
+        yield
+    if flagged:
+        worst = max(flagged, key=lambda w: w.ratio)
+        print(f"warning: {len(flagged)} levels have a first-order shift above "
+              f"{FIRST_ORDER_WARN_RATIO:g} of the level (PerturbationWarning); worst "
+              f"n={worst.qn.n} l={worst.qn.ell} with |delta_e|/|e0| = {worst.ratio:.3g}",
+              file=sys.stderr)
 
 
-@_summarize_perturbation_warnings()
 def cmd_spectrum(args: argparse.Namespace) -> int:
     _check_caps(args)
     molecule = _resolve_molecule(args)
@@ -190,19 +191,10 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         "units": unit,
     }
     _require_finite(meta, *rows)
-    if args.format == "json":
-        _emit_json({"meta": meta, "levels": rows})
-    else:
-        _emit_csv(
-            ["n", "l", "e0", "delta_e", "total"],
-            [[str(r["n"]), str(r["l"]), _fmt(r["e0"]), _fmt(r["delta_e"]), _fmt(r["total"])]
-             for r in rows],
-            meta,
-        )
+    _emit(args.format, meta, rows, {"meta": meta, "levels": rows})
     return EXIT_OK
 
 
-@_summarize_perturbation_warnings()
 def cmd_constants(args: argparse.Namespace) -> int:
     _check_caps(args)
     molecule = _resolve_molecule(args)
@@ -211,15 +203,14 @@ def cmd_constants(args: argparse.Namespace) -> int:
     _require_finite(closed)
     unit = args.units
 
-    names = ["y00", "we", "wexe", "weye", "be", "alphae"]
-    values = {"constants": {k: UNITS.energy_from_internal(closed[k], unit) for k in names}}
+    values = {"constants": {k: UNITS.energy_from_internal(v, unit) for k, v in closed.items()}}
     if args.fit:
         table = closed_form_table(molecule, deformation, args.potential, args.nmax, args.lmax)
         _require_finite({f"level (n={qn.n}, l={qn.ell})": e for qn, e in table.entries})
         fitted = fit_dunham(table).constants.as_dict()
-        values["fitted"] = {k: UNITS.energy_from_internal(fitted[k], unit) for k in names}
+        values["fitted"] = {k: UNITS.energy_from_internal(fitted[k], unit) for k in closed}
         values["rel_diff"] = {k: (fitted[k] - closed[k]) / closed[k] if closed[k] != 0.0
-                              else fitted[k] for k in names}
+                              else fitted[k] for k in closed}
     _require_finite(*values.values())
 
     meta = {
@@ -229,12 +220,10 @@ def cmd_constants(args: argparse.Namespace) -> int:
         "beta": deformation.beta,
         "units": unit,
     }
-    if args.format == "json":
-        _emit_json({"meta": meta, **values})
-    else:
-        columns = list(values.values())
-        header = ["constant", "value", "fitted", "rel_diff"][:len(columns) + 1]
-        _emit_csv(header, [[k] + [_fmt(column[k]) for column in columns] for k in names], meta)
+    columns = dict(zip(("value", "fitted", "rel_diff"), values.values()))
+    rows = [{"constant": k, **{name: column[k] for name, column in columns.items()}}
+            for k in closed]
+    _emit(args.format, meta, rows, {"meta": meta, **values})
     return EXIT_OK
 
 
@@ -250,13 +239,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         options["potentials"] = (args.potential,)
     report = closed_vs_oracle_sweep(**options)
 
-    header = ["potential", "gamma", "n", "l", "e_closed", "e_oracle", "e_rel_err",
-              "de_closed", "de_oracle", "de_rel_err", "status"]
-    rows = []
-    for c in report.cells:
-        rows.append([c.potential, _fmt(c.gamma), str(c.n), str(c.ell), _fmt(c.e_closed),
-                     _fmt(c.e_oracle), _fmt(c.e_rel_err), _fmt(c.de_closed), _fmt(c.de_oracle),
-                     _fmt(c.de_rel_err), "PASS" if c.passed else "FAIL"])
+    rows = [{"potential": c.potential, "gamma": c.gamma, "n": c.n, "l": c.ell,
+             "e_closed": c.e_closed, "e_oracle": c.e_oracle, "e_rel_err": c.e_rel_err,
+             "de_closed": c.de_closed, "de_oracle": c.de_oracle, "de_rel_err": c.de_rel_err,
+             "status": "PASS" if c.passed else "FAIL"} for c in report.cells]
     meta = {
         "tol_energy": report.tol_energy,
         "tol_correction": report.tol_correction,
@@ -265,29 +251,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "max_correction_rel_err": report.max_correction_error,
         "result": "PASS" if report.all_passed else "FAIL",
     }
-    if args.format == "json":
-        _emit_json({
-            "meta": meta,
-            "cells": [
-                {
-                    "potential": c.potential,
-                    "gamma": c.gamma,
-                    "n": c.n,
-                    "l": c.ell,
-                    "e_closed": c.e_closed,
-                    "e_oracle": c.e_oracle,
-                    "e_rel_err": c.e_rel_err,
-                    "de_closed": c.de_closed,
-                    "de_oracle": c.de_oracle,
-                    "de_rel_err": c.de_rel_err,
-                    "status": "PASS" if c.passed else "FAIL",
-                    "note": c.note,
-                }
-                for c in report.cells
-            ],
-        })
-    else:
-        _emit_csv(header, rows, meta)
+    _emit(args.format, meta, rows,
+          {"meta": meta, "cells": [{**row, "note": c.note} for row, c in zip(rows, report.cells)]})
     print(f"verify runtime: {report.runtime_s:.1f} s", file=sys.stderr)
     failed = [c for c in report.cells if not c.passed]
     for c in failed[:8]:
@@ -316,7 +281,7 @@ def cmd_fit_beta(args: argparse.Namespace) -> int:
         source = records[0].source or str(path)
 
     bound = fit_beta_bound(molecule, e_exp, qn, args.potential)
-    payload = {
+    row = {
         "molecule": molecule.name,
         "potential": args.potential,
         "n": qn.n,
@@ -324,20 +289,10 @@ def cmd_fit_beta(args: argparse.Namespace) -> int:
         "e_exp_eV": e_exp,
         "beta_upper_A2": bound.beta_upper,
         "min_length_upper_A": bound.minimal_length_upper,
-        "basis": bound.basis,
-        "experimental_source": source,
     }
-    _require_finite(payload)
-    if args.format == "json":
-        _emit_json(payload)
-    else:
-        _emit_csv(
-            ["molecule", "potential", "n", "l", "e_exp_eV", "beta_upper_A2", "min_length_upper_A"],
-            [[payload["molecule"], payload["potential"], str(payload["n"]), str(payload["l"]),
-              _fmt(payload["e_exp_eV"]), _fmt(payload["beta_upper_A2"]),
-              _fmt(payload["min_length_upper_A"])]],
-            {"basis": bound.basis, "experimental_source": source},
-        )
+    _require_finite(row)
+    meta = {"basis": bound.basis, "experimental_source": source}
+    _emit(args.format, meta, [row], {**row, **meta})
     return EXIT_OK
 
 
@@ -429,7 +384,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with _summarize_perturbation_warnings():
+            return args.func(args)
     except (DataFormatError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA

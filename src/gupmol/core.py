@@ -157,8 +157,15 @@ def synthetic_molecule(gamma_value: float, de: float = 1.0, re: float = 1.0,
     Fixes de and re and solves for the reduced mass; handy for sweeps where
     gamma is the controlled variable.
     """
-    _require_positive("gamma_value", gamma_value)
-    mu = (gamma_value * HBAR / re) ** 2 / (2.0 * de)
+    for label, value in (("gamma_value", gamma_value), ("de", de), ("re", re)):
+        _require_positive(label, value)
+    try:
+        mu = (gamma_value * HBAR / re) ** 2 / (2.0 * de)
+    except OverflowError:
+        mu = math.inf
+    if mu == 0.0 or math.isinf(mu):
+        raise DomainError(f"gamma = {gamma_value!r} is out of range for de = {de!r} and "
+                          f"re = {re!r}: the reduced mass it needs is {mu!r} in floats")
     return Molecule(name=name or f"synthetic-gamma-{gamma_value:g}", de=de, re=re, mu=mu)
 
 

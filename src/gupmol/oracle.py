@@ -336,7 +336,6 @@ def auto_grid(
     r_scale: float,
     points: int = 4001,
     r_min: float | None = None,
-    r_max: float | None = None,
 ) -> RadialGrid:
     """Box for the lowest n_max+1 states of a single-well effective potential.
 
@@ -344,13 +343,11 @@ def auto_grid(
     the dissociation threshold for open wells; the outer edge then buys
     DECAY_BUDGET WKB e-foldings past the classical turning point.  r_scale
     sets the inner wall (INNER_WALL * r_scale) and the search window for the
-    minimum.
+    minimum; a box set by hand is ``RadialGrid(r_min, r_max, points)``.
     Raises DomainError when the effective potential has no interior well, and
     GridError when the walk to the box edge takes more than MAX_WALK_STEPS.
     """
     inner = r_min if r_min is not None else INNER_WALL * r_scale
-    if r_max is not None:
-        return RadialGrid(inner, r_max, points)
     v_eff, r0, e_top = _well(potential, mu, ell, n_max, r_scale, inner)
     return RadialGrid(inner, _outer_wall(v_eff, mu, r0, e_top), points)
 

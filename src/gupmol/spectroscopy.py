@@ -37,6 +37,7 @@ from .core import (
     QuantumNumbers,
     SpectroscopicConstants,
     _master_basis,
+    gamma,
     master_energy,  # noqa: F401  (one of this module's public names)
 )
 from .kratzer import KRATZER
@@ -181,6 +182,12 @@ def fit_beta_bound(m: Molecule, e_exp: float, qn: QuantumNumbers, kind: str) -> 
         raise DomainError(f"e_exp must be finite, got {e_exp!r}")
     e_theory = float(model.energies(m, qn.n, qn.ell)[1])  # the level above the minimum
     slope = model.slope(m, qn)
+    if not (math.isfinite(e_theory) and math.isfinite(slope)):
+        raise DomainError(
+            f"level (n={qn.n}, ell={qn.ell}) of {m.name!r} at gamma = {gamma(m)!r} is out of "
+            f"floating-point range (level {e_theory!r} eV, slope {slope!r} eV per unit beta); "
+            f"cannot bound beta"
+        )
 
     gap = abs(e_exp - e_theory)
     if gap == 0.0:

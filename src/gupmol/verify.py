@@ -129,24 +129,22 @@ def closed_vs_oracle_sweep(
                     qn = QuantumNumbers(n=n, ell=ell)
                     e_closed = model.undeformed(m, qn)
                     de_closed = model.shift(m, deformation, qn)
-                    if failure is not None:
-                        cells.append(
-                            SweepCell(model.name, gamma_value, n, ell, e_closed, float("nan"),
-                                      float("inf"), de_closed, float("nan"), float("inf"),
-                                      passed=False, note=failure)
-                        )
-                        continue
-                    e_oracle = float(energies[n])
-                    de_oracle = deformation.beta * float(slopes[n])
-                    e_rel = _rel(abs(e_oracle - e_closed), e_closed)
-                    if deformation.beta == 0.0:
-                        de_rel = 0.0  # both shifts are exactly zero
+                    if failure is not None:  # an infinite error fails the tolerance test
+                        e_oracle = de_oracle = math.nan
+                        e_rel = de_rel = math.inf
                     else:
-                        de_rel = _rel(abs(de_oracle - de_closed), de_closed)
+                        e_oracle = float(energies[n])
+                        de_oracle = deformation.beta * float(slopes[n])
+                        e_rel = _rel(abs(e_oracle - e_closed), e_closed)
+                        if deformation.beta == 0.0:
+                            de_rel = 0.0  # both shifts are exactly zero
+                        else:
+                            de_rel = _rel(abs(de_oracle - de_closed), de_closed)
                     cells.append(
                         SweepCell(model.name, gamma_value, n, ell, e_closed, e_oracle, e_rel,
                                   de_closed, de_oracle, de_rel,
-                                  passed=(e_rel <= tol_energy and de_rel <= tol_correction))
+                                  passed=(e_rel <= tol_energy and de_rel <= tol_correction),
+                                  note=failure or "")
                     )
 
     return SweepReport(

@@ -459,6 +459,10 @@ class TestExitCodes:
           "--units", "eV"], EXIT_CONFIG),
         (["spectrum", "--potential", "kratzer", "--synthetic", "1,1e200,1"], EXIT_CONFIG),
         (["verify", "--gamma", "1e200"], EXIT_CONFIG),
+        (["verify", "--gamma", "1e300", "--nmax", "0", "--lmax", "0"], EXIT_CONFIG),
+        (["verify", "--gamma", "1e-300", "--nmax", "0", "--lmax", "0"], EXIT_CONFIG),
+        # a level and slope that are nan: inf / inf
+        (["fit-beta", "--synthetic", "1,1e200,1", "--e-exp", "1"], EXIT_CONFIG),
         # gamma so small that gamma^3 (series) or gamma^2 (pho slope) is 0.0
         (["constants", "--potential", "kratzer", "--synthetic", "1,1,1e-245"], EXIT_CONFIG),
         # gamma so large that gamma^3 (series) is beyond float range
@@ -478,7 +482,8 @@ class TestExitCodes:
          EXIT_DATA),
         (["fit-beta", "--molecule", "H2-kratzer", "--levels-file", "{dir}"], EXIT_DATA),
     ], ids=["spectrum-large-mu", "constants-fit-large-mu", "fit-beta-large-mu", "spectrum-large-re",
-            "verify-large-gamma", "constants-tiny-gamma", "fit-beta-tiny-gamma",
+            "verify-large-gamma", "verify-huge-gamma", "verify-tiny-gamma",
+            "fit-beta-nan-slope", "constants-tiny-gamma", "fit-beta-tiny-gamma",
             "constants-huge-gamma-kratzer", "constants-huge-gamma-pho",
             "spectrum-inf-shift", "constants-fit-inf", "fit-beta-inf-length",
             "molecules-file-dir", "levels-file-dir"])
@@ -496,6 +501,26 @@ class TestExitCodes:
         assert code == EXIT_CONFIG
         assert err.startswith("error: gamma = 1.414213562373095e+120 is too large for the "
                               "1/gamma series of 'synthetic'")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["verify", "--gamma", "1e300", "--nmax", "0", "--lmax", "0"],
+         "error: gamma = 1e+300 is out of range for de = 1.0 and re = 1.0: the reduced mass "
+         "it needs is inf in floats\n"),
+        (["verify", "--gamma", "1e-300", "--nmax", "0", "--lmax", "0"],
+         "error: gamma = 1e-300 is out of range for de = 1.0 and re = 1.0: the reduced mass "
+         "it needs is 0.0 in floats\n"),
+        (["fit-beta", "--synthetic", "1,1e200,1", "--e-exp", "1"],
+         "error: level (n=0, ell=0) of 'synthetic' at gamma = 1.414213562373095e+200 is out "
+         "of floating-point range (level nan eV, slope nan eV per unit beta); cannot bound beta\n"),
+        # an infinite slope, which would bound beta by 0
+        (["fit-beta", "--potential", "pho", "--synthetic", "1,1e-160,1", "--l", "1",
+          "--e-exp", "1"],
+         "error: level (n=0, ell=1) of 'synthetic' at gamma = 1.4142135623730952e-160 is out "
+         "of floating-point range (level 3.535533905932737e+160 eV, slope inf eV per unit "
+         "beta); cannot bound beta\n"),
+    ], ids=["verify-huge-gamma", "verify-tiny-gamma", "fit-beta-nan-slope", "fit-beta-inf-slope"])
+    def test_out_of_range_input_is_named(self, capsys, argv, message):
+        assert run_main(capsys, *argv) == (EXIT_CONFIG, "", message)
 
     def test_large_gamma_at_zero_beta_still_prints(self, capsys):
         code, out, _ = run_main(capsys, "spectrum", "--potential", "kratzer",
@@ -530,3 +555,214 @@ class TestExitCodes:
         assert code == EXIT_INTERNAL
         assert out == ""
         assert err == f"internal error: {type(exc).__name__}: boom\n"
+
+
+# Expected stdout, written from the output of the per-format emitters that
+# preceded ``cli._emit``.  The verify cells never converge (one solve), so
+# their oracle columns are nan/inf and no digit depends on LAPACK.
+SPECTRUM_CSV = """\
+# potential=kratzer
+# molecule=synthetic
+# gamma=1.41421356237
+# beta=0.001
+# min_length_angstrom=0.0707106781187
+# units=internal
+n,l,e0,delta_e,total
+0,0,-0.5,0.001,-0.499
+0,1,-0.304805898399,0.000259945566443,-0.304545952832
+1,0,-0.222222222222,0.000460905349794,-0.221761316872
+1,1,-0.157670780787,0.000170395305352,-0.157500385481
+"""
+
+SPECTRUM_JSON = """\
+{
+  "levels": [
+    {
+      "delta_e": 0.0010000000000000005,
+      "e0": -0.5000000000000001,
+      "l": 0,
+      "n": 0,
+      "total": -0.4990000000000001
+    },
+    {
+      "delta_e": 0.0002599455664426703,
+      "e0": -0.30480589839889627,
+      "l": 1,
+      "n": 0,
+      "total": -0.3045459528324536
+    },
+    {
+      "delta_e": 0.0004609053497942389,
+      "e0": -0.22222222222222227,
+      "l": 0,
+      "n": 1,
+      "total": -0.22176131687242803
+    },
+    {
+      "delta_e": 0.0001703953053521863,
+      "e0": -0.15767078078675462,
+      "l": 1,
+      "n": 1,
+      "total": -0.15750038548140244
+    }
+  ],
+  "meta": {
+    "beta": 0.001,
+    "gamma": 1.4142135623730951,
+    "min_length_angstrom": 0.07071067811865475,
+    "molecule": "synthetic",
+    "potential": "kratzer",
+    "units": "internal"
+  }
+}
+"""
+
+CONSTANTS_CSV = """\
+# potential=pho
+# molecule=synthetic
+# gamma=1.41421356237
+# beta=0.001
+# units=cm-1
+constant,value
+y00,1032.38962398
+we,22847.0224531
+wexe,-96.7865272482
+weye,0
+be,4032.77196867
+alphae,-45.6256064965
+"""
+
+CONSTANTS_JSON = """\
+{
+  "constants": {
+    "alphae": -45.62560649646138,
+    "be": 4032.7719686746045,
+    "we": 22847.02245310304,
+    "wexe": -96.78652724819051,
+    "weye": 0.0,
+    "y00": 1032.3896239806988
+  },
+  "meta": {
+    "beta": 0.001,
+    "gamma": 1.4142135623730951,
+    "molecule": "synthetic",
+    "potential": "pho",
+    "units": "cm-1"
+  }
+}
+"""
+
+FIT_BETA_CSV = """\
+# basis=full |experiment - theory(beta=0)| gap of 5.000000e-01 eV for 'synthetic' (n=0, ell=0, kratzer) attributed to the deformation shift (1.000000e+00 eV per unit beta)
+# experimental_source=command line
+molecule,potential,n,l,e_exp_eV,beta_upper_A2,min_length_upper_A
+synthetic,kratzer,0,0,1,0.5,1.58113883008
+"""
+
+FIT_BETA_JSON = """\
+{
+  "basis": "full |experiment - theory(beta=0)| gap of 5.000000e-01 eV for 'synthetic' (n=0, ell=0, kratzer) attributed to the deformation shift (1.000000e+00 eV per unit beta)",
+  "beta_upper_A2": 0.4999999999999998,
+  "e_exp_eV": 1.0,
+  "experimental_source": "command line",
+  "l": 0,
+  "min_length_upper_A": 1.5811388300841893,
+  "molecule": "synthetic",
+  "n": 0,
+  "potential": "kratzer"
+}
+"""
+
+VERIFY_CSV = """\
+# tol_energy=1e-06
+# tol_correction=0.0001
+# beta=1e-06
+# max_energy_rel_err=inf
+# max_correction_rel_err=inf
+# result=FAIL
+potential,gamma,n,l,e_closed,e_oracle,e_rel_err,de_closed,de_oracle,de_rel_err,status
+kratzer,20,0,0,-0.951234377441,nan,inf,1.42778968254e-06,nan,inf,FAIL
+kratzer,20,1,0,-0.864829809673,nan,inf,5.4619187243e-06,nan,inf,FAIL
+"""
+
+VERIFY_JSON = """\
+{
+  "cells": [
+    {
+      "de_closed": 1.4277896825419047e-06,
+      "de_oracle": NaN,
+      "de_rel_err": Infinity,
+      "e_closed": -0.9512343774406438,
+      "e_oracle": NaN,
+      "e_rel_err": Infinity,
+      "gamma": 20.0,
+      "l": 0,
+      "n": 0,
+      "note": "sinc DVR not converged: no two successive solves at N = 64 agree to 1e-08",
+      "potential": "kratzer",
+      "status": "FAIL"
+    },
+    {
+      "de_closed": 5.461918724296166e-06,
+      "de_oracle": NaN,
+      "de_rel_err": Infinity,
+      "e_closed": -0.8648298096734234,
+      "e_oracle": NaN,
+      "e_rel_err": Infinity,
+      "gamma": 20.0,
+      "l": 0,
+      "n": 1,
+      "note": "sinc DVR not converged: no two successive solves at N = 64 agree to 1e-08",
+      "potential": "kratzer",
+      "status": "FAIL"
+    }
+  ],
+  "meta": {
+    "beta": 1e-06,
+    "max_correction_rel_err": Infinity,
+    "max_energy_rel_err": Infinity,
+    "result": "FAIL",
+    "tol_correction": 0.0001,
+    "tol_energy": 1e-06
+  }
+}
+"""
+
+
+class TestOutputLayout:
+    """Exact stdout of fixed calls in both formats."""
+
+    CALLS = {
+        "spectrum": ("spectrum --potential kratzer --synthetic 1,1,1 --beta 1e-3 --nmax 1 "
+                     "--lmax 1 --units internal", EXIT_OK, SPECTRUM_CSV, SPECTRUM_JSON),
+        "constants": ("constants --potential pho --synthetic 1,1,1 --beta 1e-3", EXIT_OK,
+                      CONSTANTS_CSV, CONSTANTS_JSON),
+        "fit-beta": ("fit-beta --synthetic 1,1,1 --e-exp 1 --units internal", EXIT_OK,
+                     FIT_BETA_CSV, FIT_BETA_JSON),
+        "verify": ("verify --potential kratzer --gamma 20 --nmax 1 --lmax 0 --levels 1",
+                   EXIT_VERIFY, VERIFY_CSV, VERIFY_JSON),
+    }
+
+    @pytest.mark.parametrize("command", CALLS)
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_exact_stdout(self, capsys, command, fmt):
+        argv, expected_code, csv_text, json_text = self.CALLS[command]
+        code, out, _ = run_main(capsys, *argv.split(), "--format", fmt)
+        assert code == expected_code
+        assert out == (csv_text if fmt == "csv" else json_text)
+
+    def test_constants_fit_columns(self, capsys):
+        """Only the layout: the lstsq digits may differ between BLAS builds."""
+        argv = ["constants", "--potential", "pho", "--synthetic", "1,1,1", "--beta", "1e-3",
+                "--fit"]
+        _, out, _ = run_main(capsys, *argv)
+        lines = out.splitlines()
+        assert lines[:5] == CONSTANTS_CSV.splitlines()[:5]
+        assert lines[5] == "constant,value,fitted,rel_diff"
+        assert [line.split(",")[0] for line in lines[6:]] == [
+            "y00", "we", "wexe", "weye", "be", "alphae"]
+        _, out, _ = run_main(capsys, *argv, "--format", "json")
+        document = json.loads(out)
+        assert list(document) == ["constants", "fitted", "meta", "rel_diff"]
+        for key in ("constants", "fitted", "rel_diff"):
+            assert list(document[key]) == sorted(["y00", "we", "wexe", "weye", "be", "alphae"])
