@@ -72,18 +72,7 @@ from .spectroscopy import (
 __version__ = "0.1.0"
 
 _LAZY_MODULES = {
-    "oracle": (
-        "RadialEigenstate",
-        "RadialGrid",
-        "auto_grid",
-        "dump_eigenstate",
-        "extrapolate",
-        "kinetic_expectation",
-        "p4_expectation",
-        "p4_expectation_fd",
-        "potential_expectation",
-        "solve_radial",
-    ),
+    "oracle": ("RadialEigenstate", "RadialGrid", "extrapolate", "p4_expectation", "solve_radial"),
     "verify": ("SweepCell", "SweepReport", "closed_vs_oracle_sweep"),
 }
 _LAZY_NAMES = {name: module for module, names in _LAZY_MODULES.items() for name in names}

@@ -40,9 +40,8 @@ ladder cannot remove.
 Choice of r_min trades two errors: the truncated [0, r_min) tail of the
 perturbation integrand shrinks with r_min, while V(r_min) grows into the
 matrix norm and with it the eigensolver's absolute floor (~eps * |V(r_min)|).
-The default 1e-3 * re suits deep molecular wells; shallow synthetic cases
-should pass an explicit smaller r_min.  The DVR's inner wall never goes
-below it either: its kinetic term grows as 1/r_min^2.
+The DVR's inner wall is walked in from the well but never goes below
+INNER_WALL * re: its kinetic term grows as 1/r_min^2.
 """
 from __future__ import annotations
 
@@ -80,7 +79,7 @@ MIN_GRID_POINTS = 16
 #: Inner wall of an automatic box, in units of its length scale.
 INNER_WALL = 1e-3
 
-#: Most 0.02 r0 steps auto_grid walks outward before giving up; real boxes
+#: Most 0.02 r0 steps the outer walk takes before giving up; real boxes
 #: take a few thousand, a shallow open well (gamma << 1) millions.
 MAX_WALK_STEPS = 20_000
 
@@ -135,7 +134,8 @@ def _v_eff(potential: RadialPotential, ell: int, mu: float, r: np.ndarray) -> np
     """V(r) plus the centrifugal term ell(ell+1)/(2 mu r^2)."""
     out = np.asarray(potential(r), dtype=float)
     if ell:
-        out = out + ell * (ell + 1) / (2.0 * mu * r * r)
+        with np.errstate(over="ignore"):  # 2 mu r^2 beyond float range: the term is 0
+            out = out + ell * (ell + 1) / (2.0 * mu * r * r)
     return out
 
 
@@ -264,92 +264,12 @@ def p4_expectation(state: RadialEigenstate, potential: RadialPotential, mu: floa
     return value
 
 
-def p4_expectation_fd(state: RadialEigenstate, potential: RadialPotential, mu: float) -> float:
-    """Cross-check route for <p^4> via explicit second differences of u.
-
-    Computes p^2 u = -hbar^2 u'' + hbar^2 ell(ell+1) u / r^2 directly and
-    integrates its square.  Agrees with :func:`p4_expectation` only to the
-    discretization order; the (E - V)^2 form is the primary definition.
-    """
-    r, u = state.r, state.u
-    h = r[1] - r[0]
-    ell = state.qn.ell
-    p2u = np.empty_like(u)
-    p2u[1:-1] = -(u[2:] - 2.0 * u[1:-1] + u[:-2]) / (h * h)
-    p2u[1:-1] += ell * (ell + 1) * u[1:-1] / (r[1:-1] * r[1:-1])
-    p2u = _edge_extrapolated(p2u)
-    return _simpson(p2u * p2u, r)
-
-
-def kinetic_expectation(state: RadialEigenstate, mu: float) -> float:
-    """<p^2>/2mu from du/dr (central differences) plus the centrifugal piece.
-
-    Independent of the eigensolve's own identity E = T + V on the discrete
-    operator, so comparing it against E - <V> is a real consistency check.
-    """
-    r, u = state.r, state.u
-    du = np.gradient(u, r, edge_order=2)
-    ell = state.qn.ell
-    h2m = 1.0 / (2.0 * mu)
-    value = h2m * _simpson(du * du, r)
-    if ell:
-        value += h2m * ell * (ell + 1) * _simpson(u * u / (r * r), r)
-    return value
-
-
-def potential_expectation(state: RadialEigenstate, potential: RadialPotential) -> float:
-    return _simpson(state.u * state.u * np.asarray(potential(state.r), dtype=float), state.r)
-
-
-def dump_eigenstate(state: RadialEigenstate, destination) -> None:
-    """Write a state as plot-ready two-column text (r, u).
-
-    One '#' header line with the labels and eigenvalue, then fixed-precision
-    columns.  ``destination`` is a path or an open text file.
-    """
-    header = (
-        f"# radial eigenstate n={state.qn.n} ell={state.qn.ell} "
-        f"energy={state.energy:.12e} points={len(state.r)} norm_check={state.norm_check:.12e}\n"
-    )
-    lines = [header]
-    lines.extend(f"{r: .10e} {u: .10e}\n" for r, u in zip(state.r, state.u))
-    if hasattr(destination, "write"):
-        destination.writelines(lines)
-    else:
-        with open(destination, "w") as handle:
-            handle.writelines(lines)
-
-
 def extrapolate(values: Sequence[float]) -> float:
     """Repeated Richardson steps of an O(h^2) ladder on halved spacings, down to one value."""
     work = list(values)
     while len(work) > 1:
         work = [(4.0 * b - a) / 3.0 for a, b in zip(work, work[1:])]
     return work[0]
-
-
-def auto_grid(
-    potential: RadialPotential,
-    mu: float,
-    ell: int,
-    n_max: int,
-    r_scale: float,
-    points: int = 4001,
-    r_min: float | None = None,
-) -> RadialGrid:
-    """Box for the lowest n_max+1 states of a single-well effective potential.
-
-    The top energy is a harmonic estimate at the well minimum, capped below
-    the dissociation threshold for open wells; the outer edge then buys
-    DECAY_BUDGET WKB e-foldings past the classical turning point.  r_scale
-    sets the inner wall (INNER_WALL * r_scale) and the search window for the
-    minimum; a box set by hand is ``RadialGrid(r_min, r_max, points)``.
-    Raises DomainError when the effective potential has no interior well, and
-    GridError when the walk to the box edge takes more than MAX_WALK_STEPS.
-    """
-    inner = r_min if r_min is not None else INNER_WALL * r_scale
-    v_eff, r0, e_top = _well(potential, mu, ell, n_max, r_scale, inner)
-    return RadialGrid(inner, _outer_wall(v_eff, mu, r0, e_top), points)
 
 
 def _well(potential: RadialPotential, mu: float, ell: int, n_max: int, r_scale: float,
@@ -411,7 +331,8 @@ def _walk(v_eff, mu: float, e_top: float, budget: float, r: np.ndarray,
     if not turning.size:
         return None
     j = turning[0]
-    decay = np.cumsum(np.sqrt(2.0 * mu * np.maximum(v[j:] - e_top, 0.0)) * steps[j:])
+    with np.errstate(over="ignore"):  # an overflow is inf, which spends any budget
+        decay = np.cumsum(np.sqrt(2.0 * mu * np.maximum(v[j:] - e_top, 0.0)) * steps[j:])
     (spent,) = np.nonzero(~(decay < budget))
     return float(r[j + spent[0] + 1]) if spent.size else None
 
@@ -497,8 +418,10 @@ def _dvr_levels(potential: RadialPotential, ell: int, mu: float, box: tuple[floa
             continue
         energies, slopes, vectors, v_eff = _dvr_solve(potential, ell, mu, box, size, count)
         current = np.array([energies, slopes])
-        if previous is not None and np.all(np.abs(current - previous)
-                                           <= DVR_RTOL * np.abs(current)):
+        with np.errstate(invalid="ignore"):  # inf - inf is nan, which never agrees
+            agree = previous is not None and np.all(np.abs(current - previous)
+                                                    <= DVR_RTOL * np.abs(current))
+        if agree:
             _check_states(energies, vectors.T, v_eff, *box)
             return energies, slopes
         previous = current

@@ -91,7 +91,9 @@ def closed_vs_oracle_sweep(
     diagnostic in ``note`` instead of aborting the sweep, so a deliberately
     coarse start produces a failing report rather than a crash.
     Configuration errors (unknown potential, tolerances, grid size above
-    DVR_MAX_POINTS, box) raise DomainError before the first solve.
+    DVR_MAX_POINTS, box) raise DomainError before the first solve, and a
+    closed-form level or shift that is not finite raises DomainError before
+    its (potential, gamma, ell) is solved.
     """
     models = [get_model(kind) for kind in potentials]
     molecules = [synthetic_molecule(gamma_value) for gamma_value in gammas]
@@ -117,6 +119,15 @@ def closed_vs_oracle_sweep(
         for gamma_value, m in zip(gammas, molecules):
             potential = model.potential(m)
             for ell in range(l_max + 1):
+                closed = [(model.undeformed(m, qn), model.shift(m, deformation, qn))
+                          for qn in (QuantumNumbers(n=n, ell=ell) for n in range(n_max + 1))]
+                for n, (e_closed, de_closed) in enumerate(closed):
+                    if not (math.isfinite(e_closed) and math.isfinite(de_closed)):
+                        raise DomainError(
+                            f"closed-form level (n={n}, ell={ell}) of {model.name} at "
+                            f"gamma = {gamma_value!r} is out of floating-point range (level "
+                            f"{e_closed!r}, shift {de_closed!r}); cannot verify it"
+                        )
                 try:
                     box = _dvr_box(potential, m.mu, ell, n_max, m.re, r_max)
                     energies, slopes = _dvr_levels(potential, ell, m.mu, box, n_max + 1,
@@ -125,10 +136,7 @@ def closed_vs_oracle_sweep(
                 except GupmolError as exc:
                     failure = str(exc)
 
-                for n in range(n_max + 1):
-                    qn = QuantumNumbers(n=n, ell=ell)
-                    e_closed = model.undeformed(m, qn)
-                    de_closed = model.shift(m, deformation, qn)
+                for n, (e_closed, de_closed) in enumerate(closed):
                     if failure is not None:  # an infinite error fails the tolerance test
                         e_oracle = de_oracle = math.nan
                         e_rel = de_rel = math.inf

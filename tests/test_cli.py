@@ -461,6 +461,9 @@ class TestExitCodes:
         (["verify", "--gamma", "1e200"], EXIT_CONFIG),
         (["verify", "--gamma", "1e300", "--nmax", "0", "--lmax", "0"], EXIT_CONFIG),
         (["verify", "--gamma", "1e-300", "--nmax", "0", "--lmax", "0"], EXIT_CONFIG),
+        # a closed-form shift that is nan: the slope kernels overflow from gamma ~ 1e51
+        (["verify", "--gamma", "1e100", "--nmax", "0", "--lmax", "0"], EXIT_CONFIG),
+        (["verify", "--gamma", "1e154", "--nmax", "0", "--lmax", "0"], EXIT_CONFIG),
         # a level and slope that are nan: inf / inf
         (["fit-beta", "--synthetic", "1,1e200,1", "--e-exp", "1"], EXIT_CONFIG),
         # gamma so small that gamma^3 (series) or gamma^2 (pho slope) is 0.0
@@ -483,6 +486,7 @@ class TestExitCodes:
         (["fit-beta", "--molecule", "H2-kratzer", "--levels-file", "{dir}"], EXIT_DATA),
     ], ids=["spectrum-large-mu", "constants-fit-large-mu", "fit-beta-large-mu", "spectrum-large-re",
             "verify-large-gamma", "verify-huge-gamma", "verify-tiny-gamma",
+            "verify-nan-shift", "verify-nan-shift-large-mu",
             "fit-beta-nan-slope", "constants-tiny-gamma", "fit-beta-tiny-gamma",
             "constants-huge-gamma-kratzer", "constants-huge-gamma-pho",
             "spectrum-inf-shift", "constants-fit-inf", "fit-beta-inf-length",
@@ -518,9 +522,24 @@ class TestExitCodes:
          "error: level (n=0, ell=1) of 'synthetic' at gamma = 1.4142135623730952e-160 is out "
          "of floating-point range (level 3.535533905932737e+160 eV, slope inf eV per unit "
          "beta); cannot bound beta\n"),
-    ], ids=["verify-huge-gamma", "verify-tiny-gamma", "fit-beta-nan-slope", "fit-beta-inf-slope"])
+        (["verify", "--gamma", "1e154", "--nmax", "0", "--lmax", "0"],
+         "error: closed-form level (n=0, ell=0) of kratzer at gamma = 1e+154 is out of "
+         "floating-point range (level -1.0, shift nan); cannot verify it\n"),
+    ], ids=["verify-huge-gamma", "verify-tiny-gamma", "fit-beta-nan-slope", "fit-beta-inf-slope",
+            "verify-nan-shift"])
     def test_out_of_range_input_is_named(self, capsys, argv, message):
         assert run_main(capsys, *argv) == (EXIT_CONFIG, "", message)
+
+    @pytest.mark.parametrize("lmax", ["0", "1"])
+    def test_overflowing_solve_fails_without_numpy_warnings(self, capsys, lmax):
+        # finite closed forms, so the cells are solved; every solve overflows
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, _ = run_main(capsys, "verify", "--gamma", "1.2e154", "--beta", "0",
+                                    "--nmax", "0", "--lmax", lmax)
+        assert code == EXIT_VERIFY
+        assert all(row["status"] == "FAIL" for row in parse_csv(out))
+        assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
     def test_large_gamma_at_zero_beta_still_prints(self, capsys):
         code, out, _ = run_main(capsys, "spectrum", "--potential", "kratzer",

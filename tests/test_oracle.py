@@ -7,21 +7,24 @@ from gupmol import (
     KratzerPotential,
     PhoPotential,
     RadialGrid,
-    auto_grid,
     closed_vs_oracle_sweep,
-    dump_eigenstate,
     extrapolate,
-    kinetic_expectation,
     kratzer_energy_undeformed,
     p4_expectation,
-    p4_expectation_fd,
     pho_energy_undeformed,
-    potential_expectation,
     solve_radial,
     synthetic_molecule,
 )
 from gupmol.core import QuantumNumbers
-from gupmol.oracle import DVR_MAX_POINTS, INNER_WALL, MAX_WALK_STEPS, _dvr_box, _v_eff
+from gupmol.oracle import (
+    DVR_MAX_POINTS,
+    INNER_WALL,
+    MAX_WALK_STEPS,
+    _dvr_box,
+    _edge_extrapolated,
+    _simpson,
+    _v_eff,
+)
 from gupmol.spectroscopy import get_model
 
 
@@ -31,6 +34,45 @@ def coulomb(r):
 
 def hydrogenic_energy(n, ell, mu=1.0, g2=1.0, hbar=1.0):
     return -mu * g2 * g2 / (2.0 * hbar * hbar * (n + ell + 1) ** 2)
+
+
+def fd_grid(pot, m, ell, n_max, points, r_min=None):
+    """Finite-difference grid out to the DVR box's outer wall, from r_min
+    (INNER_WALL * re by default)."""
+    r_min = INNER_WALL * m.re if r_min is None else r_min
+    return RadialGrid(r_min, _dvr_box(pot, m.mu, ell, n_max, m.re)[1], points)
+
+
+def _p4_second_difference(state):
+    """<p^4> from explicit second differences of u: p^2 u = -u'' + ell(ell+1) u / r^2,
+    squared and integrated.  Agrees with p4_expectation only to the
+    discretization order; the (E - V)^2 form is the primary definition."""
+    r, u = state.r, state.u
+    h = r[1] - r[0]
+    ell = state.qn.ell
+    p2u = np.empty_like(u)
+    p2u[1:-1] = -(u[2:] - 2.0 * u[1:-1] + u[:-2]) / (h * h)
+    p2u[1:-1] += ell * (ell + 1) * u[1:-1] / (r[1:-1] * r[1:-1])
+    p2u = _edge_extrapolated(p2u)
+    return _simpson(p2u * p2u, r)
+
+
+def _kinetic_expectation(state, mu):
+    """<p^2>/2mu from du/dr (central differences) plus the centrifugal piece:
+    independent of the eigensolve's own identity E = T + V on the discrete
+    operator, so comparing it against E - <V> is a real consistency check."""
+    r, u = state.r, state.u
+    du = np.gradient(u, r, edge_order=2)
+    ell = state.qn.ell
+    h2m = 1.0 / (2.0 * mu)
+    value = h2m * _simpson(du * du, r)
+    if ell:
+        value += h2m * ell * (ell + 1) * _simpson(u * u / (r * r), r)
+    return value
+
+
+def _potential_expectation(state, potential):
+    return _simpson(state.u * state.u * np.asarray(potential(state.r), dtype=float), state.r)
 
 
 class TestGrid:
@@ -105,7 +147,7 @@ class TestSolverContracts:
 def kratzer_case():
     m = synthetic_molecule(20.0)
     pot = KratzerPotential.from_molecule(m)
-    grid = auto_grid(pot, m.mu, 0, 1, m.re, points=2001)
+    grid = fd_grid(pot, m, 0, 1, 2001)
     states = solve_radial(pot, 0, m.mu, grid, 2)
     return m, pot, grid, states
 
@@ -119,7 +161,7 @@ class TestPerturbation:
     def test_second_difference_route_agrees(self, kratzer_case):
         m, pot, _, states = kratzer_case
         primary = p4_expectation(states[0], pot, m.mu)
-        alternative = p4_expectation_fd(states[0], pot, m.mu)
+        alternative = _p4_second_difference(states[0])
         assert alternative == pytest.approx(primary, rel=1e-2)
 
     def test_quadratic_convergence_of_p4(self, kratzer_case):
@@ -139,8 +181,8 @@ class TestPerturbation:
         g = grid
         for _ in range(3):
             state = solve_radial(pot, 1, m.mu, g, 1)[0]
-            lhs = kinetic_expectation(state, m.mu)
-            rhs = state.energy - potential_expectation(state, pot)
+            lhs = _kinetic_expectation(state, m.mu)
+            rhs = state.energy - _potential_expectation(state, pot)
             ratios.append(lhs / rhs)
             g = g.refined()
         assert extrapolate(ratios) == pytest.approx(1.0, abs=1e-6)
@@ -152,7 +194,7 @@ class TestGridChoice:
         pot = KratzerPotential.from_molecule(m)
         values = []
         for r_min in (1e-3, 5e-4):
-            grid = auto_grid(pot, m.mu, 0, 0, m.re, points=4001, r_min=r_min)
+            grid = fd_grid(pot, m, 0, 0, 4001, r_min=r_min)
             ladder = []
             g = grid
             for _ in range(3):
@@ -163,13 +205,13 @@ class TestGridChoice:
 
     def test_auto_grid_requires_a_well(self):
         with pytest.raises(DomainError):
-            auto_grid(coulomb, 1.0, 0, 2, 1.0)
+            _dvr_box(coulomb, 1.0, 0, 2, 1.0)
 
     def test_auto_grid_boxes_both_potentials(self):
         for g in (20.0, 100.0):
             m = synthetic_molecule(g)
             for pot in (KratzerPotential.from_molecule(m), PhoPotential.from_molecule(m)):
-                grid = auto_grid(pot, m.mu, 2, 3, m.re)
+                grid = fd_grid(pot, m, 2, 3, 4001)
                 assert grid.r_max > m.re
                 # box must actually hold the requested states
                 solve_radial(pot, 2, m.mu, grid, 4)
@@ -183,7 +225,7 @@ class TestMonotonicity:
         pot = make_potential(m)
         by_ell = []
         for ell in range(3):
-            grid = auto_grid(pot, m.mu, ell, 3, m.re, points=2001)
+            grid = fd_grid(pot, m, ell, 3, 2001)
             states = solve_radial(pot, ell, m.mu, grid, 4)
             energies = [s.energy for s in states]
             assert all(a < b for a, b in zip(energies, energies[1:]))
@@ -193,32 +235,13 @@ class TestMonotonicity:
             assert all(a < b for a, b in zip(ladder, ladder[1:]))
 
 
-class TestDump:
-    def test_two_column_text(self, coulomb_states, tmp_path):
-        path = tmp_path / "state.txt"
-        dump_eigenstate(coulomb_states[0], path)
-        lines = path.read_text().splitlines()
-        assert lines[0].startswith("# radial eigenstate n=0 ell=0 energy=")
-        assert len(lines) == 1 + len(coulomb_states[0].r)
-        r_val, u_val = (float(x) for x in lines[1].split())
-        assert r_val == pytest.approx(coulomb_states[0].r[0])
-        assert u_val == coulomb_states[0].u[0]
-
-    def test_file_object_destination(self, coulomb_states, tmp_path):
-        import io
-
-        buffer = io.StringIO()
-        dump_eigenstate(coulomb_states[0], buffer)
-        assert buffer.getvalue().startswith("# radial eigenstate")
-
-
 class TestClosedFormAgreement:
     """Spot checks; the full sweep lives in the acceptance suite."""
 
     def test_kratzer_ground_state(self):
         m = synthetic_molecule(100.0)
         pot = KratzerPotential.from_molecule(m)
-        grid = auto_grid(pot, m.mu, 0, 0, m.re, points=2001)
+        grid = fd_grid(pot, m, 0, 0, 2001)
         ladder = []
         g = grid
         for _ in range(3):
@@ -230,7 +253,7 @@ class TestClosedFormAgreement:
     def test_pho_ground_state(self):
         m = synthetic_molecule(100.0)
         pot = PhoPotential.from_molecule(m)
-        grid = auto_grid(pot, m.mu, 0, 0, m.re, points=2001)
+        grid = fd_grid(pot, m, 0, 0, 2001)
         ladder = []
         g = grid
         for _ in range(3):
@@ -256,8 +279,8 @@ class TestSweep:
 
 
 def stepwise_outer_wall(potential, mu, ell, n_max, r_scale):
-    """auto_grid's outer wall as the point-by-point walk computed it: the
-    reference for the vectorized walk, which must match it to the last bit."""
+    """The outer wall as the point-by-point walk computed it: the reference
+    for the vectorized walk, which must match it to the last bit."""
     def v_eff(r):
         return float(_v_eff(potential, ell, mu, np.array([r]))[0])
 
@@ -292,7 +315,6 @@ class TestWalk:
         for ell, n_max in [(0, 0), (3, 4)]:
             expected, steps = stepwise_outer_wall(pot, m.mu, ell, n_max, m.re)
             assert steps <= MAX_WALK_STEPS
-            assert auto_grid(pot, m.mu, ell, n_max, m.re).r_max == expected
             assert _dvr_box(pot, m.mu, ell, n_max, m.re)[1] == expected
 
 

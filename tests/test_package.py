@@ -8,23 +8,23 @@ import pytest
 import gupmol
 from gupmol import core
 
-# Every name the package exported while it imported the solver eagerly.
+# The package's public names, listed on purpose: a new export must be added here.
 EXPORTS = (
     "AMU_TO_INTERNAL", "BetaBound", "ConvergenceError", "DataFormatError", "Deformation",
     "DomainError", "DunhamFit", "EV_TO_CM1", "EnergyLevel", "ExperimentalLevel", "FitError",
     "GridError", "GupmolError", "HBAR", "HBARC_EV_ANGSTROM", "KratzerPotential", "LevelTable",
     "Molecule", "NO_DEFORMATION", "PerturbationWarning", "PhoPotential", "QuantumNumbers",
     "RadialEigenstate", "RadialGrid", "SpectroscopicConstants", "SweepCell", "SweepReport",
-    "UNITS", "UnitSystem", "auto_grid",
+    "UNITS", "UnitSystem",
     "beta_from_minimal_length", "closed_form_table", "closed_vs_oracle_sweep", "core",
-    "dump_eigenstate", "extrapolate", "fit_beta_bound", "fit_dunham", "gamma",
-    "kinetic_expectation", "kratzer", "kratzer_correction_slope", "kratzer_energy_deformed",
+    "extrapolate", "fit_beta_bound", "fit_dunham", "gamma",
+    "kratzer", "kratzer_correction_slope", "kratzer_energy_deformed",
     "kratzer_energy_expansion", "kratzer_energy_undeformed", "kratzer_spectroscopic_constants",
     "lambda_kratzer", "lambda_pho", "load_levels", "load_molecules", "master_energy",
-    "minimal_length", "oracle", "p4_expectation", "p4_expectation_fd", "packaged_data_path",
+    "minimal_length", "oracle", "p4_expectation", "packaged_data_path",
     "pho", "pho_correction_slope", "pho_energy_deformed",
     "pho_energy_expansion", "pho_energy_undeformed", "pho_spectroscopic_constants",
-    "potential_expectation", "solve_radial", "spectroscopy", "synthetic_molecule",
+    "solve_radial", "spectroscopy", "synthetic_molecule",
     "verify",
 )
 
@@ -38,7 +38,7 @@ def test_exported_name_resolves(name):
 def test_star_import_keeps_every_name():
     namespace = {}
     exec("from gupmol import *", namespace)
-    assert set(EXPORTS) <= set(namespace)
+    assert set(namespace) - {"__builtins__"} == set(EXPORTS)
 
 
 def test_lazy_names_are_the_solver_modules_own():
