@@ -176,11 +176,12 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     deformation = _resolve_deformation(args)
     unit = args.units
 
-    qns, e0, _, de = get_model(args.potential).table(molecule, deformation, args.nmax, args.lmax)
+    model = get_model(args.potential)
+    n, ell, e0, _, de = model.table(molecule, deformation, args.nmax, args.lmax)
     with np.errstate(over="ignore"):  # an overflow is inf, which _require_finite refuses
         columns = [UNITS.energy_from_internal(x, unit).tolist() for x in (e0, de, e0 + de)]
-    rows = [{"n": qn.n, "l": qn.ell, "e0": a, "delta_e": b, "total": c}
-            for qn, a, b, c in zip(qns, *columns)]
+    rows = [{"n": a, "l": b, "e0": c, "delta_e": d, "total": e}
+            for a, b, c, d, e in zip(n.tolist(), ell.tolist(), *columns)]
 
     meta = {
         "potential": args.potential,
@@ -206,7 +207,8 @@ def cmd_constants(args: argparse.Namespace) -> int:
     values = {"constants": {k: UNITS.energy_from_internal(v, unit) for k, v in closed.items()}}
     if args.fit:
         table = closed_form_table(molecule, deformation, args.potential, args.nmax, args.lmax)
-        _require_finite({f"level (n={qn.n}, l={qn.ell})": e for qn, e in table.entries})
+        bad = np.flatnonzero(~np.isfinite(table.energy))[:1]  # the first, in row order
+        _require_finite({f"level (n={table.n[k]}, l={table.ell[k]})": table.energy[k] for k in bad})
         fitted = fit_dunham(table).constants.as_dict()
         values["fitted"] = {k: UNITS.energy_from_internal(fitted[k], unit) for k in closed}
         values["rel_diff"] = {k: (fitted[k] - closed[k]) / closed[k] if closed[k] != 0.0

@@ -211,6 +211,8 @@ class QuantumNumbers:
     ell: int
 
     def __post_init__(self) -> None:
+        if type(self.n) is int and type(self.ell) is int and self.n >= 0 and self.ell >= 0:
+            return  # exact ints need neither a check nor a conversion
         for label, value in (("n", self.n), ("ell", self.ell)):
             if isinstance(value, bool) or int(value) != value or value < 0:
                 raise DomainError(f"{label} must be a nonnegative integer, got {value!r}")
@@ -380,24 +382,27 @@ class Model:
         return EnergyLevel(qn=qn, e0=e0, de=de)
 
     def table(self, m: Molecule, d: Deformation, n_max: int, l_max: int):
-        """Every level n <= n_max, ell <= l_max in n-major order, one kernel call each:
-        (QuantumNumbers, e0, level above the minimum, shift), the last three
-        as flat arrays.  Warns as ``level`` does, once per flagged level.  A
-        value beyond float range is inf or nan, which callers that print refuse.
+        """Every level n <= n_max, ell <= l_max in n-major order, one kernel call each,
+        as flat columns: (n, ell, e0, level above the minimum, shift), n and ell
+        integers.  Warns as ``level`` does, once per flagged level; a level gets a
+        QuantumNumbers only then.  A value beyond float range is inf or nan,
+        which callers that print refuse.
         """
         for label, value in (("n_max", n_max), ("l_max", l_max)):
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
                 raise DomainError(f"{label} must be a nonnegative integer, got {value!r}")
-        qns = tuple(QuantumNumbers(n, ell) for n in range(n_max + 1) for ell in range(l_max + 1))
+        n_col, ell_col = np.divmod(np.arange((n_max + 1) * (l_max + 1)), l_max + 1)
         n = np.arange(n_max + 1.0)[:, None]
         ell = np.arange(l_max + 1.0)
         with np.errstate(over="ignore", invalid="ignore"):
             e0, e_min = self.energies(m, n, ell)
             de = np.zeros_like(e0) if d.beta == 0.0 else d.beta * self.slopes(m, n, ell)
         e0, e_min, de = e0.ravel(), e_min.ravel(), de.ravel()
-        for k in np.flatnonzero(np.abs(de) > FIRST_ORDER_WARN_RATIO * np.abs(e0)).tolist():
-            _warn_first_order(m, qns[k], float(de[k]), float(e0[k]))
-        return qns, e0, e_min, de
+        k = np.flatnonzero(np.abs(de) > FIRST_ORDER_WARN_RATIO * np.abs(e0))
+        for a, b, shift, level in zip(n_col[k].tolist(), ell_col[k].tolist(),
+                                      de[k].tolist(), e0[k].tolist()):
+            _warn_first_order(m, QuantumNumbers(a, b), shift, level)
+        return n_col, ell_col, e0, e_min, de
 
     def expansion(self, m: Molecule, d: Deformation, qn: QuantumNumbers) -> float:
         """Large-gamma series of the deformed level, truncated at 1/gamma^3, on

@@ -124,8 +124,8 @@ def _slopes(m: Molecule, n, ell) -> np.ndarray:
     pole = _pole_at(lam <= 1.5, lam, ell)
     if pole is not None:
         raise DomainError(
-            f"correction formula has poles for lambda <= 3/2; got lambda = {pole[0]!r} "
-            f"(gamma = {g!r}, ell = {pole[1]})"
+            f"correction formula has poles for lambda <= 3/2, where <p^4> diverges, so first "
+            f"order is undefined there; got lambda = {pole[0]!r} (gamma = {g!r}, ell = {pole[1]})"
         )
     a = ell + 0.5
     nn = lam + n

@@ -100,8 +100,9 @@ def _slopes(m: Molecule, n, ell) -> np.ndarray:
     pole = _pole_at((lam <= 1.0) | (g * g == 0.0), lam, ell)
     if pole is not None:
         raise DomainError(
-            f"correction formula has a pole for lambda <= 1 or gamma^2 = 0; got lambda = "
-            f"{pole[0]!r} (gamma = {g!r}, ell = {pole[1]})"
+            f"correction formula has a pole for gamma^2 = 0 and for lambda <= 1, where <p^4> "
+            f"diverges, so first order is undefined there; got lambda = {pole[0]!r} "
+            f"(gamma = {g!r}, ell = {pole[1]})"
         )
     a = ell + 0.5
     delta = a * a / (lam + g)

@@ -21,6 +21,7 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 
@@ -62,23 +63,42 @@ def get_model(kind: str) -> Model:
     return MODELS[kind]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class LevelTable:
-    """Levels of one molecule: ((QuantumNumbers, energy), ...) plus provenance."""
+    """Levels of one molecule as read-only columns, integer ``n`` and ``ell`` and float
+    ``energy``, plus provenance.  Built from ``entries``, ((QuantumNumbers, energy), ...),
+    or by closed_form_table from its kernel columns, when ``entries`` is a view made
+    on first use.  A level may not repeat; a table equals only itself."""
 
     molecule: Molecule | None
-    entries: tuple[tuple[QuantumNumbers, float], ...]
+    n: np.ndarray
+    ell: np.ndarray
+    energy: np.ndarray
     provenance: str
 
-    def __post_init__(self) -> None:
-        if self.provenance not in PROVENANCES:
-            raise DomainError(f"provenance must be one of {PROVENANCES}, got {self.provenance!r}")
-        seen = set()
-        for qn, _ in self.entries:
-            key = (qn.n, qn.ell)
-            if key in seen:
-                raise DomainError(f"duplicate level (n={qn.n}, ell={qn.ell}) in table")
-            seen.add(key)
+    def __init__(self, molecule: Molecule | None, entries: tuple | None, provenance: str, *,
+                 _columns: tuple | None = None) -> None:
+        if provenance not in PROVENANCES:
+            raise DomainError(f"provenance must be one of {PROVENANCES}, got {provenance!r}")
+        if _columns is None:
+            self.__dict__["entries"] = entries = tuple(entries)
+            _columns = ([qn.n for qn, _ in entries], [qn.ell for qn, _ in entries],
+                        [e for _, e in entries])
+        n, ell = (np.asarray(column, dtype=np.int64) for column in _columns[:2])
+        energy = np.asarray(_columns[2], dtype=float)
+        order = np.lexsort((ell, n))  # stable, so each repeat sorts after its first row
+        repeats = order[1:][(np.diff(n[order]) == 0) & (np.diff(ell[order]) == 0)]
+        if repeats.size:
+            k = repeats.min()
+            raise DomainError(f"duplicate level (n={n[k]}, ell={ell[k]}) in table")
+        for column in (n, ell, energy):
+            column.flags.writeable = False
+        self.__dict__.update(molecule=molecule, n=n, ell=ell, energy=energy, provenance=provenance)
+
+    @cached_property
+    def entries(self) -> tuple[tuple[QuantumNumbers, float], ...]:
+        return tuple(zip(map(QuantumNumbers, self.n.tolist(), self.ell.tolist()),
+                         self.energy.tolist()))
 
 
 @dataclass(frozen=True)
@@ -100,12 +120,12 @@ def fit_dunham(table: LevelTable) -> DunhamFit:
     {1, nu, nu^2, nu^3, L, nu L} needs at least 4 distinct n and 2 distinct
     ell (and 6 entries).
     """
-    entries = table.entries
-    distinct_n = len({qn.n for qn, _ in entries})
-    distinct_l = len({qn.ell for qn, _ in entries})
+    n, ell, rhs = table.n, table.ell, table.energy
+    # sets, not np.unique, whose first call imports numpy.ma (15 ms of a cold CLI)
+    distinct_n, distinct_l = len(set(n.tolist())), len(set(ell.tolist()))
     problems = []
-    if len(entries) < 6:
-        problems.append(f"at least 6 levels (got {len(entries)})")
+    if len(rhs) < 6:
+        problems.append(f"at least 6 levels (got {len(rhs)})")
     if distinct_n < MIN_DISTINCT_N:
         problems.append(f"at least {MIN_DISTINCT_N} distinct n (got {distinct_n})")
     if distinct_l < MIN_DISTINCT_L:
@@ -114,9 +134,7 @@ def fit_dunham(table: LevelTable) -> DunhamFit:
         raise FitError("level table cannot determine all six constants; need " + "; ".join(problems))
 
     # The basis carries the master expression's signs, so the solution vector is the constants.
-    labels = np.array([(qn.n, qn.ell) for qn, _ in entries], dtype=float)
-    design = np.column_stack(np.broadcast_arrays(*_master_basis(labels[:, 0], labels[:, 1])))
-    rhs = np.array([e for _, e in entries])
+    design = np.column_stack(np.broadcast_arrays(*_master_basis(n, ell)))
     coeff, _, rank, _ = np.linalg.lstsq(design, rhs, rcond=None)
     if rank < 6:
         raise FitError("design matrix is rank deficient despite quantum-number coverage")
@@ -131,7 +149,7 @@ def fit_dunham(table: LevelTable) -> DunhamFit:
         constants=SpectroscopicConstants(*coeff),
         residual_max=residual_max,
         residual_rms=residual_rms,
-        n_entries=len(entries),
+        n_entries=len(rhs),
     )
 
 
@@ -141,14 +159,15 @@ def closed_form_table(
     """Level table from the closed forms, energies from the potential minimum.
 
     One evaluation of the model's kernels over the whole (n, ell) grid, rows
-    in n-major order.  Each energy is the kernel's level above the well
+    in n-major order; the kernel's columns become the table's, with no
+    per-level object.  Each energy is the kernel's level above the well
     minimum plus its shift, so fitted y00 is directly comparable with the
     closed-form constant.  n_max and l_max must be nonnegative integers.
     """
-    qns, _, e_min, de = get_model(kind).table(m, d, n_max, l_max)
+    n, ell, _, e_min, de = get_model(kind).table(m, d, n_max, l_max)
     with np.errstate(over="ignore"):  # a level beyond float range is inf
-        energies = (e_min + de).tolist()
-    return LevelTable(molecule=m, entries=tuple(zip(qns, energies)), provenance=f"computed-{kind}")
+        energy = e_min + de
+    return LevelTable(m, None, f"computed-{kind}", _columns=(n, ell, energy))
 
 
 @dataclass(frozen=True)

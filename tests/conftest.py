@@ -22,3 +22,18 @@ def unit_molecule() -> Molecule:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def qn_builds(monkeypatch) -> list:
+    """Counts QuantumNumbers built from here on: the returned list gets one
+    item per QuantumNumbers.__post_init__ call."""
+    calls = []
+    post_init = gupmol.QuantumNumbers.__post_init__
+
+    def counted(self):
+        calls.append(None)
+        post_init(self)
+
+    monkeypatch.setattr(gupmol.QuantumNumbers, "__post_init__", counted)
+    return calls

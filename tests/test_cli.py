@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -131,6 +132,15 @@ class TestSpectrum:
         )
         assert code == EXIT_CONFIG
         assert "nmax" in err
+
+    def test_table_at_the_cap_builds_no_quantum_numbers(self, capsys, qn_builds):
+        code, out, _ = run_main(
+            capsys, "spectrum", "--potential", "kratzer", "--molecule", "H2",
+            "--beta", "0", "--nmax", "200", "--lmax", "200",
+        )
+        assert code == EXIT_OK
+        assert len(parse_csv(out)) == 201 * 201
+        assert qn_builds == []
 
 
 class TestConstants:
@@ -301,6 +311,16 @@ class TestShallowWell:
     def test_fit_beta_bound_keeps_the_pole_error(self, kind):
         with pytest.raises(DomainError, match="pole"):
             fit_beta_bound(self.MOLECULE, 0.5, QuantumNumbers(0, 0), kind)
+
+    @pytest.mark.parametrize("kind", ["kratzer", "pho"])
+    def test_pole_error_says_first_order_is_undefined(self, capsys, kind):
+        wording = r"poles? .*<p\^4> diverges, so first order is undefined there"
+        with pytest.raises(DomainError, match=wording):
+            MODELS[kind].slope(self.MOLECULE, QuantumNumbers(0, 0))
+        code, _, err = run_main(capsys, "spectrum", "--potential", kind, "--synthetic",
+                                self.SYNTHETIC, "--beta", "1e-6")
+        assert code == EXIT_CONFIG
+        assert re.search(wording, err)
 
 
 def test_potential_kinds_have_one_dispatch_point():

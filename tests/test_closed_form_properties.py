@@ -68,7 +68,8 @@ def test_table_equals_its_scalar_views_bit_for_bit(kind, g, n_max, l_max, beta):
     d = Deformation(beta)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", PerturbationWarning)
-        qns, e0, e_min, de = model.table(m, d, n_max, l_max)
+        n, ell, e0, e_min, de = model.table(m, d, n_max, l_max)
+        qns = [QuantumNumbers(a, b) for a, b in zip(n.tolist(), ell.tolist())]
         table = closed_form_table(m, d, kind, n_max, l_max)
         levels = [model.level(m, d, qn) for qn in qns]
     assert [(qn.n, qn.ell) for qn in qns] == [(n, ell) for n in range(n_max + 1)

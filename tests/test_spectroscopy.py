@@ -1,5 +1,7 @@
 import math
+import warnings
 
+import numpy as np
 import pytest
 
 from gupmol import (
@@ -10,6 +12,7 @@ from gupmol import (
     LevelTable,
     Molecule,
     NO_DEFORMATION,
+    PerturbationWarning,
     QuantumNumbers,
     SpectroscopicConstants,
     BetaBound,
@@ -22,6 +25,7 @@ from gupmol import (
     load_molecules,
     master_energy,
     packaged_data_path,
+    pho_energy_deformed,
     pho_spectroscopic_constants,
     kratzer_spectroscopic_constants,
     synthetic_molecule,
@@ -145,6 +149,59 @@ class TestClosedFormTables:
     def test_unknown_kind_rejected(self, unit_molecule):
         with pytest.raises(DomainError):
             closed_form_table(unit_molecule, NO_DEFORMATION, "morse", 4, 4)
+
+
+class TestColumns:
+    """A table is its n, ell and energy columns; QuantumNumbers exist only at the edge."""
+
+    @pytest.mark.parametrize("kind", ["kratzer", "pho"])
+    @pytest.mark.parametrize("beta", [0.0, 1e-6])
+    def test_entries_round_trip_to_the_same_columns_and_fit(self, kind, beta):
+        m = synthetic_molecule(60.0)
+        table = closed_form_table(m, Deformation(beta), kind, 20, 7)
+        again = LevelTable(molecule=m, entries=table.entries, provenance=table.provenance)
+        for name in ("n", "ell", "energy"):
+            assert np.array_equal(getattr(again, name), getattr(table, name))
+        assert again.entries is table.entries
+        fit, fit_again = fit_dunham(table), fit_dunham(again)
+        assert fit_again.constants == fit.constants
+        assert (fit_again.residual_max, fit_again.residual_rms) == (
+            fit.residual_max, fit.residual_rms)
+
+    def test_columns_are_read_only(self):
+        table = closed_form_table(synthetic_molecule(60.0), NO_DEFORMATION, "pho", 4, 4)
+        built = table_from_constants(SpectroscopicConstants(1.0, 2.0, 0.1, 0.01, 3.0, 0.05))
+        for t in (table, built):
+            for column in (t.n, t.ell, t.energy):
+                with pytest.raises(ValueError):
+                    column[0] = 7
+
+    def test_undeformed_table_and_fit_build_no_quantum_numbers(self, qn_builds):
+        m = synthetic_molecule(60.0)
+        for kind in ("kratzer", "pho"):
+            fit_dunham(closed_form_table(m, Deformation(0.0), kind, 200, 10))
+        assert qn_builds == []
+
+    def test_deformed_table_builds_one_per_flagged_level(self, qn_builds):
+        m = synthetic_molecule(10.0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            table = closed_form_table(m, Deformation(3e-3), "kratzer", 30, 30)
+        assert 0 < len(caught) < len(table.energy)
+        assert len(qn_builds) == len(caught)
+
+    @pytest.mark.parametrize("call", [
+        lambda m, d: closed_form_table(m, d, "kratzer", 2, 2),
+        lambda m, d: kratzer_energy_deformed(m, d, QuantumNumbers(0, 0)),
+        lambda m, d: pho_energy_deformed(m, d, QuantumNumbers(0, 0)),
+    ], ids=["closed_form_table", "kratzer_energy_deformed", "pho_energy_deformed"])
+    def test_warning_points_at_the_caller(self, call, unit_molecule):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            call(unit_molecule, Deformation(0.5))
+        assert caught
+        assert {w.filename for w in caught} == {__file__}
+        assert all(issubclass(w.category, PerturbationWarning) for w in caught)
 
 
 class TestBetaBound:
