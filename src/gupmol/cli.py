@@ -144,7 +144,8 @@ def _emit(fmt: str, meta: dict, rows: list[dict], document: dict) -> None:
 
 @contextlib.contextmanager
 def _summarize_perturbation_warnings():
-    """Fold the PerturbationWarnings of one command into one stderr line.
+    """Fold the PerturbationWarnings of one command into one stderr line: the
+    levels they count, and the worst of them.
 
     A command that fails printed no levels, so its error line stands alone.
     Other warnings are shown as they come, as if no command were wrapped.
@@ -164,7 +165,7 @@ def _summarize_perturbation_warnings():
         yield
     if flagged:
         worst = max(flagged, key=lambda w: w.ratio)
-        print(f"warning: {len(flagged)} levels have a first-order shift above "
+        print(f"warning: {sum(w.count for w in flagged)} levels have a first-order shift above "
               f"{FIRST_ORDER_WARN_RATIO:g} of the level (PerturbationWarning); worst "
               f"n={worst.qn.n} l={worst.qn.ell} with |delta_e|/|e0| = {worst.ratio:.3g}",
               file=sys.stderr)

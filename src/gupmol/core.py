@@ -74,15 +74,18 @@ class FitError(GupmolError, ValueError):
 class PerturbationWarning(UserWarning):
     """First-order correction is not small against the level it corrects.
 
-    The level functions set ``qn``, the level's quantum numbers, and ``ratio``,
-    |shift| / |undeformed level|, so that a caller can summarize many warnings.
+    ``count`` is the number of flagged levels: 1 from a single level, any
+    number from a level table, which warns once.  ``qn`` and ``ratio``,
+    |shift| / |undeformed level|, are those of the worst of them, so that a
+    caller can summarize many warnings.
     """
 
     def __init__(self, message: str, qn: QuantumNumbers | None = None,
-                 ratio: float = math.nan) -> None:
+                 ratio: float = math.nan, count: int = 1) -> None:
         super().__init__(message)
         self.qn = qn
         self.ratio = ratio
+        self.count = count
 
 
 @dataclass(frozen=True)
@@ -318,17 +321,25 @@ def master_energy(c: SpectroscopicConstants, qn: QuantumNumbers) -> float:
     return sum(x * b for x, b in zip(astuple(c), _master_basis(qn.n, qn.ell)))
 
 
-def _warn_first_order(m: Molecule, qn: QuantumNumbers, shift: float, level: float) -> None:
-    """The PerturbationWarning of one level whose shift is not small against it."""
+def _warn_first_order(m: Molecule, qn: QuantumNumbers, shift: float, level: float,
+                      count: int = 1) -> None:
+    """The PerturbationWarning of ``count`` levels whose shift is not small
+    against them; ``qn``, ``shift`` and ``level`` are the worst one's."""
+    where = f"for {m.name!r} (n={qn.n}, ell={qn.ell})"
+    if count > 1:
+        where = f"at {count} levels of {m.name!r}, worst (n={qn.n}, ell={qn.ell})"
     warnings.warn(
         PerturbationWarning(
             f"first-order shift |{shift:.3e}| exceeds {FIRST_ORDER_WARN_RATIO:g} of "
-            f"|e0| = {abs(level):.3e} for {m.name!r} (n={qn.n}, ell={qn.ell})",
+            f"|e0| = {abs(level):.3e} {where}",
             qn=qn,
             ratio=abs(shift) / abs(level) if level else math.inf,
+            count=count,
         ),
         PerturbationWarning,
-        stacklevel=4,  # the caller of kratzer_energy_deformed, closed_form_table and the like
+        # through Model.level or Model.table, the caller of kratzer_energy_deformed,
+        # closed_form_table and the like
+        stacklevel=4,
     )
 
 
@@ -384,9 +395,11 @@ class Model:
     def table(self, m: Molecule, d: Deformation, n_max: int, l_max: int):
         """Every level n <= n_max, ell <= l_max in n-major order, one kernel call each,
         as flat columns: (n, ell, e0, level above the minimum, shift), n and ell
-        integers.  Warns as ``level`` does, once per flagged level; a level gets a
-        QuantumNumbers only then.  A value beyond float range is inf or nan,
-        which callers that print refuse.
+        integers.  Flags levels as ``level`` does, but warns once per table: the
+        warning's ``count`` is the number flagged and its ``qn`` and ``ratio`` are
+        the first level of largest |shift| / |e0|, the only one that gets a
+        QuantumNumbers.  Every flagged level is in the e0 and shift columns.  A
+        value beyond float range is inf or nan, which callers that print refuse.
         """
         for label, value in (("n_max", n_max), ("l_max", l_max)):
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
@@ -399,9 +412,12 @@ class Model:
             de = np.zeros_like(e0) if d.beta == 0.0 else d.beta * self.slopes(m, n, ell)
         e0, e_min, de = e0.ravel(), e_min.ravel(), de.ravel()
         k = np.flatnonzero(np.abs(de) > FIRST_ORDER_WARN_RATIO * np.abs(e0))
-        for a, b, shift, level in zip(n_col[k].tolist(), ell_col[k].tolist(),
-                                      de[k].tolist(), e0[k].tolist()):
-            _warn_first_order(m, QuantumNumbers(a, b), shift, level)
+        if k.size:
+            with np.errstate(divide="ignore", over="ignore"):  # inf, as for one level
+                ratio = np.abs(de[k]) / np.abs(e0[k])
+            w = k[ratio.argmax()]  # the first maximum, as max() over levels takes it
+            _warn_first_order(m, QuantumNumbers(int(n_col[w]), int(ell_col[w])), float(de[w]),
+                              float(e0[w]), count=k.size)
         return n_col, ell_col, e0, e_min, de
 
     def expansion(self, m: Molecule, d: Deformation, qn: QuantumNumbers) -> float:

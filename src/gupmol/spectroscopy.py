@@ -146,7 +146,9 @@ def fit_dunham(table: LevelTable) -> DunhamFit:
     else:
         residual_rms = residual_max
     return DunhamFit(
-        constants=SpectroscopicConstants(*coeff),
+        # Python floats, as the closed forms give them: a unit conversion that
+        # overflows is then inf without a numpy RuntimeWarning.
+        constants=SpectroscopicConstants(*coeff.tolist()),
         residual_max=residual_max,
         residual_rms=residual_rms,
         n_entries=len(rhs),

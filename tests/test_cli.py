@@ -368,6 +368,21 @@ class TestPerturbationWarningSummary:
         assert f"warning: {len(flagged)} levels " in line
         assert f"worst n={worst.qn.n} l={worst.qn.ell} " in line
 
+    @pytest.mark.parametrize("argv, line", [
+        (["spectrum", "--potential", "pho", "--molecule", "H2-kratzer", "--nmax", "200",
+          "--lmax", "200", "--beta", "1e-5"],
+         "warning: 37419 levels have a first-order shift above 0.1 of the level "
+         "(PerturbationWarning); worst n=200 l=200 with |delta_e|/|e0| = 0.596\n"),
+        (["constants", "--potential", "pho", "--molecule", "H2-kratzer", "--beta", "1e-2",
+          "--fit", "--nmax", "40", "--lmax", "40"],
+         "warning: 1681 levels have a first-order shift above 0.1 of the level "
+         "(PerturbationWarning); worst n=40 l=40 with |delta_e|/|e0| = 113\n"),
+    ], ids=["spectrum-at-the-cap", "constants-fit"])
+    def test_golden_stderr(self, capsys, argv, line):
+        code, _, err = run_main(capsys, *argv)
+        assert code == EXIT_OK
+        assert err == line
+
     def test_constants_fit_summarized(self, capsys):
         code, _, err = run_main(
             capsys, "constants", "--potential", "pho", "--molecule", "H2-kratzer",
@@ -500,6 +515,9 @@ class TestExitCodes:
           "--fit"], EXIT_CONFIG),
         (["fit-beta", "--potential", "kratzer", "--synthetic", "1,1,100", "--e-exp", "1e308",
           "--units", "eV"], EXIT_CONFIG),
+        # a fitted constant that overflows in the conversion to cm-1
+        (["constants", "--potential", "kratzer", "--synthetic", "1,1,100", "--beta", "1e304",
+          "--fit", "--nmax", "200", "--lmax", "200"], EXIT_CONFIG),
         # a directory where a data file is expected
         (["spectrum", "--potential", "kratzer", "--molecule", "H2", "--molecules-file", "{dir}"],
          EXIT_DATA),
@@ -510,13 +528,16 @@ class TestExitCodes:
             "fit-beta-nan-slope", "constants-tiny-gamma", "fit-beta-tiny-gamma",
             "constants-huge-gamma-kratzer", "constants-huge-gamma-pho",
             "spectrum-inf-shift", "constants-fit-inf", "fit-beta-inf-length",
+            "constants-fit-inf-in-cm1",
             "molecules-file-dir", "levels-file-dir"])
-    def test_one_line_error(self, capsys, tmp_path, argv, expected):
+    def test_one_line_error(self, capsys, recwarn, tmp_path, argv, expected):
         argv = [arg.replace("{dir}", str(tmp_path)) for arg in argv]
         code, out, err = run_main(capsys, *argv)
         assert code == expected
         assert out == ""
         assert len(err.splitlines()) == 1
+        # a numpy RuntimeWarning would be a second stderr line outside the test runner
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
     @pytest.mark.parametrize("kind", ["kratzer", "pho"])
     def test_series_overflow_names_gamma(self, capsys, kind):

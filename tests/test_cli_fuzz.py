@@ -102,6 +102,9 @@ def _numbers(stdout):
 @given(argvs())
 # an intermediate overflows (the fit's residuals) although every printed number is finite
 @example(["constants", "--fit", "--potential", "kratzer", "--synthetic", "1,1,1", "--beta", "1e300"])
+# a fitted constant that overflows in the conversion to cm-1
+@example(["constants", "--fit", "--potential", "kratzer", "--synthetic", "1,1,100", "--beta",
+          "1e304", "--nmax", "200", "--lmax", "200"])
 def test_every_argv_ends_in_a_documented_exit(argv):
     code, out, err = _run(argv)
     assert code in (0, 2, 3), (argv, code, err)

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -182,13 +185,30 @@ class TestColumns:
             fit_dunham(closed_form_table(m, Deformation(0.0), kind, 200, 10))
         assert qn_builds == []
 
-    def test_deformed_table_builds_one_per_flagged_level(self, qn_builds):
+    def test_deformed_table_builds_one_per_flagged_table(self, qn_builds):
         m = synthetic_molecule(10.0)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             table = closed_form_table(m, Deformation(3e-3), "kratzer", 30, 30)
-        assert 0 < len(caught) < len(table.energy)
-        assert len(qn_builds) == len(caught)
+        (w,) = caught
+        assert 0 < w.message.count < len(table.energy)
+        assert len(qn_builds) == 1
+
+    def test_tables_leave_at_most_one_registry_entry_each(self):
+        # A fresh interpreter: the default warning filter, and an empty registry in the caller.
+        script = (
+            "from gupmol import Deformation, closed_form_table, synthetic_molecule\n"
+            "m = synthetic_molecule(36.0)\n"
+            "for k in range(1, 6):\n"
+            "    closed_form_table(m, Deformation(k * 1e-3), 'kratzer', 30, 30)\n"
+            "registry = globals().get('__warningregistry__', {})\n"
+            "print(len([key for key in registry if key != 'version']))\n"
+        )
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert 0 < int(proc.stdout) <= 5
 
     @pytest.mark.parametrize("call", [
         lambda m, d: closed_form_table(m, d, "kratzer", 2, 2),
