@@ -256,7 +256,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     }
     _emit(args.format, meta, rows,
           {"meta": meta, "cells": [{**row, "note": c.note} for row, c in zip(rows, report.cells)]})
-    print(f"verify runtime: {report.runtime_s:.1f} s", file=sys.stderr)
+    print(f"verify runtime: {report.runtime_s:.3g} s", file=sys.stderr)
     failed = [c for c in report.cells if not c.passed]
     for c in failed[:8]:
         note = f" ({c.note})" if c.note else ""

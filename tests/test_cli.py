@@ -268,6 +268,17 @@ class TestBlasThreads:
             cli.entry_point()
         assert os.environ["OPENBLAS_NUM_THREADS"] == "4"
 
+    def test_verify_stdout_does_not_depend_on_the_thread_count(self):
+        argv = [sys.executable, "-m", "gupmol", "verify", "--potential", "pho", "--gamma", "100",
+                "--nmax", "2", "--lmax", "1"]
+        outputs = []
+        for threads in ("1", "2"):
+            proc = subprocess.run(argv, capture_output=True,
+                                  env={**os.environ, "OPENBLAS_NUM_THREADS": threads})
+            assert proc.returncode == EXIT_OK, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
+
 
 class TestShallowWell:
     """gamma ~ 0.447: the shift formulas have poles there, the undeformed levels do not."""

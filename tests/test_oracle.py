@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from scipy.linalg import eigh
 
 from gupmol import (
+    ConvergenceError,
     DomainError,
     GridError,
     KratzerPotential,
@@ -15,12 +17,14 @@ from gupmol import (
     solve_radial,
     synthetic_molecule,
 )
+from gupmol import oracle
 from gupmol.core import QuantumNumbers
 from gupmol.oracle import (
     DVR_MAX_POINTS,
     INNER_WALL,
     MAX_WALK_STEPS,
     _dvr_box,
+    _dvr_solve,
     _edge_extrapolated,
     _simpson,
     _v_eff,
@@ -318,15 +322,61 @@ class TestWalk:
             assert _dvr_box(pot, m.mu, ell, n_max, m.re)[1] == expected
 
 
+def full_dvr_solve(potential, ell, mu, box, points, count):
+    """Lowest ``count`` energies and <p^4>/mu slopes of the sinc DVR on
+    ``points`` points, from all eigenpairs of the matrix written entry by
+    entry: the reference for the subset solve."""
+    x, h = np.linspace(np.log(box[0]), np.log(box[1]), points, retstep=True)
+    r = np.exp(x)
+    d = np.abs(np.subtract.outer(np.arange(points), np.arange(points)))
+    t_x = np.where(d == 0, np.pi ** 2 / 3.0, 2.0 * (-1.0) ** d / np.maximum(d, 1) ** 2)
+    ham = (t_x + np.where(d == 0, h * h / 4.0, 0.0)) / (2.0 * mu * h * h) / np.outer(r, r)
+    ham += np.diag(_v_eff(potential, ell, mu, r))
+    energies, vectors = eigh(ham)
+    energies, vectors = energies[:count], vectors[:, :count]
+    v = potential(r)[:, None]
+    return energies, 4.0 * mu * np.sum(vectors ** 2 * (energies - v) ** 2, axis=0)
+
+
 class TestDVR:
+    @pytest.mark.parametrize("points", [128, 512])
+    @pytest.mark.parametrize("ell", [0, 3])
+    # Kratzer's E and V both lie near -De, so E - V in the slope keeps only
+    # about eps * gamma relative: at gamma 1e6 the two solves' Kratzer slopes
+    # differ by up to 1e-9.
+    @pytest.mark.parametrize("gamma_value, slope_rtol", [
+        (2.5, 1e-11), (5.0, 1e-11), (1000.0, 1e-11), (1e6, 1e-8),
+    ])
+    @pytest.mark.parametrize("kind", ["kratzer", "pho"])
+    def test_subset_solve_matches_the_full_solve(self, kind, gamma_value, slope_rtol, ell,
+                                                 points):
+        m = synthetic_molecule(gamma_value)
+        pot = get_model(kind).potential(m)
+        box = _dvr_box(pot, m.mu, ell, 4, m.re)
+        energies, slopes, _, _ = _dvr_solve(pot, ell, m.mu, box, points, 5)
+        expected_energies, expected_slopes = full_dvr_solve(pot, ell, m.mu, box, points, 5)
+        np.testing.assert_allclose(energies, expected_energies, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(slopes, expected_slopes, rtol=slope_rtol, atol=0)
+
     def test_matches_the_closed_forms(self):
         report = closed_vs_oracle_sweep(gammas=(5.0, 20.0, 100.0, 1000.0), n_max=4, l_max=3,
                                         beta=1e-6, tol_energy=1e-8, tol_correction=1e-8)
         assert len(report.cells) == 2 * 4 * 5 * 4
         assert report.all_passed, [c for c in report.cells if not c.passed]
 
+    @pytest.mark.parametrize("info, found", [(1, 5), (0, 4)])
+    def test_failed_eigensolve_is_a_convergence_error(self, monkeypatch, info, found):
+        def dsyevr(a, iu, **_):
+            return np.zeros(len(a)), np.zeros((len(a), iu)), found, None, info
+
+        monkeypatch.setattr(oracle, "dsyevr", dsyevr)
+        m = synthetic_molecule(20.0)
+        with pytest.raises(ConvergenceError, match="eigensolve failed"):
+            _dvr_solve(get_model("pho").potential(m), 0, m.mu, (0.1, 3.0), 64, 5)
+
     def test_small_gamma_meets_the_acceptance_tolerances(self):
-        # solving for the lowest few pairs only loses digits as eps * |H| here
+        # LAPACK's default bisection tolerance, or reducing the upper
+        # triangle, loses digits as eps * |H| here
         report = closed_vs_oracle_sweep(gammas=(2.5, 2.8, 3.0), n_max=4, l_max=3)
         assert report.all_passed, [c for c in report.cells if not c.passed]
 
