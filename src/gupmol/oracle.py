@@ -18,9 +18,10 @@ uniform x grid; int u^2 dr = int psi^2 dx, so a unit eigenvector is psi
 sampled on the grid times sqrt(h).  The regular solution behaves as a power
 r^(1/2 + lambda) at the origin, a branch point that a uniform r grid
 resolves only slowly but that is a plain exponential in x; the error falls
-faster than any power of the spacing.  The box comes from a WKB walk from
-the well minimum, outward and inward (``_dvr_box``), and the sweep doubles
-the number of points until two successive solves agree (``_dvr_levels``).
+faster than any power of the spacing.  The box comes from V_eff sampled
+once on a grid in ln r: its minimum, then a WKB walk over the same points
+from there, outward and inward (``_dvr_box``).  The sweep doubles the number
+of points until two successive solves agree (``_dvr_levels``).
 
 ``solve_radial`` is the three-point finite-difference scheme on a uniform
 r grid with Dirichlet ends, solved as a symmetric tridiagonal eigenproblem.
@@ -40,14 +41,13 @@ ladder cannot remove.
 Choice of r_min trades two errors: the truncated [0, r_min) tail of the
 perturbation integrand shrinks with r_min, while V(r_min) grows into the
 matrix norm and with it the eigensolver's absolute floor (~eps * |V(r_min)|).
-The DVR's inner wall is walked in from the well but never goes below
-INNER_WALL * re: its kinetic term grows as 1/r_min^2.
+The DVR's box grid starts at INNER_WALL * re, so its inner wall never goes
+below that: the kinetic term grows as 1/r_min^2.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -79,10 +79,6 @@ MIN_GRID_POINTS = 16
 
 #: Inner wall of an automatic box, in units of its length scale.
 INNER_WALL = 1e-3
-
-#: Most 0.02 r0 steps the outer walk takes before giving up; real boxes
-#: take a few thousand, a shallow open well (gamma << 1) millions.
-MAX_WALK_STEPS = 20_000
 
 #: Most points of a sinc-DVR Hamiltonian.  The dense 2048 x 2048 matrix is
 #: 32 MB and is solved in place: one solve at the cap takes about 40 MB and
@@ -273,94 +269,66 @@ def extrapolate(values: Sequence[float]) -> float:
     return work[0]
 
 
-def _well(potential: RadialPotential, mu: float, ell: int, n_max: int, r_scale: float,
-          inner: float):
-    """V_eff, its minimum r0 and the top energy of the lowest n_max+1 states:
-    a harmonic estimate at r0, capped below the dissociation threshold for
-    open wells.  The minimum is searched on [inner, 50 r_scale]."""
-    v_eff = partial(_v_eff, potential, ell, mu)
-    samples = np.geomspace(max(inner, 1e-6 * r_scale), 50.0 * r_scale, 2000)
-    values = v_eff(samples)
-    i0 = int(np.argmin(values))
-    if i0 == 0 or i0 == len(samples) - 1:
-        raise DomainError("effective potential has no interior minimum; pass r_max explicitly")
-    r0 = samples[i0]
-    v0 = float(values[i0])
-    step = 1e-4 * r0
-    curvature = float(v_eff(np.array([r0 + step]))[0] - 2.0 * v0 + v_eff(np.array([r0 - step]))[0])
-    curvature /= step * step
-    omega = math.sqrt(max(curvature, 0.0) / mu)
-    e_top = v0 + omega * (2.0 * n_max + 2.5)
-    v_inf = float(v_eff(np.array([5e4 * r_scale]))[0])
-    if e_top > v_inf:
-        # Open (dissociative) well: stay safely below threshold.
-        e_top = v_inf - 0.1 * (v_inf - v0)
-    return v_eff, r0, e_top
-
-
-def _outer_wall(v_eff, mu: float, r0: float, e_top: float) -> float:
-    """DECAY_BUDGET e-foldings past the outer turning point of e_top, walking
-    out from r0 in steps of 0.02 r0; GridError after MAX_WALK_STEPS."""
-    dr = 0.02 * r0
-    steps = np.full(MAX_WALK_STEPS, dr)
-    # Running sums, added in the order the point-by-point walk added them.
-    r = np.cumsum(np.concatenate(([r0], steps)))
-    # Deep wells end the walk within 1024 steps, shallow Kratzer wells take
-    # a few thousand.  The prefix of a running sum is the sum itself, so a
-    # wall found on the prefix is the full walk's wall.
-    for end in (1024, MAX_WALK_STEPS):
-        outer = _walk(v_eff, mu, e_top, DECAY_BUDGET, r[:end + 1], steps[:end])
-        if outer is not None:
-            return outer
-    raise GridError(f"box edge not reached in {MAX_WALK_STEPS} steps of {dr:.3g} past "
-                    f"the minimum at {r0:.3g}; the well is too shallow, pass r_max")
-
-
-def _inner_wall(v_eff, mu: float, r0: float, e_top: float, clamp: float) -> float:
-    """INNER_DECAY_BUDGET e-foldings inside the inner turning point of e_top,
-    but not below ``clamp``.  The decay there goes as a power of r (the
-    centrifugal or 1/r^2 core), so the walk steps by 0.02 in ln r."""
-    r = r0 * np.exp(-0.02 * np.arange(int(math.log(r0 / clamp) / 0.02) + 1))
-    return max(_walk(v_eff, mu, e_top, INNER_DECAY_BUDGET, r, -np.diff(r)) or clamp, clamp)
-
-
-def _walk(v_eff, mu: float, e_top: float, budget: float, r: np.ndarray,
-          steps: np.ndarray) -> float | None:
-    """Where a walk over the points ``r`` ends: on to the turning point of
-    e_top, then on until ``budget`` WKB e-foldings (each point's k times the
-    length of the step after it) are spent.  None if the points run out.
-    One V_eff evaluation covers every point the walk may visit.
+def _walk(r: np.ndarray, v: np.ndarray, mu: float, e_top: float, budget: float) -> float | None:
+    """Where a walk over the points ``r``, with V_eff ``v`` there, ends: on
+    to the turning point of e_top, then on until ``budget`` WKB e-foldings
+    (each point's k times the length of the step after it) are spent.  None
+    if the points run out.
     """
-    v = v_eff(r[:-1])
-    (turning,) = np.nonzero(~(v < e_top))
+    (turning,) = np.nonzero(~(v[:-1] < e_top))
     if not turning.size:
         return None
     j = turning[0]
     with np.errstate(over="ignore"):  # an overflow is inf, which spends any budget
-        decay = np.cumsum(np.sqrt(2.0 * mu * np.maximum(v[j:] - e_top, 0.0)) * steps[j:])
+        decay = np.cumsum(np.sqrt(2.0 * mu * np.maximum(v[j:-1] - e_top, 0.0))
+                          * np.abs(np.diff(r[j:])))
     (spent,) = np.nonzero(~(decay < budget))
     return float(r[j + spent[0] + 1]) if spent.size else None
 
 
 def _dvr_box(potential: RadialPotential, mu: float, ell: int, n_max: int, r_scale: float,
              r_max: float | None = None) -> tuple[float, float]:
-    """[r_min, r_max] of the sinc DVR: the inner and outer WKB walls, the
-    inner one clamped at INNER_WALL * r_scale from below, since the matrix
-    norm grows as 1/r_min^2.  A given ``r_max`` replaces the outer wall; the
-    inner one is then the clamp where no well lies below 50 r_scale or the
-    walk ends past r_max.
+    """[r_min, r_max] of the sinc DVR, from V_eff on one grid in steps of
+    0.02 in ln r, from the clamp INNER_WALL * r_scale (the matrix norm grows
+    as 1/r_min^2) to the first point at or above 5e4 r_scale.  Steps in ln r
+    follow the power-law decay toward the 1/r^2 core and stay 2% of r
+    outside the well.
+
+    The well minimum r0 is the grid's lowest point up to the first one at or
+    above 50 r_scale.  The top energy of the lowest n_max + 1 states is a
+    harmonic estimate at r0, capped below V_eff at the last point, the
+    dissociation threshold, for open wells.  From r0 the walls are
+    DECAY_BUDGET e-foldings past the outer turning point of that energy and
+    INNER_DECAY_BUDGET inside the inner one, or the clamp where the inner
+    walk runs out; GridError where the outer one does.  A given ``r_max``
+    replaces the outer wall; the inner one is then the clamp where there is
+    no interior minimum or the walk ends past r_max.
     """
     clamp = INNER_WALL * r_scale
-    try:
-        v_eff, r0, e_top = _well(potential, mu, ell, n_max, r_scale, clamp)
-    except DomainError:
+    r = clamp * np.exp(0.02 * np.arange(math.ceil(math.log(5e4 / INNER_WALL) / 0.02) + 1))
+    v = _v_eff(potential, ell, mu, r)
+    window = int(np.searchsorted(r, 50.0 * r_scale)) + 1
+    i0 = int(np.argmin(v[:window]))
+    if i0 in (0, window - 1):
         if r_max is None:
-            raise
+            raise DomainError("effective potential has no interior minimum; pass r_max explicitly")
         return clamp, r_max
-    inner = _inner_wall(v_eff, mu, r0, e_top, clamp)
-    if r_max is None:
-        return inner, _outer_wall(v_eff, mu, r0, e_top)
-    return (inner if inner < r_max else clamp), r_max
+    r0, v0 = r[i0], v[i0]
+    step = 1e-4 * r0
+    above, below = _v_eff(potential, ell, mu, np.array([r0 + step, r0 - step]))
+    omega = math.sqrt(max((above - 2.0 * v0 + below) / (step * step), 0.0) / mu)
+    e_top = v0 + omega * (2.0 * n_max + 2.5)
+    if e_top > v[-1]:
+        # Open (dissociative) well: stay safely below threshold.
+        e_top = v[-1] - 0.1 * (v[-1] - v0)
+    inner = _walk(r[i0::-1], v[i0::-1], mu, e_top, INNER_DECAY_BUDGET) or clamp
+    if r_max is not None:
+        return (inner if inner < r_max else clamp), r_max
+    outer = _walk(r[i0:], v[i0:], mu, e_top, DECAY_BUDGET)
+    if outer is None:
+        raise GridError(f"box edge not reached between the minimum at {r0:.3g} and "
+                        f"{r[-1]:.3g}; the well is too shallow, pass r_max")
+    return inner, outer
 
 
 def _dvr_solve(potential: RadialPotential, ell: int, mu: float, box: tuple[float, float],

@@ -22,7 +22,6 @@ from gupmol.core import QuantumNumbers
 from gupmol.oracle import (
     DVR_MAX_POINTS,
     INNER_WALL,
-    MAX_WALK_STEPS,
     _dvr_box,
     _dvr_solve,
     _edge_extrapolated,
@@ -211,6 +210,15 @@ class TestGridChoice:
         with pytest.raises(DomainError):
             _dvr_box(coulomb, 1.0, 0, 2, 1.0)
 
+    def test_given_r_max_boxes_a_potential_without_a_well(self):
+        assert _dvr_box(coulomb, 1.0, 0, 2, 1.0, r_max=40.0) == (INNER_WALL, 40.0)
+
+    def test_inner_wall_past_a_given_r_max_falls_back_to_the_clamp(self):
+        m = synthetic_molecule(20.0)
+        pot = KratzerPotential.from_molecule(m)
+        assert _dvr_box(pot, m.mu, 0, 0, m.re)[0] > 0.1
+        assert _dvr_box(pot, m.mu, 0, 0, m.re, r_max=0.1) == (INNER_WALL * m.re, 0.1)
+
     def test_auto_grid_boxes_both_potentials(self):
         for g in (20.0, 100.0):
             m = synthetic_molecule(g)
@@ -278,48 +286,71 @@ class TestSweep:
                                         l_max=0, beta=0.0)
         (cell,) = report.cells
         assert not cell.passed
-        assert f"box edge not reached in {MAX_WALK_STEPS} steps" in cell.note
+        assert "box edge not reached between the minimum" in cell.note
         assert report.runtime_s < 20.0  # the unbounded walk took about 100 s
 
+    def test_minimum_near_the_edge_of_the_search_window(self):
+        # pho's l = 2 minimum at gamma 1e-3 lies at about 49.5 re, just inside
+        # the 50 re window
+        report = closed_vs_oracle_sweep(potentials=("pho",), gammas=(1e-3,), n_max=0, l_max=2,
+                                        beta=0.0)
+        assert [c.passed for c in report.cells if c.ell > 0] == [True, True]
 
-def stepwise_outer_wall(potential, mu, ell, n_max, r_scale):
-    """The outer wall as the point-by-point walk computed it: the reference
-    for the vectorized walk, which must match it to the last bit."""
+
+def stepwise_walls(potential, mu, ell, n_max, r_scale):
+    """Both walls of the automatic box as a point-by-point walk over the box
+    grid finds them: the reference for the vectorized walk, which must match
+    it to the last bit."""
     def v_eff(r):
         return float(_v_eff(potential, ell, mu, np.array([r]))[0])
 
-    inner = INNER_WALL * r_scale
-    samples = np.geomspace(max(inner, 1e-6 * r_scale), 50.0 * r_scale, 2000)
-    values = _v_eff(potential, ell, mu, samples)
-    i0 = int(np.argmin(values))
-    r0, v0 = samples[i0], float(values[i0])
+    r = list(INNER_WALL * r_scale * np.exp(0.02 * np.arange(888)))
+    assert r[-2] < 5e4 * r_scale <= r[-1]
+    window = next(i for i, x in enumerate(r) if x >= 50.0 * r_scale) + 1
+    i0 = min(range(window), key=lambda i: v_eff(r[i]))
+    r0, v0 = r[i0], v_eff(r[i0])
     step = 1e-4 * r0
     curvature = (v_eff(r0 + step) - 2.0 * v0 + v_eff(r0 - step)) / (step * step)
     omega = np.sqrt(max(curvature, 0.0) / mu)
     e_top = v0 + omega * (2.0 * n_max + 2.5)
-    v_inf = v_eff(5e4 * r_scale)
+    v_inf = v_eff(r[-1])
     if e_top > v_inf:
         e_top = v_inf - 0.1 * (v_inf - v0)
-    r, dr, steps = r0, 0.02 * r0, 0
-    while v_eff(r) < e_top:
-        r, steps = r + dr, steps + 1
-    accumulated = 0.0
-    while accumulated < 36.0:
-        accumulated += float(np.sqrt(2.0 * mu * max(v_eff(r) - e_top, 0.0))) * dr
-        r, steps = r + dr, steps + 1
-    return r, steps
+
+    def walk(points, budget):
+        """Where the walk ends, or None where the points run out first."""
+        k = 0
+        while k + 1 < len(points) and v_eff(points[k]) < e_top:
+            k += 1
+        accumulated = 0.0
+        while k + 1 < len(points) and accumulated < budget:
+            k_wkb = float(np.sqrt(2.0 * mu * max(v_eff(points[k]) - e_top, 0.0)))
+            accumulated += k_wkb * abs(points[k + 1] - points[k])
+            k += 1
+        return points[k] if accumulated >= budget else None
+
+    # the inner wall is the clamp, the grid's first point, where its walk runs out
+    return walk(r[i0::-1], 18.0) or r[0], walk(r[i0:], 36.0)
+
+
+def check_wall(kind, gamma_value, wall):
+    m = synthetic_molecule(gamma_value)
+    pot = get_model(kind).potential(m)
+    for ell, n_max in [(0, 0), (3, 4)]:
+        expected = stepwise_walls(pot, m.mu, ell, n_max, m.re)[wall]
+        assert _dvr_box(pot, m.mu, ell, n_max, m.re)[wall] == expected
 
 
 class TestWalk:
     @pytest.mark.parametrize("kind", ["kratzer", "pho"])
     @pytest.mark.parametrize("gamma_value", [2.0, 5.0, 20.0, 1000.0])
+    def test_inner_wall_matches_the_stepwise_walk(self, kind, gamma_value):
+        check_wall(kind, gamma_value, 0)
+
+    @pytest.mark.parametrize("kind", ["kratzer", "pho"])
+    @pytest.mark.parametrize("gamma_value", [2.0, 5.0, 20.0, 1000.0])
     def test_outer_wall_matches_the_stepwise_walk(self, kind, gamma_value):
-        m = synthetic_molecule(gamma_value)
-        pot = get_model(kind).potential(m)
-        for ell, n_max in [(0, 0), (3, 4)]:
-            expected, steps = stepwise_outer_wall(pot, m.mu, ell, n_max, m.re)
-            assert steps <= MAX_WALK_STEPS
-            assert _dvr_box(pot, m.mu, ell, n_max, m.re)[1] == expected
+        check_wall(kind, gamma_value, 1)
 
 
 def full_dvr_solve(potential, ell, mu, box, points, count):
