@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import json
 import math
 import os
@@ -78,7 +79,9 @@ def _fmt(x: float) -> str:
 
 
 def _data_file(explicit: str | None, filename: str) -> Path:
-    if explicit:
+    if explicit == "":  # given, so not a default; Path("") would be the working directory
+        raise DataFormatError(f"empty path given for {filename}")
+    if explicit is not None:
         return Path(explicit)
     env_dir = os.environ.get(DATA_DIR_ENV)
     if env_dir:
@@ -383,9 +386,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` shares between its calls: parse_args stores nothing on it."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command; return its exit code (argparse usage errors raise SystemExit 2).
+
+    The parser is built on the first call and kept for the process, and
+    load_molecules parses each distinct catalogue content once, so repeated
+    in-process calls pay neither set-up again; the one-shot ``gupmol``
+    command parses once either way.
+    """
+    args = _parser().parse_args(argv)
     try:
         with _summarize_perturbation_warnings():
             return args.func(args)

@@ -18,10 +18,11 @@ minimum).  Packaged reference data for H2 ships under ``gupmol/data``.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from importlib import resources
 from pathlib import Path
 
@@ -247,9 +248,10 @@ class ExperimentalLevel:
     source: str
 
 
-def _data_rows(path: Path, expected_fields: int):
-    """Yield (lineno, fields) from a CSV, skipping blanks, comments, header."""
-    with open(path, newline="") as handle:
+def _data_rows(path: Path, data: bytes, expected_fields: int):
+    """Yield (lineno, fields) from the bytes of the CSV at ``path``, skipping blanks,
+    comments, header; decoded as ``open(path, newline="")`` decodes them."""
+    with io.TextIOWrapper(io.BytesIO(data), newline="") as handle:
         try:
             rows = list(csv.reader(handle))
         except UnicodeDecodeError as exc:
@@ -291,14 +293,30 @@ def load_molecules(path) -> list[Molecule]:
 
     Values are converted to internal units; nonpositive parameters and
     duplicate names are rejected with the offending line number.  An empty
-    file parses to an empty list with a warning.
+    file parses to an empty list with a warning, on every call.
+
+    The file is read on every call, so an edit is seen by the next one, but
+    its bytes are parsed once per process: the molecules of the last few
+    (path, content) pairs are kept, and each call returns a new list of them.
+    A file that fails to parse is not kept and fails alike on every call.
     """
     path = Path(path)
     if not path.exists():
         raise DataFormatError(f"molecule file not found: {path}")
+    molecules = list(_parse_molecules(path, path.read_bytes()))
+    if not molecules:
+        warnings.warn(f"molecule file {path} contains no records", stacklevel=2)
+    return molecules
+
+
+@lru_cache(maxsize=8)
+def _parse_molecules(path: Path, data: bytes) -> tuple[Molecule, ...]:
+    """The molecules of one file's bytes.  The key holds the content itself,
+    never a stat field, so it cannot go stale; the path is in it because the
+    error messages name it."""
     molecules: list[Molecule] = []
     seen: dict[str, int] = {}
-    for lineno, row in _data_rows(path, 4):
+    for lineno, row in _data_rows(path, data, 4):
         name = row[0]
         if not name:
             raise DataFormatError(f"{path}:{lineno}: empty molecule name")
@@ -315,9 +333,7 @@ def load_molecules(path) -> list[Molecule]:
             raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
         seen[name] = lineno
         molecules.append(molecule)
-    if not molecules:
-        warnings.warn(f"molecule file {path} contains no records", stacklevel=2)
-    return molecules
+    return tuple(molecules)
 
 
 def load_levels(path) -> list[ExperimentalLevel]:
@@ -331,7 +347,7 @@ def load_levels(path) -> list[ExperimentalLevel]:
         raise DataFormatError(f"levels file not found: {path}")
     levels: list[ExperimentalLevel] = []
     seen = set()
-    for lineno, row in _data_rows(path, 5):
+    for lineno, row in _data_rows(path, path.read_bytes(), 5):
         name = row[0]
         try:
             qn = QuantumNumbers(n=int(row[1]), ell=int(row[2]))

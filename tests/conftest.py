@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import gupmol
-from gupmol import Molecule
+from gupmol import Molecule, cli
 
 # Tests that start `python -m gupmol` in a subprocess import the same package as the tests.
 os.environ["PYTHONPATH"] = os.pathsep.join(
@@ -24,16 +24,43 @@ def rng() -> np.random.Generator:
     return np.random.default_rng(20240817)
 
 
-@pytest.fixture
-def qn_builds(monkeypatch) -> list:
-    """Counts QuantumNumbers built from here on: the returned list gets one
-    item per QuantumNumbers.__post_init__ call."""
+def _count_builds(monkeypatch, cls) -> list:
+    """A list that gets one item per cls.__post_init__ call from here on."""
     calls = []
-    post_init = gupmol.QuantumNumbers.__post_init__
+    post_init = cls.__post_init__
 
     def counted(self):
         calls.append(None)
         post_init(self)
 
-    monkeypatch.setattr(gupmol.QuantumNumbers, "__post_init__", counted)
+    monkeypatch.setattr(cls, "__post_init__", counted)
+    return calls
+
+
+@pytest.fixture
+def qn_builds(monkeypatch) -> list:
+    """Counts QuantumNumbers built from here on."""
+    return _count_builds(monkeypatch, gupmol.QuantumNumbers)
+
+
+@pytest.fixture
+def molecule_builds(monkeypatch) -> list:
+    """Counts Molecules built from here on."""
+    return _count_builds(monkeypatch, gupmol.Molecule)
+
+
+@pytest.fixture
+def parser_builds(monkeypatch) -> list:
+    """Counts the parsers cli.main builds from here on: the returned list gets
+    one item per build_parser call.  The shared parser is dropped first, so
+    the next main call builds one."""
+    calls = []
+    build = cli.build_parser
+
+    def counted():
+        calls.append(None)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
     return calls

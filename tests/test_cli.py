@@ -19,6 +19,7 @@ from gupmol import (
     QuantumNumbers,
     closed_form_table,
     fit_beta_bound,
+    gamma,
     kratzer_energy_deformed,
     kratzer_energy_undeformed,
     load_molecules,
@@ -492,6 +493,92 @@ class TestDataDirEnv:
         assert "H2" in err
 
 
+class TestRepeatedCalls:
+    """main keeps one parser per process and load_molecules one parse per file content;
+    neither may change what a call prints."""
+
+    # usage errors first, so the valid calls run on a parser that has failed
+    SEQUENCE = [
+        ["spectrum", "--potential", "morse", "--synthetic", "1,1,1"],
+        ["spectrum", "--potential", "kratzer", "--synthetic", "1,1,1", "--beta", "1e-6",
+         "--min-length-angstrom", "0.01"],
+        ["spectrum", "--potential", "pho", "--molecule", "H2", "--beta", "1e-6"],
+        ["constants", "--potential", "kratzer", "--molecule", "H2-kratzer", "--fit"],
+        ["fit-beta", "--molecule", "H2-kratzer", "--format", "json"],
+        ["verify", "--potential", "pho", "--gamma", "100", "--nmax", "1", "--lmax", "1"],
+    ]
+
+    @staticmethod
+    def run_sequence(capsys):
+        results = []
+        for argv in TestRepeatedCalls.SEQUENCE:
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = ("SystemExit", exc.code)
+            captured = capsys.readouterr()
+            # the one line that is not a function of the input
+            err = re.sub(r"verify runtime: \S+ s", "verify runtime: T s", captured.err)
+            results.append((code, captured.out, err))
+        return results
+
+    def test_shared_parser_prints_what_a_fresh_one_prints(self, capsys, monkeypatch):
+        shared = self.run_sequence(capsys)
+        monkeypatch.setattr(cli, "_parser", build_parser)
+        fresh = self.run_sequence(capsys)
+        assert [result[0] for result in shared] == [
+            ("SystemExit", 2), ("SystemExit", 2), EXIT_OK, EXIT_OK, EXIT_OK, EXIT_OK]
+        for argv, got, expected in zip(self.SEQUENCE, shared, fresh):
+            assert got == expected, argv
+
+    def test_twenty_calls_build_one_parser(self, capsys, parser_builds):
+        for k in range(20):
+            main(["spectrum", "--potential", "kratzer", "--synthetic", f"1,1,{k + 1}",
+                  "--nmax", "0", "--lmax", "0"])
+        capsys.readouterr()
+        assert len(parser_builds) == 1
+
+    def test_build_parser_returns_a_new_parser(self):
+        assert build_parser() is not build_parser()
+
+    def test_import_builds_no_parser(self):
+        code = "import gupmol.cli as cli; print(cli._parser.cache_info().currsize)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout) == (0, "0\n")
+
+    @staticmethod
+    def write_catalogue(path, de_ev):
+        path.write_text(f"name,De_eV,re_angstrom,mu_amu\nX,{de_ev},0.74144,0.503913\n")
+
+    def test_same_size_edit_under_the_old_mtime_is_seen(self, capsys, tmp_path):
+        path = tmp_path / "molecules.csv"
+        argv = ["spectrum", "--potential", "kratzer", "--molecule", "X",
+                "--molecules-file", str(path), "--nmax", "0", "--lmax", "0"]
+        self.write_catalogue(path, "4.7446")
+        before = os.stat(path)
+        assert run_main(capsys, *argv)[0] == EXIT_OK
+        self.write_catalogue(path, "5.7446")  # one digit of De_eV: the same size
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+        after = os.stat(path)
+        assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+        code, out, _ = run_main(capsys, *argv)
+        assert code == EXIT_OK
+        edited = Molecule.from_spectroscopic("X", 5.7446, 0.74144, 0.503913)
+        assert f"# gamma={cli._fmt(gamma(edited))}\n" in out
+
+    def test_malformed_row_fails_alike_until_fixed(self, capsys, tmp_path):
+        path = tmp_path / "molecules.csv"
+        path.write_text("name,De_eV,re_angstrom,mu_amu\nX,abc,0.74144,0.503913\n")
+        argv = ["spectrum", "--potential", "kratzer", "--molecule", "X",
+                "--molecules-file", str(path)]
+        first, second = run_main(capsys, *argv), run_main(capsys, *argv)
+        assert first == second
+        assert first[:2] == (EXIT_DATA, "")
+        assert first[2] == f"data error: {path}:2: field 'De_eV' is not a number: 'abc'\n"
+        self.write_catalogue(path, "4.7446")
+        assert run_main(capsys, *argv)[0] == EXIT_OK
+
+
 class TestExitCodes:
     """Every failure ends in its documented exit code and one stderr line."""
 
@@ -533,6 +620,10 @@ class TestExitCodes:
         (["spectrum", "--potential", "kratzer", "--molecule", "H2", "--molecules-file", "{dir}"],
          EXIT_DATA),
         (["fit-beta", "--molecule", "H2-kratzer", "--levels-file", "{dir}"], EXIT_DATA),
+        # an empty path is given, so it is not the packaged default
+        (["spectrum", "--potential", "kratzer", "--molecule", "H2", "--molecules-file", ""],
+         EXIT_DATA),
+        (["fit-beta", "--molecule", "H2-kratzer", "--levels-file", ""], EXIT_DATA),
     ], ids=["spectrum-large-mu", "constants-fit-large-mu", "fit-beta-large-mu", "spectrum-large-re",
             "verify-large-gamma", "verify-huge-gamma", "verify-tiny-gamma",
             "verify-nan-shift", "verify-nan-shift-large-mu",
@@ -540,7 +631,8 @@ class TestExitCodes:
             "constants-huge-gamma-kratzer", "constants-huge-gamma-pho",
             "spectrum-inf-shift", "constants-fit-inf", "fit-beta-inf-length",
             "constants-fit-inf-in-cm1",
-            "molecules-file-dir", "levels-file-dir"])
+            "molecules-file-dir", "levels-file-dir", "molecules-file-empty",
+            "levels-file-empty"])
     def test_one_line_error(self, capsys, recwarn, tmp_path, argv, expected):
         argv = [arg.replace("{dir}", str(tmp_path)) for arg in argv]
         code, out, err = run_main(capsys, *argv)
@@ -620,7 +712,8 @@ class TestExitCodes:
         def broken(args):
             raise exc
 
-        monkeypatch.setattr(cli, "cmd_spectrum", broken)
+        # the kept parser holds cmd_spectrum itself, so the patch goes on a call it makes
+        monkeypatch.setattr(cli, "_check_caps", broken)
         code, out, err = run_main(capsys, "spectrum", "--potential", "kratzer",
                                   "--synthetic", "1,1,1")
         assert code == EXIT_INTERNAL

@@ -294,8 +294,37 @@ class TestDataFiles:
     def test_empty_file_warns(self, tmp_path):
         path = tmp_path / "molecules.csv"
         path.write_text("name,De_eV,re_angstrom,mu_amu\n")
-        with pytest.warns(UserWarning, match="no records"):
-            assert load_molecules(path) == []
+        for _ in range(2):  # on every call, not only on the one that parsed
+            with pytest.warns(UserWarning, match="no records"):
+                assert load_molecules(path) == []
+
+    def test_each_call_returns_a_new_list(self, tmp_path):
+        path = tmp_path / "molecules.csv"
+        path.write_text("name,De_eV,re_angstrom,mu_amu\nH2,4.7,0.74,0.5\n")
+        load_molecules(path).clear()
+        assert [m.name for m in load_molecules(path)] == ["H2"]
+
+    def test_unchanged_bytes_build_no_molecules(self, tmp_path, molecule_builds):
+        path = tmp_path / "molecules.csv"
+        path.write_text("name,De_eV,re_angstrom,mu_amu\nA,4.7,0.74,0.5\nB,4.8,0.74,0.5\n")
+        first = load_molecules(path)
+        assert len(molecule_builds) == 2
+        assert load_molecules(path) == first
+        assert len(molecule_builds) == 2
+        path.write_text("name,De_eV,re_angstrom,mu_amu\nA,4.7,0.74,0.5\nB,4.9,0.74,0.5\n")
+        assert load_molecules(path)[1].de == 4.9
+        assert len(molecule_builds) == 4
+
+    @pytest.mark.parametrize("data, names", [
+        (b"\xef\xbb\xbfname,De_eV,re_angstrom,mu_amu\r\nH2,4.7,0.74,0.5\r\n", ["H2"]),
+        (b"\xef\xbb\xbfH2,4.7,0.74,0.5\rCO,11.1,1.13,6.86\r\n\"N\r2\",9.8,1.1,7.0\n",
+         ["\ufeffH2", "CO", "N\r2"]),
+    ], ids=["bom-crlf", "bom-headerless-mixed-newlines"])
+    def test_bytes_are_decoded_as_a_text_mode_open(self, tmp_path, data, names):
+        # open(path, newline="") keeps a BOM and hands every newline to the csv reader
+        path = tmp_path / "molecules.csv"
+        path.write_bytes(data)
+        assert [m.name for m in load_molecules(path)] == names
 
     def test_malformed_line_reports_lineno(self, tmp_path):
         path = tmp_path / "molecules.csv"
