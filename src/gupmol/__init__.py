@@ -7,8 +7,11 @@ of the radial equation that verifies every formula, and an estimator for the
 upper bound on beta from experimental data.
 
 The solver (``oracle``) and the sweep built on it (``verify``) load scipy, so
-their names are resolved on first use: importing the package and using the
-closed forms loads numpy only.
+their names are resolved on first use.  The closed forms load no numpy:
+importing the package and computing single levels, slopes, band constants and
+beta bounds runs on Python floats.  numpy is imported where an array is built:
+level tables (``closed_form_table``, ``LevelTable``), ``fit_dunham`` and the
+potentials' values.
 """
 from importlib import import_module as _import_module
 

@@ -23,8 +23,6 @@ import sys
 import warnings
 from pathlib import Path
 
-import numpy as np
-
 from .core import (
     ENERGY_UNITS,
     FIRST_ORDER_WARN_RATIO,
@@ -33,6 +31,7 @@ from .core import (
     Deformation,
     DomainError,
     FitError,
+    Model,
     Molecule,
     PerturbationWarning,
     QuantumNumbers,
@@ -56,6 +55,12 @@ EXIT_DATA = 3
 EXIT_VERIFY = 4
 
 QN_CAP = 200  # safety cap on --nmax / --lmax
+# spectrum tables of up to this many levels are built one Model.level call at a
+# time, on Python floats and without numpy; larger ones by one Model.table call.
+# Warm, a deformed table is faster as the loop up to 16 levels (4 x 4) and as
+# one table from 20; the one-level loop needs no numpy, which a cold start
+# imports in about 0.15 s.
+PER_LEVEL_MAX = 16
 DATA_DIR_ENV = "GUPMOL_DATA_DIR"
 
 # verify flag -> closed_vs_oracle_sweep keyword; unset flags keep the sweep's defaults
@@ -146,26 +151,25 @@ def _emit(fmt: str, meta: dict, rows: list[dict], document: dict) -> None:
 
 
 @contextlib.contextmanager
-def _summarize_perturbation_warnings():
-    """Fold the PerturbationWarnings of one command into one stderr line: the
-    levels they count, and the worst of them.
+def _summarize_warnings():
+    """Hold back the warnings of one command and print them on stderr, one line
+    each, once it succeeds: every other warning as its message, and its
+    PerturbationWarnings folded into one line, the levels they count and the
+    worst of them.
 
-    A command that fails printed no levels, so its error line stands alone.
-    Other warnings are shown as they come, as if no command were wrapped.
+    A command that fails printed nothing, so its error line stands alone.
     """
-    flagged = []
+    flagged, other = [], []
     with warnings.catch_warnings():
         warnings.simplefilter("always", PerturbationWarning)
-        show = warnings.showwarning
 
         def collect(message, category, *where):
-            if issubclass(category, PerturbationWarning):
-                flagged.append(message)
-            else:
-                show(message, category, *where)
+            (flagged if issubclass(category, PerturbationWarning) else other).append(message)
 
         warnings.showwarning = collect
         yield
+    for message in other:
+        print(f"warning: {message}", file=sys.stderr)
     if flagged:
         worst = max(flagged, key=lambda w: w.ratio)
         print(f"warning: {sum(w.count for w in flagged)} levels have a first-order shift above "
@@ -174,18 +178,38 @@ def _summarize_perturbation_warnings():
               file=sys.stderr)
 
 
+def _spectrum_rows(model: Model, molecule: Molecule, deformation: Deformation, n_max: int,
+                   l_max: int, unit: str) -> list[dict]:
+    """The levels n <= n_max, ell <= l_max in n-major order, energies in ``unit``.
+
+    Both ways of building them (see PER_LEVEL_MAX) give the same rows bit for
+    bit and, once _summarize_warnings folds them, the same warning line.
+    """
+    if (n_max + 1) * (l_max + 1) <= PER_LEVEL_MAX:
+        levels = [model.level(molecule, deformation, QuantumNumbers(n, ell))
+                  for n in range(n_max + 1) for ell in range(l_max + 1)]
+        n, ell = [lv.qn.n for lv in levels], [lv.qn.ell for lv in levels]
+        columns = [[UNITS.energy_from_internal(x, unit) for x in column]
+                   for column in zip(*((lv.e0, lv.de, lv.total) for lv in levels))]
+    else:
+        import numpy as np
+
+        n, ell, e0, _, de = model.table(molecule, deformation, n_max, l_max)
+        n, ell = n.tolist(), ell.tolist()
+        with np.errstate(over="ignore"):  # an overflow is inf, which _require_finite refuses
+            columns = [UNITS.energy_from_internal(x, unit).tolist() for x in (e0, de, e0 + de)]
+    return [{"n": a, "l": b, "e0": c, "delta_e": d, "total": e}
+            for a, b, c, d, e in zip(n, ell, *columns)]
+
+
 def cmd_spectrum(args: argparse.Namespace) -> int:
     _check_caps(args)
     molecule = _resolve_molecule(args)
     deformation = _resolve_deformation(args)
     unit = args.units
 
-    model = get_model(args.potential)
-    n, ell, e0, _, de = model.table(molecule, deformation, args.nmax, args.lmax)
-    with np.errstate(over="ignore"):  # an overflow is inf, which _require_finite refuses
-        columns = [UNITS.energy_from_internal(x, unit).tolist() for x in (e0, de, e0 + de)]
-    rows = [{"n": a, "l": b, "e0": c, "delta_e": d, "total": e}
-            for a, b, c, d, e in zip(n.tolist(), ell.tolist(), *columns)]
+    rows = _spectrum_rows(get_model(args.potential), molecule, deformation, args.nmax,
+                          args.lmax, unit)
 
     meta = {
         "potential": args.potential,
@@ -210,6 +234,8 @@ def cmd_constants(args: argparse.Namespace) -> int:
 
     values = {"constants": {k: UNITS.energy_from_internal(v, unit) for k, v in closed.items()}}
     if args.fit:
+        import numpy as np
+
         table = closed_form_table(molecule, deformation, args.potential, args.nmax, args.lmax)
         bad = np.flatnonzero(~np.isfinite(table.energy))[:1]  # the first, in row order
         _require_finite({f"level (n={table.n[k]}, l={table.ell[k]})": table.energy[k] for k in bad})
@@ -402,7 +428,7 @@ def main(argv: list[str] | None = None) -> int:
     """
     args = _parser().parse_args(argv)
     try:
-        with _summarize_perturbation_warnings():
+        with _summarize_warnings():
             return args.func(args)
     except (DataFormatError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)

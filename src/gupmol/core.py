@@ -21,9 +21,10 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import asdict, astuple, dataclass
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 HBAR = 1.0
 
@@ -262,17 +263,25 @@ def lambda_pho(gamma_value: float, ell):
 
 
 def _sqrt(x):
-    """np.sqrt of an array, math.sqrt of a number.  Both round correctly, so a
-    level equals its table entry bit for bit, and a number stays a Python
-    float, whose arithmetic overflows to inf without a warning."""
-    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
+    """math.sqrt of a Python number (np.float64 included, a float subclass),
+    np.sqrt of anything else, an array.  Both round correctly, so a level
+    equals its table entry bit for bit, and a number stays a Python float,
+    whose arithmetic overflows to inf without a warning.  Only an array
+    loads numpy."""
+    if isinstance(x, (int, float)):
+        return math.sqrt(x)
+    import numpy as np
+
+    return np.sqrt(x)
 
 
 def _pole_at(bad, lam, ell) -> tuple[float, int] | None:
     """(lambda, ell) at the first ell where ``bad`` holds; None if it holds
-    nowhere.  The kernels' pole masks depend on gamma and ell, never on n, so
-    a table's first offending level is n = 0 at this ell."""
-    if not isinstance(bad, np.ndarray):
+    nowhere.  ``lam`` a Python number (np.float64 included) is one level,
+    whose ``bad`` may be a bool or an np.bool_; otherwise ``bad`` and ``lam``
+    are arrays over ell.  The kernels' pole masks depend on gamma and ell,
+    never on n, so a table's first offending level is n = 0 at this ell."""
+    if isinstance(lam, (int, float)):
         return (lam, int(ell)) if bad else None
     if not bad.any():
         return None
@@ -401,6 +410,8 @@ class Model:
         QuantumNumbers.  Every flagged level is in the e0 and shift columns.  A
         value beyond float range is inf or nan, which callers that print refuse.
         """
+        import numpy as np
+
         for label, value in (("n_max", n_max), ("l_max", l_max)):
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
                 raise DomainError(f"{label} must be a nonnegative integer, got {value!r}")

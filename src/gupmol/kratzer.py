@@ -8,8 +8,7 @@ series implies.  Everything is analytic; the numerical cross-checks live in
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .core import (
     FIRST_ORDER_WARN_RATIO,  # noqa: F401  (one of this module's public names)
@@ -27,6 +26,9 @@ from .core import (
     lambda_kratzer,
     lambda_pho,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -58,6 +60,8 @@ class KratzerPotential:
 
     def value(self, r):
         """Potential at r (scalar or array); rejects r <= 0."""
+        import numpy as np
+
         r = np.asarray(r, dtype=float)
         if np.any(r <= 0.0) or not np.all(np.isfinite(r)):
             raise DomainError("radius must be finite and > 0")

@@ -10,8 +10,7 @@ purely by the deformation, with a negative sign.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .core import (
     Deformation,
@@ -27,6 +26,9 @@ from .core import (
     gamma,
     lambda_pho,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -45,6 +47,8 @@ class PhoPotential:
         return cls(de=m.de, re=m.re)
 
     def value(self, r):
+        import numpy as np
+
         r = np.asarray(r, dtype=float)
         if np.any(r <= 0.0) or not np.all(np.isfinite(r)):
             raise DomainError("radius must be finite and > 0")

@@ -25,8 +25,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from importlib import resources
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .core import (
     UNITS,
@@ -44,6 +43,9 @@ from .core import (
 )
 from .kratzer import KRATZER
 from .pho import PHO
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # The one table of potentials: every command and routine that takes a
 # potential kind looks it up here.
@@ -79,6 +81,8 @@ class LevelTable:
 
     def __init__(self, molecule: Molecule | None, entries: tuple | None, provenance: str, *,
                  _columns: tuple | None = None) -> None:
+        import numpy as np
+
         if provenance not in PROVENANCES:
             raise DomainError(f"provenance must be one of {PROVENANCES}, got {provenance!r}")
         if _columns is None:
@@ -121,6 +125,8 @@ def fit_dunham(table: LevelTable) -> DunhamFit:
     {1, nu, nu^2, nu^3, L, nu L} needs at least 4 distinct n and 2 distinct
     ell (and 6 entries).
     """
+    import numpy as np
+
     n, ell, rhs = table.n, table.ell, table.energy
     # sets, not np.unique, whose first call imports numpy.ma (15 ms of a cold CLI)
     distinct_n, distinct_l = len(set(n.tolist())), len(set(ell.tolist()))
@@ -167,6 +173,8 @@ def closed_form_table(
     minimum plus its shift, so fitted y00 is directly comparable with the
     closed-form constant.  n_max and l_max must be nonnegative integers.
     """
+    import numpy as np
+
     n, ell, _, e_min, de = get_model(kind).table(m, d, n_max, l_max)
     with np.errstate(over="ignore"):  # a level beyond float range is inf
         energy = e_min + de

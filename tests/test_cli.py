@@ -1,6 +1,7 @@
 import argparse
 import csv
 import io
+import itertools
 import json
 import os
 import re
@@ -30,6 +31,7 @@ from gupmol import (
 )
 from gupmol import cli
 from gupmol.cli import (
+    ENERGY_UNITS,
     EXIT_CONFIG,
     EXIT_DATA,
     EXIT_INTERNAL,
@@ -142,6 +144,72 @@ class TestSpectrum:
         assert code == EXIT_OK
         assert len(parse_csv(out)) == 201 * 201
         assert qn_builds == []
+
+
+class TestSizeRule:
+    """spectrum builds up to cli.PER_LEVEL_MAX levels one at a time and larger tables
+    as one Model.table call; on either side of the rule both print the same bytes."""
+
+    # (nmax, lmax): PER_LEVEL_MAX levels, the most built one at a time, then the
+    # fewest built as one table, each as a square-ish and as a single-column table
+    SHAPES = [(3, 3), (4, 3), (15, 0), (16, 0), (0, 16)]
+    DEFORMATIONS = [[], ["--beta", "1e-2"], ["--min-length-angstrom", "0.01"]]
+    # a lambda <= 3/2 pole (kratzer) and lambda <= 1 pole (pho), a slope that is
+    # nan (inf / inf), and a shift that overflows to inf
+    EDGES = [
+        ["--potential", "kratzer", "--synthetic", "1,1,0.1", "--beta", "1e-6"],
+        ["--potential", "pho", "--synthetic", "1,1,0.1", "--beta", "1e-6"],
+        ["--potential", "kratzer", "--synthetic", "1,1,5e103", "--beta", "1e-6"],
+        ["--potential", "pho", "--synthetic", "1,1,1", "--beta", "1e308"],
+    ]
+
+    @staticmethod
+    def both_ways(capsys, monkeypatch, argv):
+        """(exit code, stdout, stderr) with every table built one level at a time,
+        then with every table built by Model.table."""
+        results = []
+        for per_level_max in (cli.QN_CAP ** 3, 0):
+            monkeypatch.setattr(cli, "PER_LEVEL_MAX", per_level_max)
+            results.append(run_main(capsys, *argv))
+        return results
+
+    def test_shapes_straddle_the_rule(self):
+        sizes = [(n + 1) * (ell + 1) for n, ell in self.SHAPES]
+        rule = cli.PER_LEVEL_MAX
+        assert sizes == [rule, rule + 4, rule, rule + 1, rule + 1]
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=lambda shape: f"{shape[0]}x{shape[1]}")
+    @pytest.mark.parametrize("kind, molecule", [("kratzer", "H2-kratzer"), ("pho", "H2")])
+    def test_both_ways_print_the_same(self, capsys, monkeypatch, kind, molecule, shape):
+        flagged = 0
+        for fmt, unit, deformation in itertools.product(("csv", "json"), ENERGY_UNITS,
+                                                        self.DEFORMATIONS):
+            argv = ["spectrum", "--potential", kind, "--molecule", molecule,
+                    "--nmax", str(shape[0]), "--lmax", str(shape[1]), "--units", unit,
+                    "--format", fmt, *deformation]
+            per_level, table = self.both_ways(capsys, monkeypatch, argv)
+            assert per_level == table, argv
+            assert per_level[0] == EXIT_OK, argv
+            flagged += "PerturbationWarning" in per_level[2]
+        assert flagged  # --beta 1e-2 trips the summary line
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=lambda shape: f"{shape[0]}x{shape[1]}")
+    @pytest.mark.parametrize("edge", EDGES, ids=["kratzer-pole", "pho-pole", "nan-shift",
+                                                 "inf-shift"])
+    def test_both_ways_refuse_the_same(self, capsys, monkeypatch, edge, shape):
+        argv = ["spectrum", *edge, "--nmax", str(shape[0]), "--lmax", str(shape[1])]
+        per_level, table = self.both_ways(capsys, monkeypatch, argv)
+        assert per_level == table
+        code, out, err = per_level
+        assert (code, out, len(err.splitlines())) == (EXIT_CONFIG, "", 1)
+
+    def test_pole_and_overflow_lines(self, capsys):
+        kratzer_pole, _, nan_shift, _ = self.EDGES
+        _, _, err = run_main(capsys, "spectrum", *kratzer_pole)
+        assert err.startswith("error: correction formula has poles for lambda <= 3/2")
+        assert "got lambda = 1.17" in err and "ell = 0)" in err
+        _, _, err = run_main(capsys, "spectrum", *nan_shift)
+        assert err == "error: delta_e = nan is out of floating-point range for these inputs\n"
 
 
 class TestConstants:
@@ -404,16 +472,19 @@ class TestPerturbationWarningSummary:
         (line,) = err.splitlines()
         assert line.startswith("warning: ") and "PerturbationWarning" in line
 
-    def test_other_warnings_pass_through(self, capsys, tmp_path):
-        empty = tmp_path / "molecules.csv"
-        empty.write_text("")
-        with pytest.warns(UserWarning, match="no records"):
-            code, _, err = run_main(
-                capsys, "spectrum", "--potential", "kratzer", "--molecule", "X",
-                "--molecules-file", str(empty),
-            )
-        assert code == EXIT_DATA
-        assert err.startswith("data error:")
+    def test_other_warnings_pass_through(self, capsys, monkeypatch):
+        check_caps = cli._check_caps
+
+        def warn_then_check(args):
+            warnings.warn("a note from the library")
+            check_caps(args)
+
+        monkeypatch.setattr(cli, "_check_caps", warn_then_check)
+        code, _, err = run_main(capsys, *self.ARGV)
+        assert code == EXIT_OK
+        note, summary = err.splitlines()
+        assert note == "warning: a note from the library"
+        assert summary.startswith("warning: ") and "PerturbationWarning" in summary
 
     def test_library_still_warns_per_level(self, unit_molecule):
         with pytest.warns(PerturbationWarning) as record:
@@ -624,6 +695,11 @@ class TestExitCodes:
         (["spectrum", "--potential", "kratzer", "--molecule", "H2", "--molecules-file", ""],
          EXIT_DATA),
         (["fit-beta", "--molecule", "H2-kratzer", "--levels-file", ""], EXIT_DATA),
+        # a catalogue without records, whose library warning is not a second line
+        (["spectrum", "--potential", "kratzer", "--molecule", "A", "--molecules-file",
+          "{dir}/empty.csv"], EXIT_DATA),
+        (["spectrum", "--potential", "kratzer", "--molecule", "A", "--molecules-file",
+          "{dir}/header.csv"], EXIT_DATA),
     ], ids=["spectrum-large-mu", "constants-fit-large-mu", "fit-beta-large-mu", "spectrum-large-re",
             "verify-large-gamma", "verify-huge-gamma", "verify-tiny-gamma",
             "verify-nan-shift", "verify-nan-shift-large-mu",
@@ -632,15 +708,18 @@ class TestExitCodes:
             "spectrum-inf-shift", "constants-fit-inf", "fit-beta-inf-length",
             "constants-fit-inf-in-cm1",
             "molecules-file-dir", "levels-file-dir", "molecules-file-empty",
-            "levels-file-empty"])
+            "levels-file-empty", "empty-catalogue", "header-only-catalogue"])
     def test_one_line_error(self, capsys, recwarn, tmp_path, argv, expected):
+        (tmp_path / "empty.csv").write_text("")
+        (tmp_path / "header.csv").write_text("name,De_eV,re_angstrom,mu_amu,source\n")
         argv = [arg.replace("{dir}", str(tmp_path)) for arg in argv]
         code, out, err = run_main(capsys, *argv)
         assert code == expected
         assert out == ""
         assert len(err.splitlines()) == 1
-        # a numpy RuntimeWarning would be a second stderr line outside the test runner
-        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+        # a warning that reaches the test runner, a numpy RuntimeWarning or the
+        # empty catalogue's, would be a second stderr line outside it
+        assert [str(w.message) for w in recwarn] == []
 
     @pytest.mark.parametrize("kind", ["kratzer", "pho"])
     def test_series_overflow_names_gamma(self, capsys, kind):

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from gupmol import (
@@ -14,8 +15,11 @@ from gupmol import (
     lambda_kratzer,
     lambda_pho,
     minimal_length,
+    closed_form_table,
     synthetic_molecule,
 )
+from gupmol.core import _sqrt
+from gupmol.spectroscopy import MODELS
 
 
 class TestUnitSystem:
@@ -85,6 +89,32 @@ class TestLambdas:
     def test_difference_tends_to_half(self, ell):
         g = 1e6
         assert lambda_kratzer(g, ell) - lambda_pho(g, ell) == pytest.approx(0.5, abs=1e-6)
+
+
+class TestNumpyScalars:
+    """A numpy scalar, such as a LevelTable column entry, is one level: the kernels
+    take their float path for it, never the array path."""
+
+    def test_sqrt_of_a_float64_is_a_python_float(self):
+        root = _sqrt(np.float64(2.0))
+        assert type(root) is float and root == math.sqrt(2.0)
+
+    @pytest.mark.parametrize("kind", ["kratzer", "pho"])
+    def test_table_entries_give_the_level_of_ints(self, kind):
+        m = synthetic_molecule(20.0)
+        table = closed_form_table(m, Deformation(0.0), kind, 1, 1)
+        n, ell = table.n[-1], table.ell[-1]
+        assert isinstance(n, np.integer) and isinstance(ell, np.integer)
+        slope = MODELS[kind].slopes(m, n, ell)
+        assert not isinstance(slope, np.ndarray)
+        assert slope == MODELS[kind].slope(m, QuantumNumbers(1, 1))
+
+    @pytest.mark.parametrize("kind", ["kratzer", "pho"])
+    def test_pole_of_a_float64_molecule(self, kind):
+        # float64 fields make pho's pole mask an np.bool_, not a bool
+        m = Molecule("float64", np.float64(1.0), np.float64(1.0), np.float64(0.1))
+        with pytest.raises(DomainError, match=r"<p\^4> diverges.*ell = 0\)$"):
+            MODELS[kind].slope(m, QuantumNumbers(0, 0))
 
 
 class TestDeformation:

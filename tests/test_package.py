@@ -1,4 +1,4 @@
-"""Package surface: exported names, pinned CODATA factors, scipy-free cold start."""
+"""Package surface: exported names, pinned CODATA factors, numpy- and scipy-free cold starts."""
 import json
 import subprocess
 import sys
@@ -85,6 +85,64 @@ def test_closed_form_commands_load_no_scipy():
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
     assert result == {"codes": [0, 0, 0], "scipy": []}
+
+
+NUMPY_FREE = """
+import contextlib, io, json, sys
+import gupmol
+loaded = {"import gupmol": "numpy" in sys.modules}
+import gupmol.cli
+from gupmol import (Deformation, Molecule, QuantumNumbers, kratzer_energy_deformed,
+                    pho_spectroscopic_constants)
+runs = [
+    ["spectrum", "--potential", "kratzer", "--molecule", "H2", "--beta", "1e-6"],
+    ["spectrum", "--potential", "pho", "--molecule", "H2",
+     "--nmax", str(gupmol.cli.PER_LEVEL_MAX - 1), "--lmax", "0"],
+    ["constants", "--potential", "pho", "--molecule", "H2", "--beta", "1e-5"],
+    ["fit-beta", "--molecule", "H2-kratzer", "--e-exp", "2170"],
+    ["fit-beta", "--potential", "pho", "--molecule", "H2"],
+]
+codes = []
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in runs:
+        codes.append(gupmol.cli.main(argv))
+        loaded[argv[0]] = "numpy" in sys.modules
+h2 = Molecule.from_spectroscopic("H2", 4.7446, 0.74144, 0.503913)
+kratzer_energy_deformed(h2, Deformation(1e-6), QuantumNumbers(2, 1))
+pho_spectroscopic_constants(h2, Deformation(1e-6))
+loaded["library"] = "numpy" in sys.modules
+print(json.dumps({"codes": codes, "numpy": loaded}))
+"""
+
+
+def test_closed_form_commands_load_no_numpy():
+    proc = subprocess.run([sys.executable, "-c", NUMPY_FREE], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["codes"] == [0, 0, 0, 0, 0]
+    assert result["numpy"] == {"import gupmol": False, "spectrum": False, "constants": False,
+                               "fit-beta": False, "library": False}
+
+
+NUMPY_CALL = """
+import contextlib, io, json, sys
+import gupmol.cli
+argv = [arg.replace("{rule}", str(gupmol.cli.PER_LEVEL_MAX)) for arg in sys.argv[1:]]
+with contextlib.redirect_stdout(io.StringIO()):
+    code = gupmol.cli.main(argv)
+print(json.dumps({"code": code, "numpy": "numpy" in sys.modules}))
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["constants", "--potential", "kratzer", "--molecule", "H2-kratzer", "--fit"],
+    ["spectrum", "--potential", "kratzer", "--molecule", "H2", "--nmax", "{rule}", "--lmax", "0"],
+], ids=["constants-fit", "spectrum-above-the-size-rule"])
+def test_array_commands_load_numpy(argv):
+    proc = subprocess.run([sys.executable, "-c", NUMPY_CALL, *argv], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"code": 0, "numpy": True}
 
 
 SWEEP_START = """
