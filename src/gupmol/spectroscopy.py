@@ -71,7 +71,9 @@ class LevelTable:
     """Levels of one molecule as read-only columns, integer ``n`` and ``ell`` and float
     ``energy``, plus provenance.  Built from ``entries``, ((QuantumNumbers, energy), ...),
     or by closed_form_table from its kernel columns, when ``entries`` is a view made
-    on first use.  A level may not repeat; a table equals only itself."""
+    on first use.  A level may not repeat: entries are checked for repeats; the kernel
+    columns of closed_form_table are an n-major grid and are not re-checked.  A table
+    equals only itself."""
 
     molecule: Molecule | None
     n: np.ndarray
@@ -87,15 +89,16 @@ class LevelTable:
             raise DomainError(f"provenance must be one of {PROVENANCES}, got {provenance!r}")
         if _columns is None:
             self.__dict__["entries"] = entries = tuple(entries)
-            _columns = ([qn.n for qn, _ in entries], [qn.ell for qn, _ in entries],
-                        [e for _, e in entries])
+            n = np.array([qn.n for qn, _ in entries], dtype=np.int64)
+            ell = np.array([qn.ell for qn, _ in entries], dtype=np.int64)
+            order = np.lexsort((ell, n))  # stable, so each repeat sorts after its first row
+            repeats = order[1:][(np.diff(n[order]) == 0) & (np.diff(ell[order]) == 0)]
+            if repeats.size:
+                k = repeats.min()
+                raise DomainError(f"duplicate level (n={n[k]}, ell={ell[k]}) in table")
+            _columns = (n, ell, [e for _, e in entries])
         n, ell = (np.asarray(column, dtype=np.int64) for column in _columns[:2])
         energy = np.asarray(_columns[2], dtype=float)
-        order = np.lexsort((ell, n))  # stable, so each repeat sorts after its first row
-        repeats = order[1:][(np.diff(n[order]) == 0) & (np.diff(ell[order]) == 0)]
-        if repeats.size:
-            k = repeats.min()
-            raise DomainError(f"duplicate level (n={n[k]}, ell={ell[k]}) in table")
         for column in (n, ell, energy):
             column.flags.writeable = False
         self.__dict__.update(molecule=molecule, n=n, ell=ell, energy=energy, provenance=provenance)
@@ -123,13 +126,16 @@ def fit_dunham(table: LevelTable) -> DunhamFit:
     equations.  Raises FitError naming the missing quantum-number coverage
     when the design matrix cannot have full rank: the basis
     {1, nu, nu^2, nu^3, L, nu L} needs at least 4 distinct n and 2 distinct
-    ell (and 6 entries).
+    ell (and 6 entries), and FitError naming the first level, in row order,
+    whose energy is not finite.
     """
     import numpy as np
 
     n, ell, rhs = table.n, table.ell, table.energy
-    # sets, not np.unique, whose first call imports numpy.ma (15 ms of a cold CLI)
-    distinct_n, distinct_l = len(set(n.tolist())), len(set(ell.tolist()))
+    # Steps in a sorted copy, not np.unique, whose first call imports numpy.ma
+    # (15 ms of a cold CLI); the rows may come in any order.
+    distinct_n, distinct_l = (int(np.count_nonzero(np.diff(np.sort(c)))) + 1 if c.size else 0
+                              for c in (n, ell))
     problems = []
     if len(rhs) < 6:
         problems.append(f"at least 6 levels (got {len(rhs)})")
@@ -139,9 +145,15 @@ def fit_dunham(table: LevelTable) -> DunhamFit:
         problems.append(f"at least {MIN_DISTINCT_L} distinct ell (got {distinct_l})")
     if problems:
         raise FitError("level table cannot determine all six constants; need " + "; ".join(problems))
+    if not np.isfinite(rhs).all():
+        k = np.flatnonzero(~np.isfinite(rhs))[0]  # the first, in row order
+        raise FitError(f"level (n={n[k]}, ell={ell[k]}) has a non-finite energy "
+                       f"({float(rhs[k])}); cannot fit")
 
     # The basis carries the master expression's signs, so the solution vector is the constants.
-    design = np.column_stack(np.broadcast_arrays(*_master_basis(n, ell)))
+    design = np.empty((len(rhs), 6))
+    for j, column in enumerate(_master_basis(n, ell)):
+        design[:, j] = column
     coeff, _, rank, _ = np.linalg.lstsq(design, rhs, rcond=None)
     if rank < 6:
         raise FitError("design matrix is rank deficient despite quantum-number coverage")

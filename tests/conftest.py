@@ -50,6 +50,20 @@ def molecule_builds(monkeypatch) -> list:
 
 
 @pytest.fixture
+def lexsort_calls(monkeypatch) -> list:
+    """Counts numpy.lexsort calls from here on."""
+    calls = []
+    lexsort = np.lexsort
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return lexsort(*args, **kwargs)
+
+    monkeypatch.setattr(np, "lexsort", counted)
+    return calls
+
+
+@pytest.fixture
 def parser_builds(monkeypatch) -> list:
     """Counts the parsers cli.main builds from here on: the returned list gets
     one item per build_parser call.  The shared parser is dropped first, so

@@ -748,8 +748,19 @@ class TestExitCodes:
         (["verify", "--gamma", "1e154", "--nmax", "0", "--lmax", "0"],
          "error: closed-form level (n=0, ell=0) of kratzer at gamma = 1e+154 is out of "
          "floating-point range (level -1.0, shift nan); cannot verify it\n"),
+        # a non-finite level behind finite constants: the command's own check, before the fit's
+        (["constants", "--potential", "pho", "--synthetic", "1,1,0.5", "--beta", "1e305",
+          "--fit", "--nmax", "4", "--lmax", "40", "--units", "internal"],
+         "error: level (n=0, l=29) = inf is out of floating-point range for these inputs\n"),
+        (["constants", "--potential", "kratzer", "--synthetic", "1,1,5e109", "--beta", "1e-10",
+          "--fit", "--units", "internal"],
+         "error: level (n=0, l=0) = nan is out of floating-point range for these inputs\n"),
+        (["constants", "--potential", "pho", "--synthetic", "1,1,5e199", "--beta", "1e-10",
+          "--fit"],
+         "error: level (n=0, l=0) = nan is out of floating-point range for these inputs\n"),
     ], ids=["verify-huge-gamma", "verify-tiny-gamma", "fit-beta-nan-slope", "fit-beta-inf-slope",
-            "verify-nan-shift"])
+            "verify-nan-shift", "constants-fit-inf-level", "constants-fit-nan-level-kratzer",
+            "constants-fit-nan-level-pho"])
     def test_out_of_range_input_is_named(self, capsys, argv, message):
         assert run_main(capsys, *argv) == (EXIT_CONFIG, "", message)
 

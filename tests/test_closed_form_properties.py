@@ -1,14 +1,15 @@
 """Structural properties of the closed-form kernels, over generated inputs:
 monotone levels, a shift linear in beta, a table equal to its scalar views
-bit for bit, and one warning from a table for the levels that a loop of
-single levels flags.
+bit for bit, rows that are the n-major grid, and one warning from a table for
+the levels that a loop of single levels flags.
 """
 import warnings
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from gupmol import (  # noqa: E402
@@ -81,6 +82,19 @@ def test_table_equals_its_scalar_views_bit_for_bit(kind, g, n_max, l_max, beta):
     assert e_min.tolist() == [float(model.energies(m, qn.n, qn.ell)[1]) for qn in qns]
     assert [e for _, e in table.entries] == (e_min + de).tolist()
     assert [qn for qn, _ in table.entries] == list(qns)
+
+
+@PROPERTY
+@given(st.sampled_from(KINDS), st.integers(0, 60), st.integers(0, 60))
+@example("kratzer", 200, 0)
+@example("pho", 0, 200)
+def test_table_rows_are_the_n_major_grid(kind, n_max, l_max):
+    # LevelTable checks entries for repeats but not these rows: they cannot repeat.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", PerturbationWarning)
+        table = closed_form_table(_molecule(40.0), Deformation(1e-6), kind, n_max, l_max)
+    assert table.n.tolist() == np.repeat(np.arange(n_max + 1), l_max + 1).tolist()
+    assert table.ell.tolist() == np.tile(np.arange(l_max + 1), n_max + 1).tolist()
 
 
 @PROPERTY

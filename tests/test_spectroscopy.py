@@ -1,5 +1,7 @@
 import math
 import os
+import random
+import re
 import subprocess
 import sys
 import warnings
@@ -33,6 +35,7 @@ from gupmol import (
     kratzer_spectroscopic_constants,
     synthetic_molecule,
 )
+from gupmol.core import _master_basis
 
 
 def table_from_constants(constants, n_max=4, l_max=3, provenance="experimental"):
@@ -102,15 +105,105 @@ class TestFitDunham:
         with pytest.raises(DomainError, match="duplicate"):
             LevelTable(molecule=None, entries=((qn, 1.0), (qn, 2.0)), provenance="experimental")
 
-    def test_first_duplicate_named(self):
-        entries = tuple((QuantumNumbers(n, ell), 1.0) for n, ell in
-                        ((0, 0), (1, 2), (0, 1), (1, 2), (0, 0)))
+    @pytest.mark.parametrize("levels", [
+        # (0, 0) sorts first but repeats after (1, 2) does
+        ((0, 0), (1, 2), (0, 1), (1, 2), (0, 0)),
+        ((0, 0), (0, 1), (1, 2), (1, 2), (2, 0), (3, 1)),
+        ((3, 1), (2, 0), (1, 2), (1, 2), (0, 1), (0, 0)),
+        ((1, 2), (3, 1), (0, 0), (2, 0), (0, 1), (1, 2)),
+    ], ids=["given", "sorted", "reversed", "shuffled"])
+    def test_first_duplicate_named(self, levels):
+        entries = tuple((QuantumNumbers(n, ell), 1.0) for n, ell in levels)
         with pytest.raises(DomainError, match=r"duplicate level \(n=1, ell=2\)"):
             LevelTable(molecule=None, entries=entries, provenance="experimental")
 
     def test_bad_provenance_rejected(self):
         with pytest.raises(DomainError):
             LevelTable(molecule=None, entries=(), provenance="guessed")
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+    def test_non_finite_level_named(self, bad):
+        constants = SpectroscopicConstants(1.0, 2.0, 0.1, 0.01, 3.0, 0.05)
+        entries = tuple((qn, bad if (qn.n, qn.ell) == (1, 0) else e)
+                        for qn, e in table_from_constants(constants, 4, 2).entries)
+        table = LevelTable(molecule=None, entries=entries, provenance="experimental")
+        message = f"level (n=1, ell=0) has a non-finite energy ({bad}); cannot fit"
+        with pytest.raises(FitError, match=re.escape(message)):
+            fit_dunham(table)
+
+    def test_coverage_counted_on_unsorted_rows(self):
+        constants = SpectroscopicConstants(1.0, 2.0, 0.1, 0.01, 3.0, 0.05)
+        entries = list(table_from_constants(constants, n_max=2, l_max=40).entries)
+        random.Random(3).shuffle(entries)
+        table = LevelTable(molecule=None, entries=tuple(entries), provenance="experimental")
+        assert len(set(table.n.tolist())) == 3
+        with pytest.raises(FitError, match=re.escape("at least 4 distinct n (got 3)")):
+            fit_dunham(table)
+
+
+def _reference_fit(table):
+    """fit_dunham as first written: coverage from Python sets, the design from
+    column_stack, and the same lstsq and residual formulas."""
+    n, ell, rhs = table.n, table.ell, table.energy
+    assert (len(set(n.tolist())), len(set(ell.tolist()))) >= (4, 2)
+    design = np.column_stack(np.broadcast_arrays(*_master_basis(n, ell)))
+    coeff, _, rank, _ = np.linalg.lstsq(design, rhs, rcond=None)
+    assert rank == 6
+    residuals = design @ coeff - rhs
+    residual_max = float(np.max(np.abs(residuals)))
+    if 0.0 < residual_max < math.inf:
+        residual_rms = residual_max * float(np.sqrt(np.mean((residuals / residual_max) ** 2)))
+    else:
+        residual_rms = residual_max
+    return SpectroscopicConstants(*coeff.tolist()), residual_max, residual_rms
+
+
+def _reordered(table, order):
+    entries = list(table.entries)
+    if order == "reversed":
+        entries.reverse()
+    else:
+        random.Random(11).shuffle(entries)
+    return LevelTable(molecule=table.molecule, entries=tuple(entries),
+                      provenance=table.provenance)
+
+
+@pytest.mark.filterwarnings("ignore::gupmol.PerturbationWarning")
+class TestFitIsUnchanged:
+    """fit_dunham gives the constants and residuals of its first construction bit
+    for bit, on kernel tables and on entries in any row order."""
+
+    @pytest.mark.parametrize("shape", [(200, 10), (10, 200), (3, 1)],
+                             ids=["201x11", "11x201", "4x2"])
+    @pytest.mark.parametrize("beta", [0.0, 4e-5])
+    @pytest.mark.parametrize("kind", ["kratzer", "pho"])
+    def test_closed_form_tables(self, kind, beta, shape):
+        table = closed_form_table(synthetic_molecule(36.0), Deformation(beta), kind, *shape)
+        fit = fit_dunham(table)
+        assert (fit.constants, fit.residual_max, fit.residual_rms) == _reference_fit(table)
+
+    @pytest.mark.parametrize("order", ["reversed", "shuffled"])
+    def test_entries_in_any_order(self, order):
+        kernel = closed_form_table(synthetic_molecule(36.0), Deformation(4e-5), "kratzer", 200, 10)
+        table = _reordered(kernel, order)
+        fit = fit_dunham(table)
+        assert (fit.constants, fit.residual_max, fit.residual_rms) == _reference_fit(table)
+
+
+class TestDuplicateCheck:
+    """Entries are checked for repeats with one lexsort; kernel tables are not."""
+
+    def test_kernel_table_and_fit_sort_nothing(self, lexsort_calls):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", PerturbationWarning)
+            table = closed_form_table(synthetic_molecule(36.0), Deformation(4e-5), "kratzer",
+                                      200, 10)
+        fit_dunham(table)
+        assert lexsort_calls == []
+
+    def test_entries_sorted_once(self, lexsort_calls):
+        table_from_constants(SpectroscopicConstants(1.0, 2.0, 0.1, 0.01, 3.0, 0.05))
+        assert len(lexsort_calls) == 1
 
 
 class TestClosedFormTables:
