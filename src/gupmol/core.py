@@ -41,7 +41,9 @@ HBARC_EV_ANGSTROM = _HBARC_MEV_FM * 10.0
 EV_TO_CM1 = _EV_INVERSE_METRE / 100.0
 AMU_TO_INTERNAL = _AMU_MEV * 1.0e6 / HBARC_EV_ANGSTROM**2
 
-ENERGY_UNITS = ("internal", "eV", "cm-1")
+# 1 eV in each energy unit; x * 1.0 and x / 1.0 are x bit for bit in IEEE 754.
+_PER_EV = {"internal": 1.0, "eV": 1.0, "cm-1": EV_TO_CM1}
+ENERGY_UNITS = tuple(_PER_EV)
 
 # |de| / |e0| above which the first-order shift is flagged as untrustworthy.
 FIRST_ORDER_WARN_RATIO = 0.1
@@ -97,36 +99,42 @@ class UnitSystem:
     (eV, cm-1) and masses (amu) carry conversion factors.
     """
 
-    ev_to_cm1: float = EV_TO_CM1
-    amu_to_internal: float = AMU_TO_INTERNAL
-
     def energy_to_internal(self, value: float, unit: str) -> float:
-        if unit in ("internal", "eV"):
-            return value
-        if unit == "cm-1":
-            return value / self.ev_to_cm1
-        raise DomainError(f"unknown energy unit {unit!r}; expected one of {ENERGY_UNITS}")
+        return value / _per_ev(unit)
 
     def energy_from_internal(self, value: float, unit: str) -> float:
-        if unit in ("internal", "eV"):
-            return value
-        if unit == "cm-1":
-            return value * self.ev_to_cm1
-        raise DomainError(f"unknown energy unit {unit!r}; expected one of {ENERGY_UNITS}")
+        return value * _per_ev(unit)
 
     def mass_to_internal(self, mu_amu: float) -> float:
-        return mu_amu * self.amu_to_internal
+        return mu_amu * AMU_TO_INTERNAL
 
     def mass_from_internal(self, mu: float) -> float:
-        return mu / self.amu_to_internal
+        return mu / AMU_TO_INTERNAL
 
 
 UNITS = UnitSystem()
 
 
+def _per_ev(unit: str) -> float:
+    """1 eV in ``unit``; DomainError names the known units."""
+    try:
+        return _PER_EV[unit]
+    except (KeyError, TypeError):
+        raise DomainError(f"unknown energy unit {unit!r}; expected one of {ENERGY_UNITS}") from None
+
+
 def _require_positive(name: str, value: float) -> None:
     if not (math.isfinite(value) and value > 0.0):
         raise DomainError(f"{name} must be finite and > 0, got {value!r}")
+
+
+def _require_counts(**counts: int) -> None:
+    """DomainError unless each value is a nonnegative integer (numpy's, not a bool)."""
+    import numpy as np
+
+    for name, value in counts.items():
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+            raise DomainError(f"{name} must be a nonnegative integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -191,6 +199,9 @@ class Deformation:
     def from_minimal_length(cls, x: float) -> "Deformation":
         if not (math.isfinite(x) and x >= 0.0):
             raise DomainError(f"minimal length must be finite and >= 0, got {x!r}")
+        if math.isinf(x * x):
+            raise DomainError(f"minimal length {x!r} is out of floating-point range: its "
+                              "beta = x^2/5 overflows")
         return cls(beta=x * x / (5.0 * HBAR * HBAR))
 
 
@@ -275,18 +286,21 @@ def _sqrt(x):
     return np.sqrt(x)
 
 
-def _pole_at(bad, lam, ell) -> tuple[float, int] | None:
-    """(lambda, ell) at the first ell where ``bad`` holds; None if it holds
-    nowhere.  ``lam`` a Python number (np.float64 included) is one level,
-    whose ``bad`` may be a bool or an np.bool_; otherwise ``bad`` and ``lam``
-    are arrays over ell.  The kernels' pole masks depend on gamma and ell,
-    never on n, so a table's first offending level is n = 0 at this ell."""
+def _reject_pole(bad, lam, ell, g: float, pole: str) -> None:
+    """DomainError at the first ell where ``bad`` holds, where the slope formula
+    ``pole`` names is undefined.  ``lam`` a Python number (np.float64 included)
+    is one level; otherwise ``bad`` and ``lam`` are arrays over ell, and as the
+    masks never depend on n, a table's first offending level is n = 0 there."""
     if isinstance(lam, (int, float)):
-        return (lam, int(ell)) if bad else None
-    if not bad.any():
-        return None
-    k = int(bad.argmax())
-    return float(lam[k]), int(ell[k])
+        if not bad:
+            return
+    else:
+        if not bad.any():
+            return
+        k = int(bad.argmax())
+        lam, ell = float(lam[k]), ell[k]
+    raise DomainError(f"correction formula {pole}, where <p^4> diverges, so first order is "
+                      f"undefined there; got lambda = {lam!r} (gamma = {g!r}, ell = {int(ell)})")
 
 
 @dataclass(frozen=True)
@@ -412,9 +426,7 @@ class Model:
         """
         import numpy as np
 
-        for label, value in (("n_max", n_max), ("l_max", l_max)):
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
-                raise DomainError(f"{label} must be a nonnegative integer, got {value!r}")
+        _require_counts(n_max=n_max, l_max=l_max)
         n_col, ell_col = np.divmod(np.arange((n_max + 1) * (l_max + 1)), l_max + 1)
         n = np.arange(n_max + 1.0)[:, None]
         ell = np.arange(l_max + 1.0)

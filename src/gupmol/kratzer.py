@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .core import (
-    FIRST_ORDER_WARN_RATIO,  # noqa: F401  (one of this module's public names)
     Deformation,
     DomainError,
     EnergyLevel,
@@ -19,7 +18,7 @@ from .core import (
     Molecule,
     QuantumNumbers,
     SpectroscopicConstants,
-    _pole_at,
+    _reject_pole,
     _require_positive,
     _series_gamma,
     gamma,
@@ -125,12 +124,7 @@ def _slopes(m: Molecule, n, ell) -> np.ndarray:
     """
     g = gamma(m)
     lam = lambda_kratzer(g, ell)
-    pole = _pole_at(lam <= 1.5, lam, ell)
-    if pole is not None:
-        raise DomainError(
-            f"correction formula has poles for lambda <= 3/2, where <p^4> diverges, so first "
-            f"order is undefined there; got lambda = {pole[0]!r} (gamma = {g!r}, ell = {pole[1]})"
-        )
+    _reject_pole(lam <= 1.5, lam, ell, g, "has poles for lambda <= 3/2")
     a = ell + 0.5
     nn = lam + n
     t = 2.0 * g / nn

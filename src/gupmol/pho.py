@@ -20,7 +20,7 @@ from .core import (
     Molecule,
     QuantumNumbers,
     SpectroscopicConstants,
-    _pole_at,
+    _reject_pole,
     _require_positive,
     _series_gamma,
     gamma,
@@ -101,13 +101,8 @@ def _slopes(m: Molecule, n, ell) -> np.ndarray:
     """
     g = gamma(m)
     lam = lambda_pho(g, ell)
-    pole = _pole_at((lam <= 1.0) | (g * g == 0.0), lam, ell)
-    if pole is not None:
-        raise DomainError(
-            f"correction formula has a pole for gamma^2 = 0 and for lambda <= 1, where <p^4> "
-            f"diverges, so first order is undefined there; got lambda = {pole[0]!r} "
-            f"(gamma = {g!r}, ell = {pole[1]})"
-        )
+    _reject_pole((lam <= 1.0) | (g * g == 0.0), lam, ell, g,
+                 "has a pole for gamma^2 = 0 and for lambda <= 1")
     a = ell + 0.5
     delta = a * a / (lam + g)
     return (4.0 * m.mu * m.de * m.de * _slope_polynomial(lam, delta, n)

@@ -39,7 +39,6 @@ from .core import (
     SpectroscopicConstants,
     _master_basis,
     gamma,
-    master_energy,  # noqa: F401  (one of this module's public names)
 )
 from .kratzer import KRATZER
 from .pho import PHO
@@ -202,13 +201,11 @@ class BetaBound:
     """
 
     beta_upper: float
-    minimal_length_upper: float
     basis: str
 
-    def __post_init__(self) -> None:
-        expected = Deformation(self.beta_upper).minimal_length
-        if not math.isclose(self.minimal_length_upper, expected, rel_tol=1e-12, abs_tol=1e-300):
-            raise DomainError("minimal_length_upper inconsistent with beta_upper")
+    @property
+    def minimal_length_upper(self) -> float:
+        return Deformation(self.beta_upper).minimal_length
 
 
 def fit_beta_bound(m: Molecule, e_exp: float, qn: QuantumNumbers, kind: str) -> BetaBound:
@@ -247,11 +244,7 @@ def fit_beta_bound(m: Molecule, e_exp: float, qn: QuantumNumbers, kind: str) -> 
         f"(n={qn.n}, ell={qn.ell}, {kind}) attributed to the deformation shift "
         f"({slope:.6e} eV per unit beta)"
     )
-    return BetaBound(
-        beta_upper=beta_upper,
-        minimal_length_upper=Deformation(beta_upper).minimal_length,
-        basis=basis,
-    )
+    return BetaBound(beta_upper=beta_upper, basis=basis)
 
 
 # ---------------------------------------------------------------------------

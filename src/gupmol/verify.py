@@ -18,6 +18,7 @@ from .core import (
     DomainError,
     GupmolError,
     QuantumNumbers,
+    _require_counts,
     _require_positive,
     synthetic_molecule,
 )
@@ -90,13 +91,18 @@ def closed_vs_oracle_sweep(
     agreement, a failed check) mark the affected cells FAIL with the
     diagnostic in ``note`` instead of aborting the sweep, so a deliberately
     coarse start produces a failing report rather than a crash.
-    Configuration errors (unknown potential, tolerances, grid size above
+    Configuration errors (no potential or gamma, unknown potential, n_max or
+    l_max not a nonnegative integer, tolerances, grid size above
     DVR_MAX_POINTS, box) raise DomainError before the first solve, and a
     closed-form level or shift that is not finite raises DomainError before
     its (potential, gamma, ell) is solved.
     """
     models = [get_model(kind) for kind in potentials]
     molecules = [synthetic_molecule(gamma_value) for gamma_value in gammas]
+    if not (models and molecules):
+        raise DomainError(f"the sweep needs at least one potential and one gamma, got "
+                          f"{potentials!r} and {gammas!r}")
+    _require_counts(n_max=n_max, l_max=l_max)
     if levels < 1:
         raise DomainError(f"levels must be >= 1, got {levels}")
     _require_positive("tol_energy", tol_energy)

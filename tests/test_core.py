@@ -1,15 +1,19 @@
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 
 from gupmol import (
+    EV_TO_CM1,
     UNITS,
     Deformation,
     DomainError,
     EnergyLevel,
     Molecule,
     QuantumNumbers,
+    UnitSystem,
     beta_from_minimal_length,
     gamma,
     lambda_kratzer,
@@ -40,8 +44,41 @@ class TestUnitSystem:
         assert UNITS.energy_from_internal(1.0, "cm-1") == pytest.approx(8065.54, rel=1e-4)
 
     def test_unknown_unit_rejected(self):
-        with pytest.raises(DomainError):
-            UNITS.energy_to_internal(1.0, "hartree")
+        message = "unknown energy unit 'hartree'; expected one of ('internal', 'eV', 'cm-1')"
+        for convert in (UNITS.energy_to_internal, UNITS.energy_from_internal):
+            with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+                convert(1.0, "hartree")
+
+    VALUES = [0.0, -0.0, 1.0, -2.5e-7, 3.3e300, 5e-324, math.inf, -math.inf, math.nan]
+
+    @pytest.mark.parametrize("x", VALUES)
+    def test_floats_convert_bit_for_bit(self, x):
+        expected = {
+            ("energy_to_internal", "internal"): x, ("energy_to_internal", "eV"): x,
+            ("energy_to_internal", "cm-1"): x / EV_TO_CM1,
+            ("energy_from_internal", "internal"): x, ("energy_from_internal", "eV"): x,
+            ("energy_from_internal", "cm-1"): x * EV_TO_CM1,
+        }
+        for (convert, unit), want in expected.items():
+            got = getattr(UNITS, convert)(x, unit)
+            assert type(got) is float
+            # struct-level equality: the same bits, -0.0 and nan included
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), (convert, unit)
+
+    def test_arrays_convert_bit_for_bit(self):
+        x = np.array(self.VALUES)
+        with np.errstate(over="ignore"):
+            cases = [(UNITS.energy_to_internal(x, "internal"), x),
+                     (UNITS.energy_to_internal(x, "eV"), x),
+                     (UNITS.energy_to_internal(x, "cm-1"), x / EV_TO_CM1),
+                     (UNITS.energy_from_internal(x, "internal"), x),
+                     (UNITS.energy_from_internal(x, "eV"), x),
+                     (UNITS.energy_from_internal(x, "cm-1"), x * EV_TO_CM1)]
+        for got, want in cases:
+            assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+
+    def test_no_settable_factors(self):
+        assert dataclasses.fields(UnitSystem) == ()
 
 
 class TestGamma:
@@ -117,6 +154,34 @@ class TestNumpyScalars:
             MODELS[kind].slope(m, QuantumNumbers(0, 0))
 
 
+class TestPoleMessages:
+    """The whole DomainError of each slope formula's pole, one level or a table."""
+
+    TAIL = (", where <p^4> diverges, so first order is undefined there; got lambda = {lam} "
+            "(gamma = {g}, ell = 0)")
+    POLES = {"kratzer": "correction formula has poles for lambda <= 3/2",
+             "pho": "correction formula has a pole for gamma^2 = 0 and for lambda <= 1"}
+    # (mu, Kratzer lambda, pho lambda, gamma) at de = re = 1; at mu = 1e-300 gamma^2 is 0.0
+    CASES = [(0.1, "1.170820393249937", "0.6708203932499369", "0.4472135954999579"),
+             (1e-300, "1.0", "0.5", "1.4142135623730952e-150")]
+
+    @pytest.mark.parametrize("kind", ["kratzer", "pho"])
+    @pytest.mark.parametrize("case", CASES, ids=["shallow", "gamma-squared-zero"])
+    @pytest.mark.parametrize("path", ["slope", "table"])
+    def test_message(self, kind, case, path):
+        mu, lam_kratzer, lam_pho, g = case
+        lam = lam_kratzer if kind == "kratzer" else lam_pho
+        message = self.POLES[kind] + self.TAIL.format(lam=lam, g=g)
+        m = Molecule("m", 1.0, 1.0, mu)
+        model = MODELS[kind]
+        with pytest.raises(DomainError) as caught:
+            if path == "slope":
+                model.slope(m, QuantumNumbers(1, 0))
+            else:
+                model.table(m, Deformation(1e-3), 2, 2)
+        assert str(caught.value) == message
+
+
 class TestDeformation:
     def test_zero_beta(self):
         assert minimal_length(Deformation(0.0)) == 0.0
@@ -137,6 +202,16 @@ class TestDeformation:
             beta_from_minimal_length(-0.1)
         with pytest.raises(DomainError):
             Deformation(-1e-9)
+
+    @pytest.mark.parametrize("x", [1.5e154, 1e160, 1.7e308])
+    def test_length_whose_beta_overflows_is_named(self, x):
+        message = f"minimal length {x!r} is out of floating-point range: its beta = x^2/5 overflows"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            Deformation.from_minimal_length(x)
+
+    def test_largest_length_with_a_finite_beta(self):
+        x = 1e154
+        assert Deformation.from_minimal_length(x).beta == x * x / 5.0
 
 
 class TestValidation:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.linalg import eigh
@@ -280,6 +282,29 @@ class TestSweep:
     def test_levels_below_one_rejected(self, levels):
         with pytest.raises(DomainError, match="levels"):
             closed_vs_oracle_sweep(gammas=(20.0,), n_max=0, l_max=0, levels=levels)
+
+    @pytest.mark.parametrize("options, message", [
+        ({"n_max": -1}, "n_max must be a nonnegative integer, got -1"),
+        ({"l_max": -1}, "l_max must be a nonnegative integer, got -1"),
+        ({"n_max": True}, "n_max must be a nonnegative integer, got True"),
+        ({"l_max": 1.0}, "l_max must be a nonnegative integer, got 1.0"),
+        ({"gammas": ()}, "the sweep needs at least one potential and one gamma"),
+        ({"potentials": ()}, "the sweep needs at least one potential and one gamma"),
+    ], ids=["negative-n", "negative-l", "bool-n", "float-l", "no-gamma", "no-potential"])
+    def test_empty_or_invalid_configuration_rejected(self, monkeypatch, options, message):
+        # nothing is solved: a configuration error comes before the first solve
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved")
+
+        monkeypatch.setattr("gupmol.verify._dvr_levels", no_solve)
+        config = {"gammas": (20.0,), "n_max": 0, "l_max": 0, **options}
+        with pytest.raises(DomainError, match=re.escape(message)):
+            closed_vs_oracle_sweep(**config)
+
+    def test_numpy_integer_counts_accepted(self):
+        report = closed_vs_oracle_sweep(potentials=("pho",), gammas=(20.0,), n_max=np.int64(1),
+                                        l_max=np.int64(0))
+        assert len(report.cells) == 2 and report.all_passed
 
     def test_shallow_well_cell_fails_fast(self):
         report = closed_vs_oracle_sweep(potentials=("kratzer",), gammas=(1e-3,), n_max=0,

@@ -1,7 +1,10 @@
-"""Package surface: exported names, pinned CODATA factors, numpy- and scipy-free cold starts."""
+"""Package surface: exported names, pinned CODATA factors, numpy- and scipy-free cold starts,
+and no unused imports in the modules."""
+import ast
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -161,3 +164,35 @@ def test_sweep_loads_scipy_linalg_only():
     assert result["passed"]
     assert "scipy.linalg" in result["scipy"]
     assert not any(n.startswith("scipy.integrate") for n in result["scipy"])
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by an import anywhere in ``source`` that no expression reads,
+    alone or as the root of an attribute chain (annotations included); a
+    ``from __future__`` import binds nothing."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported.setdefault(name, node.lineno)
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [f"{name} (line {line})" for name, line in sorted(imported.items(), key=lambda i: i[1])
+            if name not in read]
+
+
+def test_unused_import_check_sees_an_unused_name():
+    assert unused_imports("import os\nfrom math import pi, tau\nprint(tau)\n") == [
+        "os (line 1)", "pi (line 2)"]
+    assert unused_imports("import numpy as np\nx: np.ndarray\n") == []
+
+
+def test_modules_import_only_what_they_use():
+    package = Path(gupmol.__file__).parent
+    unused = {path.name: unused_imports(path.read_text(encoding="utf-8"))
+              for path in sorted(package.glob("*.py")) if path.name != "__init__.py"}
+    assert {name: names for name, names in unused.items() if names} == {}

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import random
@@ -36,6 +37,7 @@ from gupmol import (
     synthetic_molecule,
 )
 from gupmol.core import _master_basis
+from gupmol.spectroscopy import MODELS
 
 
 def table_from_constants(constants, n_max=4, l_max=3, provenance="experimental"):
@@ -358,9 +360,18 @@ class TestBetaBound:
         bound = fit_beta_bound(m, level.total, qn, "pho")
         assert bound.beta_upper == pytest.approx(beta_true, rel=1e-6)
 
-    def test_bound_consistency_enforced(self):
-        with pytest.raises(DomainError):
-            BetaBound(beta_upper=1.0, minimal_length_upper=1.0, basis="broken")
+    @pytest.mark.parametrize("kind", ["kratzer", "pho"])
+    def test_minimal_length_is_that_of_the_bound(self, kind):
+        m = synthetic_molecule(200.0)
+        for gap in (0.0, 1e-9, 1e-4, 0.3):
+            bound = fit_beta_bound(m, MODELS[kind].energies(m, 1, 2)[1] + gap,
+                                   QuantumNumbers(1, 2), kind)
+            assert bound.minimal_length_upper == Deformation(bound.beta_upper).minimal_length
+
+    def test_fields_are_the_bound_and_its_basis(self):
+        assert tuple(f.name for f in dataclasses.fields(BetaBound)) == ("beta_upper", "basis")
+        bound = BetaBound(beta_upper=0.2, basis="given")
+        assert bound.minimal_length_upper == Deformation(0.2).minimal_length
 
 
 class TestDataFiles:
