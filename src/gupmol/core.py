@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import asdict, astuple, dataclass
+from functools import lru_cache, wraps
 from typing import TYPE_CHECKING, Any, Callable
 
 if TYPE_CHECKING:
@@ -126,6 +127,24 @@ def _per_ev(unit: str) -> float:
 def _require_positive(name: str, value: float) -> None:
     if not (math.isfinite(value) and value > 0.0):
         raise DomainError(f"{name} must be finite and > 0, got {value!r}")
+
+
+def _radial(formula: Callable) -> Callable:
+    """A potential's ``value(r)`` from its ``formula(self, r)`` on a float array:
+    r may be a number or an array, and a number gives a float.  DomainError
+    unless every radius is finite and > 0."""
+
+    @wraps(formula)
+    def value(self, r):
+        import numpy as np
+
+        r = np.asarray(r, dtype=float)
+        if np.any(r <= 0.0) or not np.all(np.isfinite(r)):
+            raise DomainError("radius must be finite and > 0")
+        out = formula(self, r)
+        return float(out) if out.ndim == 0 else out
+
+    return value
 
 
 def _require_counts(**counts: int) -> None:
@@ -344,6 +363,23 @@ def master_energy(c: SpectroscopicConstants, qn: QuantumNumbers) -> float:
     return sum(x * b for x, b in zip(astuple(c), _master_basis(qn.n, qn.ell)))
 
 
+# A cached grid holds 16 bytes a level in its two int64 columns, and 8 bytes
+# per n and per ell in the kernel inputs: 0.65 MB at the CLI's 201 x 201 cap,
+# so the four kept shapes hold at most 2.6 MB there (16 bytes a level beyond).
+@lru_cache(maxsize=4)
+def _grid(n_max: int, l_max: int) -> tuple:
+    """The levels n <= n_max, ell <= l_max, built once per shape and shared
+    read-only by every table of that shape: n-major int64 columns of n and
+    ell, and the kernels' inputs, a float column of n and a float row of ell."""
+    import numpy as np
+
+    n_col, ell_col = np.divmod(np.arange((n_max + 1) * (l_max + 1)), l_max + 1)
+    grid = (n_col, ell_col, np.arange(n_max + 1.0)[:, None], np.arange(l_max + 1.0))
+    for array in grid:
+        array.flags.writeable = False
+    return grid
+
+
 def _warn_first_order(m: Molecule, qn: QuantumNumbers, shift: float, level: float,
                       count: int = 1) -> None:
     """The PerturbationWarning of ``count`` levels whose shift is not small
@@ -418,18 +454,18 @@ class Model:
     def table(self, m: Molecule, d: Deformation, n_max: int, l_max: int):
         """Every level n <= n_max, ell <= l_max in n-major order, one kernel call each,
         as flat columns: (n, ell, e0, level above the minimum, shift), n and ell
-        integers.  Flags levels as ``level`` does, but warns once per table: the
-        warning's ``count`` is the number flagged and its ``qn`` and ``ratio`` are
-        the first level of largest |shift| / |e0|, the only one that gets a
-        QuantumNumbers.  Every flagged level is in the e0 and shift columns.  A
-        value beyond float range is inf or nan, which callers that print refuse.
+        int64.  The n and ell columns are built once per (n_max, l_max) and shared
+        read-only by every table of that shape; the other three are new arrays.
+        Flags levels as ``level`` does, but warns once per table: the warning's
+        ``count`` is the number flagged and its ``qn`` and ``ratio`` are the first
+        level of largest |shift| / |e0|, the only one that gets a QuantumNumbers.
+        Every flagged level is in the e0 and shift columns.  A value beyond float
+        range is inf or nan, which callers that print refuse.
         """
         import numpy as np
 
         _require_counts(n_max=n_max, l_max=l_max)
-        n_col, ell_col = np.divmod(np.arange((n_max + 1) * (l_max + 1)), l_max + 1)
-        n = np.arange(n_max + 1.0)[:, None]
-        ell = np.arange(l_max + 1.0)
+        n_col, ell_col, n, ell = _grid(int(n_max), int(l_max))
         with np.errstate(over="ignore", invalid="ignore"):
             e0, e_min = self.energies(m, n, ell)
             de = np.zeros_like(e0) if d.beta == 0.0 else d.beta * self.slopes(m, n, ell)

@@ -12,12 +12,12 @@ from typing import TYPE_CHECKING
 
 from .core import (
     Deformation,
-    DomainError,
     EnergyLevel,
     Model,
     Molecule,
     QuantumNumbers,
     SpectroscopicConstants,
+    _radial,
     _reject_pole,
     _require_positive,
     _series_gamma,
@@ -57,15 +57,10 @@ class KratzerPotential:
     def re(self) -> float:
         return 2.0 * self.g1 / self.g2
 
+    @_radial
     def value(self, r):
         """Potential at r (scalar or array); rejects r <= 0."""
-        import numpy as np
-
-        r = np.asarray(r, dtype=float)
-        if np.any(r <= 0.0) or not np.all(np.isfinite(r)):
-            raise DomainError("radius must be finite and > 0")
-        out = self.g1 / (r * r) - self.g2 / r
-        return float(out) if out.ndim == 0 else out
+        return self.g1 / (r * r) - self.g2 / r
 
     __call__ = value
 

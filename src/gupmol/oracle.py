@@ -349,7 +349,7 @@ def _dvr_solve(potential: RadialPotential, ell: int, mu: float, box: tuple[float
     # Extreme boxes or masses overflow here; anything not finite is refused below.
     with np.errstate(all="ignore"):
         v = np.asarray(potential(r), dtype=float)
-        v_eff = _v_eff(potential, ell, mu, r)
+        v_eff = v + ell * (ell + 1) / (2.0 * mu * r * r) if ell else v  # as _v_eff has it
         ham = toeplitz(column / (2.0 * mu * h * h))
         inverse_r = 1.0 / r
         ham *= inverse_r[:, None]

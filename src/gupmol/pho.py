@@ -14,12 +14,12 @@ from typing import TYPE_CHECKING
 
 from .core import (
     Deformation,
-    DomainError,
     EnergyLevel,
     Model,
     Molecule,
     QuantumNumbers,
     SpectroscopicConstants,
+    _radial,
     _reject_pole,
     _require_positive,
     _series_gamma,
@@ -46,15 +46,11 @@ class PhoPotential:
     def from_molecule(cls, m: Molecule) -> "PhoPotential":
         return cls(de=m.de, re=m.re)
 
+    @_radial
     def value(self, r):
-        import numpy as np
-
-        r = np.asarray(r, dtype=float)
-        if np.any(r <= 0.0) or not np.all(np.isfinite(r)):
-            raise DomainError("radius must be finite and > 0")
+        """Potential at r (scalar or array); rejects r <= 0."""
         x = r / self.re - self.re / r
-        out = self.de * x * x
-        return float(out) if out.ndim == 0 else out
+        return self.de * x * x
 
     __call__ = value
 
@@ -155,10 +151,11 @@ def pho_spectroscopic_constants(m: Molecule, d: Deformation) -> SpectroscopicCon
     return SpectroscopicConstants(
         y00=m.de / (4.0 * g * g) + 6.0 * bm / g**2,
         we=4.0 * m.de / g + 12.0 * bm / g**3,
-        wexe=-24.0 * bm / g**2,
+        # 0.0 - x, not -x: +0.0 at beta = 0, the same bits as -x for beta > 0
+        wexe=0.0 - 24.0 * bm / g**2,
         weye=0.0,
         be=m.de / (g * g),
-        alphae=-16.0 * bm / g**3,
+        alphae=0.0 - 16.0 * bm / g**3,
     )
 
 

@@ -37,6 +37,7 @@ from .core import (
     Molecule,
     QuantumNumbers,
     SpectroscopicConstants,
+    _grid,
     _master_basis,
     gamma,
 )
@@ -72,7 +73,11 @@ class LevelTable:
     or by closed_form_table from its kernel columns, when ``entries`` is a view made
     on first use.  A level may not repeat: entries are checked for repeats; the kernel
     columns of closed_form_table are an n-major grid and are not re-checked.  A table
-    equals only itself."""
+    equals only itself.
+
+    The fit basis (fit_dunham's design matrix and distinct counts) is built on the
+    first fit and kept.  A closed_form_table shares its ``n`` and ``ell`` columns and
+    its basis, all read-only, with every table of its (n_max, l_max) shape."""
 
     molecule: Molecule | None
     n: np.ndarray
@@ -107,6 +112,35 @@ class LevelTable:
         return tuple(zip(map(QuantumNumbers, self.n.tolist(), self.ell.tolist()),
                          self.energy.tolist()))
 
+    @cached_property
+    def _basis(self) -> tuple:
+        return _fit_basis(self.n, self.ell)
+
+
+def _fit_basis(n, ell) -> tuple:
+    """The master expression's design matrix over the levels (n, ell), one
+    read-only row each, and the numbers of distinct n and of distinct ell."""
+    import numpy as np
+
+    # The basis carries the master expression's signs, so the solution vector is the constants.
+    design = np.empty((len(n), 6))
+    for j, column in enumerate(_master_basis(n, ell)):
+        design[:, j] = column
+    design.flags.writeable = False
+    # Steps in a sorted copy, not np.unique, whose first call imports numpy.ma
+    # (15 ms of a cold CLI); the rows may come in any order.
+    distinct_n, distinct_l = (int(np.count_nonzero(np.diff(np.sort(c)))) + 1 if c.size else 0
+                              for c in (n, ell))
+    return design, distinct_n, distinct_l
+
+
+# A cached basis holds 48 bytes a level: 1.9 MB at the CLI's 201 x 201 cap, so
+# the four kept shapes hold at most 7.8 MB there (48 bytes a level beyond).
+@lru_cache(maxsize=4)
+def _grid_basis(n_max: int, l_max: int) -> tuple:
+    """The fit basis of the (n_max + 1) x (l_max + 1) grid, built once per shape."""
+    return _fit_basis(*_grid(n_max, l_max)[:2])
+
 
 @dataclass(frozen=True)
 class DunhamFit:
@@ -131,10 +165,7 @@ def fit_dunham(table: LevelTable) -> DunhamFit:
     import numpy as np
 
     n, ell, rhs = table.n, table.ell, table.energy
-    # Steps in a sorted copy, not np.unique, whose first call imports numpy.ma
-    # (15 ms of a cold CLI); the rows may come in any order.
-    distinct_n, distinct_l = (int(np.count_nonzero(np.diff(np.sort(c)))) + 1 if c.size else 0
-                              for c in (n, ell))
+    design, distinct_n, distinct_l = table._basis
     problems = []
     if len(rhs) < 6:
         problems.append(f"at least 6 levels (got {len(rhs)})")
@@ -149,10 +180,6 @@ def fit_dunham(table: LevelTable) -> DunhamFit:
         raise FitError(f"level (n={n[k]}, ell={ell[k]}) has a non-finite energy "
                        f"({float(rhs[k])}); cannot fit")
 
-    # The basis carries the master expression's signs, so the solution vector is the constants.
-    design = np.empty((len(rhs), 6))
-    for j, column in enumerate(_master_basis(n, ell)):
-        design[:, j] = column
     coeff, _, rank, _ = np.linalg.lstsq(design, rhs, rcond=None)
     if rank < 6:
         raise FitError("design matrix is rank deficient despite quantum-number coverage")
@@ -180,16 +207,19 @@ def closed_form_table(
 
     One evaluation of the model's kernels over the whole (n, ell) grid, rows
     in n-major order; the kernel's columns become the table's, with no
-    per-level object.  Each energy is the kernel's level above the well
-    minimum plus its shift, so fitted y00 is directly comparable with the
-    closed-form constant.  n_max and l_max must be nonnegative integers.
+    per-level object, and its fit basis is the one kept for its shape.  Each
+    energy is the kernel's level above the well minimum plus its shift, so
+    fitted y00 is directly comparable with the closed-form constant.  n_max
+    and l_max must be nonnegative integers.
     """
     import numpy as np
 
     n, ell, _, e_min, de = get_model(kind).table(m, d, n_max, l_max)
     with np.errstate(over="ignore"):  # a level beyond float range is inf
         energy = e_min + de
-    return LevelTable(m, None, f"computed-{kind}", _columns=(n, ell, energy))
+    table = LevelTable(m, None, f"computed-{kind}", _columns=(n, ell, energy))
+    table.__dict__["_basis"] = _grid_basis(int(n_max), int(l_max))  # the cached property's slot
+    return table
 
 
 @dataclass(frozen=True)

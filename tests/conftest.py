@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import gupmol
-from gupmol import Molecule, cli
+from gupmol import Molecule, cli, spectroscopy
 
 # Tests that start `python -m gupmol` in a subprocess import the same package as the tests.
 os.environ["PYTHONPATH"] = os.pathsep.join(
@@ -60,6 +60,23 @@ def lexsort_calls(monkeypatch) -> list:
         return lexsort(*args, **kwargs)
 
     monkeypatch.setattr(np, "lexsort", counted)
+    return calls
+
+
+@pytest.fixture
+def basis_builds(monkeypatch) -> list:
+    """Counts the fit bases built from here on: the returned list gets one item
+    per spectroscopy._fit_basis call.  The bases kept per grid shape are dropped
+    first, so the next closed_form_table builds one for its shape."""
+    calls = []
+    build = spectroscopy._fit_basis
+
+    def counted(n, ell):
+        calls.append(None)
+        return build(n, ell)
+
+    monkeypatch.setattr(spectroscopy, "_fit_basis", counted)
+    spectroscopy._grid_basis.cache_clear()
     return calls
 
 

@@ -3,6 +3,7 @@ import csv
 import io
 import itertools
 import json
+import math
 import os
 import re
 import subprocess
@@ -223,6 +224,14 @@ class TestConstants:
         assert values["wexe"] == "0"
         assert values["alphae"] == "0"
         assert values["weye"] == "0"
+
+    def test_pho_zeros_are_positive_in_json(self, capsys):
+        code, out, _ = run_main(capsys, "constants", "--potential", "pho", "--molecule", "H2",
+                                "--format", "json")
+        assert code == EXIT_OK
+        assert "-0.0" not in out
+        values = json.loads(out)["constants"]
+        assert [math.copysign(1.0, values[k]) for k in ("wexe", "weye", "alphae")] == [1.0] * 3
 
     def test_rotational_constant_beta_independent(self, capsys):
         base = ["constants", "--potential", "kratzer", "--synthetic", "1,1,800",

@@ -234,3 +234,27 @@ class TestValidation:
     def test_energy_level_total(self):
         level = EnergyLevel(QuantumNumbers(0, 0), e0=-0.5, de=0.125)
         assert level.total == -0.375
+
+
+class TestRadiusRule:
+    """Both potentials take radii by one rule: finite and > 0, a float for a number."""
+
+    @pytest.mark.parametrize("kind", ["kratzer", "pho"])
+    @pytest.mark.parametrize("r", [0.0, -1.0, math.nan, math.inf, np.array([1.0, -2.0]),
+                                   np.array([[1.0], [math.nan]])],
+                             ids=["zero", "negative", "nan", "inf", "array", "2d-array"])
+    def test_bad_radius_message(self, kind, r):
+        potential = MODELS[kind].potential(synthetic_molecule(20.0))
+        with pytest.raises(DomainError, match=r"^radius must be finite and > 0$"):
+            potential(r)
+
+    @pytest.mark.parametrize("kind", ["kratzer", "pho"])
+    def test_number_gives_a_float_and_array_an_array(self, kind):
+        potential = MODELS[kind].potential(synthetic_molecule(20.0))
+        r = np.array([[0.5, 1.0], [2.0, 3.0]])
+        values = potential(r)
+        assert values.shape == r.shape
+        for radius, value in zip(r.ravel().tolist(), values.ravel().tolist()):
+            assert type(potential(radius)) is float
+            assert potential(radius) == value
+            assert potential(np.float64(radius)) == value

@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -413,6 +414,23 @@ class TestDVR:
         expected_energies, expected_slopes = full_dvr_solve(pot, ell, m.mu, box, points, 5)
         np.testing.assert_allclose(energies, expected_energies, rtol=1e-12, atol=0)
         np.testing.assert_allclose(slopes, expected_slopes, rtol=slope_rtol, atol=0)
+
+    @pytest.mark.parametrize("ell", [0, 3])
+    @pytest.mark.parametrize("kind", ["kratzer", "pho"])
+    def test_potential_evaluated_once_per_solve(self, kind, ell):
+        m = synthetic_molecule(20.0)
+        pot = get_model(kind).potential(m)
+        calls = []
+
+        def counted(r):
+            calls.append(None)
+            return pot(r)
+
+        box = _dvr_box(pot, m.mu, ell, 4, m.re)
+        *_, v_eff = _dvr_solve(counted, ell, m.mu, box, 128, 5)
+        assert len(calls) == 1
+        r = np.exp(np.linspace(math.log(box[0]), math.log(box[1]), 128))  # as _dvr_solve has it
+        assert np.array_equal(v_eff, _v_eff(pot, ell, m.mu, r))
 
     def test_matches_the_closed_forms(self):
         report = closed_vs_oracle_sweep(gammas=(5.0, 20.0, 100.0, 1000.0), n_max=4, l_max=3,

@@ -196,3 +196,67 @@ def test_modules_import_only_what_they_use():
     unused = {path.name: unused_imports(path.read_text(encoding="utf-8"))
               for path in sorted(package.glob("*.py")) if path.name != "__init__.py"}
     assert {name: names for name, names in unused.items() if names} == {}
+
+
+
+def unbounded_caches(source: str) -> list[str]:
+    """Caches in ``source`` that can grow without bound: an ``lru_cache`` without
+    an integer literal maxsize (bare, None or computed), and a ``functools.cache``
+    anywhere but on a function without parameters; in line order."""
+    tree = ast.parse(source)
+    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    found = []
+    for node in ast.walk(tree):
+        parent = parents.get(node)
+        decorates = node in getattr(parent, "decorator_list", ())
+        if getattr(node, "attr", getattr(node, "id", None)) == "lru_cache":
+            if isinstance(parent, ast.Call) and parent.func is node:
+                keywords = [k.value for k in parent.keywords if k.arg == "maxsize"]
+                maxsize = (parent.args + keywords or [None])[0]
+                if isinstance(maxsize, ast.Constant) and type(maxsize.value) is int:
+                    continue
+            found.append((node.lineno, "lru_cache"))
+        elif ((isinstance(node, ast.Attribute) and node.attr == "cache"
+               and getattr(node.value, "id", None) == "functools")
+              or (isinstance(node, ast.Name) and node.id == "cache" and decorates)):
+            a = parent.args if decorates else None
+            if a is None or a.posonlyargs or a.args or a.vararg or a.kwonlyargs or a.kwarg:
+                found.append((node.lineno, "cache"))
+    return [f"{kind} (line {line})" for line, kind in sorted(found)]
+
+
+def test_cache_check_sees_an_unbounded_cache():
+    source = """
+import functools
+from functools import cache, lru_cache
+
+@lru_cache(maxsize=4)
+def kept(a): ...
+
+@functools.cache
+def once(): ...
+
+@lru_cache
+def bare(a): ...
+
+@lru_cache(maxsize=None)
+def unbounded(a): ...
+
+@functools.lru_cache(None)
+def positional(a): ...
+
+@cache
+def grows(a): ...
+
+wrapped = functools.cache(kept)
+"""
+    assert unbounded_caches(source) == [
+        "lru_cache (line 11)", "lru_cache (line 14)", "lru_cache (line 17)", "cache (line 20)",
+        "cache (line 23)"]
+
+
+def test_caches_are_bounded():
+    package = Path(gupmol.__file__).parent
+    found = {path.name: unbounded_caches(path.read_text(encoding="utf-8"))
+             for path in sorted(package.glob("*.py"))}
+    assert {name: caches for name, caches in found.items() if caches} == {}

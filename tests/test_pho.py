@@ -132,6 +132,17 @@ class TestConstants:
         assert c.wexe == 0.0
         assert c.alphae == 0.0
         assert c.weye == 0.0
+        # +0.0, not -0.0: every constant has a positive sign
+        assert [math.copysign(1.0, value) for value in c.as_dict().values()] == [1.0] * 6
+
+    @pytest.mark.parametrize("beta", [1e-9, 4e-5, 1e-2, 0.7])
+    def test_negative_constants_are_the_negated_products(self, beta):
+        m = synthetic_molecule(45.0)
+        c = pho_spectroscopic_constants(m, Deformation(beta))
+        g = gamma(m)
+        bm = beta * m.mu * m.de * m.de
+        assert c.wexe == -24.0 * bm / g**2
+        assert c.alphae == -16.0 * bm / g**3
 
     def test_conflicting_signs_for_positive_beta(self):
         m = synthetic_molecule(45.0)

@@ -36,6 +36,7 @@ from gupmol import (
     kratzer_spectroscopic_constants,
     synthetic_molecule,
 )
+from gupmol import core, spectroscopy
 from gupmol.core import _master_basis
 from gupmol.spectroscopy import MODELS
 
@@ -206,6 +207,83 @@ class TestDuplicateCheck:
     def test_entries_sorted_once(self, lexsort_calls):
         table_from_constants(SpectroscopicConstants(1.0, 2.0, 0.1, 0.01, 3.0, 0.05))
         assert len(lexsort_calls) == 1
+
+
+def _fit_values(table):
+    fit = fit_dunham(table)
+    return fit.constants, fit.residual_max, fit.residual_rms
+
+
+@pytest.mark.filterwarnings("ignore::gupmol.PerturbationWarning")
+class TestSharedGrid:
+    """Tables of one (n_max, l_max) shape share one grid and one fit basis, read-only."""
+
+    def test_tables_of_one_shape_share_their_columns_and_basis(self):
+        tables = [closed_form_table(synthetic_molecule(g), Deformation(beta), kind, 30, 7)
+                  for g in (36.0, 60.0) for beta in (0.0, 4e-5) for kind in ("kratzer", "pho")]
+        first = tables[0]
+        for table in tables[1:]:
+            assert table.n is first.n
+            assert table.ell is first.ell
+            assert table._basis is first._basis
+        n, ell, *_ = MODELS["pho"].table(synthetic_molecule(60.0), Deformation(4e-5), 30, 7)
+        assert n is first.n and ell is first.ell
+
+    @pytest.mark.parametrize("beta", [0.0, 4e-5])
+    @pytest.mark.parametrize("kind", ["kratzer", "pho"])
+    def test_shared_arrays_are_read_only(self, kind, beta):
+        m = synthetic_molecule(36.0)
+        table = closed_form_table(m, Deformation(beta), kind, 12, 3)
+        n, ell, *_ = MODELS[kind].table(m, Deformation(beta), 5, 9)
+        for array in (table.n, table.ell, table._basis[0], n, ell):
+            with pytest.raises(ValueError):
+                array[0] = 7
+
+    def test_one_basis_for_ten_tables_of_a_shape(self, basis_builds):
+        m = synthetic_molecule(36.0)
+        for k in range(1, 11):
+            fit_dunham(closed_form_table(m, Deformation(k * 1e-6), "kratzer", 200, 10))
+        assert len(basis_builds) == 1
+
+    def test_entries_table_builds_its_basis_on_its_first_fit(self, basis_builds):
+        table = table_from_constants(SpectroscopicConstants(1.0, 2.0, 0.1, 0.01, 3.0, 0.05))
+        assert basis_builds == []
+        assert _fit_values(table) == _fit_values(table)
+        assert len(basis_builds) == 1
+
+    @pytest.mark.parametrize("kind", ["kratzer", "pho"])
+    def test_fit_is_the_same_from_any_cache_state(self, kind):
+        m, d = synthetic_molecule(36.0), Deformation(4e-5)
+        core._grid.cache_clear()
+        spectroscopy._grid_basis.cache_clear()
+        cold_table = closed_form_table(m, d, kind, 200, 10)
+        cold = _fit_values(cold_table)
+        assert _fit_values(closed_form_table(m, d, kind, 200, 10)) == cold  # warm
+        for k in range(spectroscopy._grid_basis.cache_parameters()["maxsize"]):
+            closed_form_table(m, d, kind, 4 + k, 3)
+        evicted = closed_form_table(m, d, kind, 200, 10)
+        assert evicted.n is not cold_table.n and evicted._basis is not cold_table._basis
+        assert _fit_values(evicted) == cold
+        entries = LevelTable(molecule=m, entries=cold_table.entries,
+                             provenance=cold_table.provenance)
+        assert _fit_values(entries) == cold
+
+    @pytest.mark.parametrize("shape, need", [
+        ((2, 5), "at least 4 distinct n (got 3)"),
+        ((5, 0), "at least 2 distinct ell (got 1)"),
+        ((0, 4), "at least 6 levels (got 5); at least 4 distinct n (got 1)"),
+        ((1, 1), "at least 6 levels (got 4); at least 4 distinct n (got 2)"),
+        ((0, 0), "at least 6 levels (got 1); at least 4 distinct n (got 1); "
+                 "at least 2 distinct ell (got 1)"),
+    ])
+    def test_coverage_messages_of_grid_and_entries_tables(self, shape, need):
+        table = closed_form_table(synthetic_molecule(36.0), NO_DEFORMATION, "pho", *shape)
+        entries = LevelTable(molecule=None, entries=table.entries, provenance="experimental")
+        message = f"level table cannot determine all six constants; need {need}"
+        for t in (table, entries):
+            with pytest.raises(FitError) as caught:
+                fit_dunham(t)
+            assert str(caught.value) == message
 
 
 class TestClosedFormTables:
