@@ -3,15 +3,15 @@
 Closed-form spectra and band-spectrum constants for the 1/r^2 - 1/r and
 pseudoharmonic molecular potentials in quantum mechanics deformed by a
 smallest resolvable length hbar*sqrt(5 beta), an independent eigensolver
-of the radial equation that verifies every formula, and an estimator for the
-upper bound on beta from experimental data.
+of the radial equation (a sinc DVR in ln r) that verifies every formula, and
+an estimator for the upper bound on beta from experimental data.
 
 The solver (``oracle``) and the sweep built on it (``verify``) load scipy, so
-their names are resolved on first use.  The closed forms load no numpy:
-importing the package and computing single levels, slopes, band constants and
-beta bounds runs on Python floats.  numpy is imported where an array is built:
-level tables (``closed_form_table``, ``LevelTable``), ``fit_dunham`` and the
-potentials' values.
+both modules and the sweep's names are resolved on first use.  The closed
+forms load no numpy: importing the package and computing single levels,
+slopes, band constants and beta bounds runs on Python floats.  numpy is
+imported where an array is built: level tables (``closed_form_table``,
+``LevelTable``), ``fit_dunham`` and the potentials' values.
 """
 from importlib import import_module as _import_module
 
@@ -75,7 +75,7 @@ from .spectroscopy import (
 __version__ = "0.1.0"
 
 _LAZY_MODULES = {
-    "oracle": ("RadialEigenstate", "RadialGrid", "extrapolate", "p4_expectation", "solve_radial"),
+    "oracle": (),
     "verify": ("SweepCell", "SweepReport", "closed_vs_oracle_sweep"),
 }
 _LAZY_NAMES = {name: module for module, names in _LAZY_MODULES.items() for name in names}

@@ -1,14 +1,12 @@
 """Independent numerical verification of the closed forms.
 
-Two discretizations of the reduced radial equation
+A Colbert-Miller sinc DVR (J. Chem. Phys. 96, 1982 (1992)) of the reduced
+radial equation
 
     -(hbar^2 / 2 mu) u'' + [V(r) + hbar^2 ell(ell+1) / (2 mu r^2)] u = E u
 
-both with hbar = 1, the package's internal units, so the code below never
-writes it.
-
-The verification sweep uses a Colbert-Miller sinc DVR (J. Chem. Phys. 96,
-1982 (1992)) on the mapped coordinate x = ln r.  With u = e^{x/2} phi and
+with hbar = 1, the package's internal units, so the code below never writes
+it, on the mapped coordinate x = ln r.  With u = e^{x/2} phi and
 psi = e^x phi = r^{1/2} u, the equation is the symmetric eigenproblem
 
     H psi = [D^-1 (T_x + 1/4) D^-1 / (2 mu) + V_eff] psi = E psi,
@@ -23,38 +21,27 @@ once on a grid in ln r: its minimum, then a WKB walk over the same points
 from there, outward and inward (``_dvr_box``).  The sweep doubles the number
 of points until two successive solves agree (``_dvr_levels``).
 
-``solve_radial`` is the three-point finite-difference scheme on a uniform
-r grid with Dirichlet ends, solved as a symmetric tridiagonal eigenproblem.
-It is O(h^2), so halving the spacing and combining levels pairwise
-(Richardson, ``extrapolate``) gains two orders per step.
-
 The first-order minimal-length shift is evaluated through the operator
 identity p^2 u = 2 mu (E - V) u on an eigenstate, which turns <p^4> into
-4 mu^2 <(E - V)^2> - a quadrature over the computed state instead of a
-fourth derivative.  The DVR takes it at the grid points.  On the finite-
-difference grid, for shallow wells the integrand (E - V)^2 u^2 tends to a
-nonzero constant at r -> 0 while the discrete u vanishes on the wall node;
-the wall value is therefore restored by quadratic extrapolation before
-integrating, otherwise the first cell injects an O(h) error that the h^2
-ladder cannot remove.
+4 mu^2 <(E - V)^2> - a sum over the grid points of the unit eigenvector
+instead of a fourth derivative.
 
 Choice of r_min trades two errors: the truncated [0, r_min) tail of the
-perturbation integrand shrinks with r_min, while V(r_min) grows into the
-matrix norm and with it the eigensolver's absolute floor (~eps * |V(r_min)|).
-The DVR's box grid starts at INNER_WALL * re, so its inner wall never goes
-below that: the kinetic term grows as 1/r_min^2.
+state shrinks with r_min, while V(r_min) grows into the matrix norm and with
+it the eigensolver's absolute floor (~eps * |V(r_min)|).  The DVR's box grid
+starts at INNER_WALL * re, so its inner wall never goes below that: the
+kinetic term grows as 1/r_min^2.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, toeplitz
+from scipy.linalg import toeplitz
 from scipy.linalg.lapack import dsyevr
 
-from .core import ConvergenceError, DomainError, GridError, QuantumNumbers
+from .core import ConvergenceError, DomainError, GridError
 
 RadialPotential = Callable[[np.ndarray], np.ndarray]
 
@@ -65,7 +52,7 @@ BOUNDARY_AMPLITUDE_TOL = 1e-5
 #: Looser inner-wall threshold: against a 1/r^2 core the regular solution
 #: grows as a power of r, so a few h from the wall it is small but not
 #: exponentially so.  Gross misuse (wall inside the well) still trips this;
-#: finer r_min effects are covered by the r_min-insensitivity validation.
+#: finer r_min effects are bounded by the inner walk's INNER_DECAY_BUDGET.
 INNER_AMPLITUDE_TOL = 1e-2
 
 #: WKB decay budget (e-foldings past the turning point) for auto boxes.
@@ -90,43 +77,6 @@ DVR_MAX_POINTS = 2048
 DVR_RTOL = 1e-8
 
 
-@dataclass(frozen=True)
-class RadialGrid:
-    """Uniform grid on [r_min, r_max]; production runs want >= 1000 points."""
-
-    r_min: float
-    r_max: float
-    points: int
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.r_min < self.r_max):
-            raise DomainError(f"need 0 < r_min < r_max, got [{self.r_min!r}, {self.r_max!r}]")
-        if self.points < MIN_GRID_POINTS:
-            raise DomainError(f"need at least {MIN_GRID_POINTS} grid points, got {self.points}")
-
-    @property
-    def spacing(self) -> float:
-        return (self.r_max - self.r_min) / (self.points - 1)
-
-    def positions(self) -> np.ndarray:
-        return np.linspace(self.r_min, self.r_max, self.points)
-
-    def refined(self) -> "RadialGrid":
-        """Grid with halved spacing (2N-1 points nest exactly)."""
-        return RadialGrid(self.r_min, self.r_max, 2 * self.points - 1)
-
-
-@dataclass(frozen=True)
-class RadialEigenstate:
-    """Converged bound state: label, eigenvalue, normalized u on the grid."""
-
-    qn: QuantumNumbers
-    energy: float
-    r: np.ndarray
-    u: np.ndarray
-    norm_check: float
-
-
 def _v_eff(potential: RadialPotential, ell: int, mu: float, r: np.ndarray) -> np.ndarray:
     """V(r) plus the centrifugal term ell(ell+1)/(2 mu r^2)."""
     out = np.asarray(potential(r), dtype=float)
@@ -142,64 +92,12 @@ def _count_nodes(u: np.ndarray) -> int:
     return int(np.sum(signs[1:] != signs[:-1]))
 
 
-def solve_radial(
-    potential: RadialPotential,
-    ell: int,
-    mu: float,
-    grid: RadialGrid,
-    count: int,
-) -> list[RadialEigenstate]:
-    """Lowest ``count`` bound states, ordered by energy and labeled by nodes.
-
-    Raises GridError when fewer than ``count`` states are bound on the box or
-    when the wavefunction amplitude at a classically forbidden end exceeds
-    BOUNDARY_AMPLITUDE_TOL (box too small), and ConvergenceError when the
-    eigensolve fails or the node count of the k-th state is not k.
-    """
-    if count < 1:
-        raise DomainError(f"count must be >= 1, got {count}")
-    if ell < 0 or int(ell) != ell:
-        raise DomainError(f"ell must be a nonnegative integer, got {ell!r}")
-    if not (math.isfinite(mu) and mu > 0.0):
-        raise DomainError(f"mu must be finite and > 0, got {mu!r}")
-
-    r = grid.positions()
-    h = grid.spacing
-    with np.errstate(over="ignore"):  # r^2 beyond float range: inf or 0, checked below
-        v_eff = _v_eff(potential, ell, mu, r)
-    if not np.all(np.isfinite(v_eff[1:-1])):
-        raise DomainError("potential is not finite on the grid interior")
-
-    kin = 1.0 / (2.0 * mu * h * h)
-    diag = 2.0 * kin + v_eff[1:-1]
-    offdiag = np.full(grid.points - 3, -kin)
-    try:
-        energies, vectors = eigh_tridiagonal(diag, offdiag, select="i", select_range=(0, count - 1))
-    except np.linalg.LinAlgError as exc:  # e.g. a kinetic term 1e240 times the potential
-        raise ConvergenceError(f"tridiagonal eigensolve failed: {exc}") from None
-
-    from scipy.integrate import trapezoid  # see _simpson
-
-    states = []
-    for k in range(count):
-        u = np.zeros(grid.points)
-        u[1:-1] = vectors[:, k]
-        u /= math.sqrt(trapezoid(u * u, r))
-        states.append(u)
-    _check_states(energies, [u[1:-1] for u in states], v_eff, grid.r_min, grid.r_max)
-    return [
-        RadialEigenstate(qn=QuantumNumbers(n=k, ell=ell), energy=float(energies[k]), r=r, u=u,
-                         norm_check=_simpson(u * u, r))
-        for k, u in enumerate(states)
-    ]
-
-
 def _check_states(energies, states, v_eff: np.ndarray, r_min: float, r_max: float) -> None:
     """Raise unless each state is bound on [r_min, r_max], small at a wall
     that sits in a classically forbidden region, and has k nodes.
 
     ``states`` holds each state's values on the grid points, the first and
-    last nearest the walls; ``v_eff`` is V_eff on the grid, walls included.
+    last nearest the walls; ``v_eff`` is V_eff at the same points.
     """
     # Bound on this box means decaying at the outer end: E below V_eff there.
     count = len(energies)
@@ -229,44 +127,6 @@ def _check_states(energies, states, v_eff: np.ndarray, r_min: float, r_max: floa
             raise ConvergenceError(
                 f"state {k} has {nodes} interior nodes; eigensolve or grid is inconsistent"
             )
-
-
-def _simpson(y: np.ndarray, r: np.ndarray) -> float:
-    """Simpson's rule on the finite-difference grid.  scipy.integrate loads
-    here, on first use, so that the DVR sweep loads scipy.linalg alone."""
-    from scipy.integrate import simpson
-
-    return float(simpson(y, x=r))
-
-
-def _edge_extrapolated(values: np.ndarray) -> np.ndarray:
-    """Replace both end values by quadratic extrapolation from neighbors."""
-    out = values.copy()
-    out[0] = 3.0 * values[1] - 3.0 * values[2] + values[3]
-    out[-1] = 3.0 * values[-2] - 3.0 * values[-3] + values[-4]
-    return out
-
-
-def p4_expectation(state: RadialEigenstate, potential: RadialPotential, mu: float) -> float:
-    """<p^4> = 4 mu^2 * integral of u^2 (E - V)^2 dr; strictly positive.
-
-    ``potential`` is the bare radial potential: the centrifugal term is part
-    of p^2 and must not be subtracted here.
-    """
-    w = (state.energy - np.asarray(potential(state.r), dtype=float)) * state.u
-    w = _edge_extrapolated(w)
-    value = 4.0 * mu * mu * _simpson(w * w, state.r)
-    if not value > 0.0:
-        raise DomainError("p^4 expectation must be positive; state is not usable")
-    return value
-
-
-def extrapolate(values: Sequence[float]) -> float:
-    """Repeated Richardson steps of an O(h^2) ladder on halved spacings, down to one value."""
-    work = list(values)
-    while len(work) > 1:
-        work = [(4.0 * b - a) / 3.0 for a, b in zip(work, work[1:])]
-    return work[0]
 
 
 def _walk(r: np.ndarray, v: np.ndarray, mu: float, e_top: float, budget: float) -> float | None:
@@ -382,18 +242,19 @@ def _dvr_levels(potential: RadialPotential, ell: int, mu: float, box: tuple[floa
     """Converged energies and <p^4>/mu slopes of the lowest ``count`` states.
 
     Solves the DVR on ``points``, 2 * ``points``, ... points, at most
-    ``solves`` times, and accepts the finer of the first two successive
-    solves that agree to DVR_RTOL on every energy and slope.  Only the
-    accepted solve must pass the bound-state, wall-amplitude and node-count
-    checks (GridError or ConvergenceError); a coarser one that would fail
-    them just doubles N.  Raises ConvergenceError when no two successive
-    solves agree.
+    ``solves`` times, skipping a size with fewer points than ``count``, and
+    accepts the finer of the first two successive solves that agree to
+    DVR_RTOL on every energy and slope.  Only the accepted solve must pass
+    the bound-state, wall-amplitude and node-count checks (GridError or
+    ConvergenceError); a coarser one that would fail them just doubles N.
+    Raises ConvergenceError when no two successive solves agree; its message
+    names the sizes solved, or says that fewer than two sizes have ``count``
+    points.
     """
     sizes = [points * 2**k for k in range(solves)]
+    solved = [size for size in sizes if size >= count]  # fewer points than states: too coarse
     previous = None
-    for size in sizes:
-        if size < count:  # fewer points than states: too coarse to solve
-            continue
+    for size in solved:
         energies, slopes, vectors, v_eff = _dvr_solve(potential, ell, mu, box, size, count)
         current = np.array([energies, slopes])
         with np.errstate(invalid="ignore"):  # inf - inf is nan, which never agrees
@@ -403,5 +264,10 @@ def _dvr_levels(potential: RadialPotential, ell: int, mu: float, box: tuple[floa
             _check_states(energies, vectors.T, v_eff, *box)
             return energies, slopes
         previous = current
+    if len(solved) < min(2, len(sizes)):
+        reached = f"only N = {solved[0]}" if solved else "none"
+        raise ConvergenceError(f"sinc DVR not converged: {reached} of N = "
+                               f"{', '.join(map(str, sizes))} has at least {count} points, "
+                               f"one per requested state")
     raise ConvergenceError(f"sinc DVR not converged: no two successive solves at N = "
-                           f"{', '.join(map(str, sizes))} agree to {DVR_RTOL:g}")
+                           f"{', '.join(map(str, solved))} agree to {DVR_RTOL:g}")

@@ -22,11 +22,9 @@ from gupmol import (
     Molecule,
     NO_DEFORMATION,
     QuantumNumbers,
-    RadialGrid,
     beta_from_minimal_length,
     closed_form_table,
     closed_vs_oracle_sweep,
-    extrapolate,
     fit_beta_bound,
     fit_dunham,
     kratzer_correction_slope,
@@ -37,16 +35,15 @@ from gupmol import (
     load_levels,
     load_molecules,
     minimal_length,
-    p4_expectation,
     packaged_data_path,
     pho_correction_slope,
     pho_energy_deformed,
     pho_energy_expansion,
     pho_energy_undeformed,
     pho_spectroscopic_constants,
-    solve_radial,
     synthetic_molecule,
 )
+from gupmol.oracle import _check_states, _dvr_levels, _dvr_solve
 
 TOL_ENERGY = 1e-6
 TOL_CORRECTION = 1e-4
@@ -111,26 +108,25 @@ def test_criterion_3_synthetic_exact_point():
     m = Molecule("unit", de=1.0, re=1.0, mu=1.0)
     qn = QuantumNumbers(0, 0)
 
-    # solver confirmation first (rmin = 1e-5: the perturbation integrand has a
-    # nonzero r -> 0 limit here, so the inner cutoff must be tight)
+    # solver confirmation first, by the DVR at two sizes on a hand-set box
+    # (r_min = 1e-6: the perturbation integrand has a nonzero r -> 0 limit
+    # here, so the inner cutoff must be tight).  Each size is held to the
+    # tolerance: on this shallow well the slopes drift by about 1e-7 per
+    # doubling, so successive solves never meet the sweep's DVR_RTOL.
     pot = KratzerPotential.from_molecule(m)
-    grid = RadialGrid(1e-5, 60.0, 4001)
-    energy_ladder, slope_ladder = [], []
-    for _ in range(3):
-        state = solve_radial(pot, 0, m.mu, grid, 1)[0]
-        energy_ladder.append(state.energy)
-        slope_ladder.append(p4_expectation(state, pot, m.mu) / m.mu)
-        grid = grid.refined()
-    e_solver = extrapolate(energy_ladder)
-    slope_solver = extrapolate(slope_ladder)
-    e_err = abs(e_solver - (-0.5)) / 0.5
-    s_err = abs(slope_solver - 1.0)
+    box = (1e-6, 60.0)
+    e_err = s_err = 0.0
+    for points in (256, 512):
+        energies, slopes, vectors, v_eff = _dvr_solve(pot, 0, m.mu, box, points, 1)
+        _check_states(energies, vectors.T, v_eff, *box)
+        e_err = max(e_err, abs(energies[0] - (-0.5)) / 0.5)
+        s_err = max(s_err, abs(slopes[0] / m.mu - 1.0))
     ok = e_err <= 1e-4 and s_err <= 1e-4
     report(
         3,
         ok,
-        f"solver E00 = {e_solver:.8f} (rel err {e_err:.2e}), "
-        f"shift/beta = {slope_solver:.8f} (err {s_err:.2e}); golden values frozen",
+        f"DVR at N = 256 and 512: worst E00 rel err {e_err:.2e}, "
+        f"worst shift/beta err {s_err:.2e} (tol 1e-4); golden values frozen",
     )
     assert e_err <= 1e-4
     assert s_err <= 1e-4
@@ -333,33 +329,16 @@ def test_criterion_8_hydrogenic_sanity():
     def coulomb(r):
         return -1.0 / r
 
-    exact = {0: -0.5, 1: -0.125}
-    grid = RadialGrid(1e-9, 60.0, 4001)
-    ladders = {0: [], 1: []}
-    node_ok = True
-    for _ in range(3):
-        states = solve_radial(coulomb, 0, 1.0, grid, 2)
-        for k in (0, 1):
-            ladders[k].append(states[k].energy)
-            node_ok = node_ok and states[k].qn.n == k
-        grid = grid.refined()
-
-    rels = {
-        k: abs(extrapolate(ladders[k]) - exact[k]) / abs(exact[k]) for k in (0, 1)
-    }
-    raw_errors = [abs(e - exact[0]) for e in ladders[0]]
-    orders = [math.log2(a / b) for a, b in zip(raw_errors, raw_errors[1:])]
-    orders_ok = all(1.8 <= o <= 2.2 for o in orders)
-    ok = node_ok and orders_ok and all(r <= 1e-6 for r in rels.values())
+    exact = (-0.5, -0.125)
+    # converged when two successive DVR solves (64, 128, ... points) agree
+    # to DVR_RTOL; the accepted solve's node counts must label the states
+    energies, _ = _dvr_levels(coulomb, 0, 1.0, (1e-9, 60.0), 2, 64, 5)
+    rels = [abs(e - x) / abs(x) for e, x in zip(energies, exact)]
+    ok = all(r <= 1e-6 for r in rels)
     report(
         8,
         ok,
-        f"extrapolated rel errs {rels[0]:.2e}, {rels[1]:.2e} (tol 1e-6); "
-        f"convergence orders {['%.3f' % o for o in orders]} (want [1.8, 2.2]); "
-        f"node counts {'match' if node_ok else 'MISMATCH'}",
+        f"converged DVR rel errs {rels[0]:.2e}, {rels[1]:.2e} (tol 1e-6); node counts match",
     )
-    assert node_ok
-    for k in (0, 1):
-        assert rels[k] <= 1e-6
-    for order in orders:
-        assert 1.8 <= order <= 2.2
+    for rel in rels:
+        assert rel <= 1e-6

@@ -11,13 +11,9 @@ from gupmol import (
     GridError,
     KratzerPotential,
     PhoPotential,
-    RadialGrid,
     closed_vs_oracle_sweep,
-    extrapolate,
     kratzer_energy_undeformed,
-    p4_expectation,
     pho_energy_undeformed,
-    solve_radial,
     synthetic_molecule,
 )
 from gupmol import oracle
@@ -25,10 +21,11 @@ from gupmol.core import QuantumNumbers
 from gupmol.oracle import (
     DVR_MAX_POINTS,
     INNER_WALL,
+    _check_states,
+    _count_nodes,
     _dvr_box,
+    _dvr_levels,
     _dvr_solve,
-    _edge_extrapolated,
-    _simpson,
     _v_eff,
 )
 from gupmol.spectroscopy import get_model
@@ -42,89 +39,55 @@ def hydrogenic_energy(n, ell, mu=1.0, g2=1.0, hbar=1.0):
     return -mu * g2 * g2 / (2.0 * hbar * hbar * (n + ell + 1) ** 2)
 
 
-def fd_grid(pot, m, ell, n_max, points, r_min=None):
-    """Finite-difference grid out to the DVR box's outer wall, from r_min
-    (INNER_WALL * re by default)."""
-    r_min = INNER_WALL * m.re if r_min is None else r_min
-    return RadialGrid(r_min, _dvr_box(pot, m.mu, ell, n_max, m.re)[1], points)
+def dvr_grid(box, points):
+    """The radii of the DVR's grid points on ``box``, as ``_dvr_solve`` has them."""
+    return np.exp(np.linspace(math.log(box[0]), math.log(box[1]), points))
 
 
-def _p4_second_difference(state):
-    """<p^4> from explicit second differences of u: p^2 u = -u'' + ell(ell+1) u / r^2,
-    squared and integrated.  Agrees with p4_expectation only to the
-    discretization order; the (E - V)^2 form is the primary definition."""
-    r, u = state.r, state.u
-    h = r[1] - r[0]
-    ell = state.qn.ell
-    p2u = np.empty_like(u)
-    p2u[1:-1] = -(u[2:] - 2.0 * u[1:-1] + u[:-2]) / (h * h)
-    p2u[1:-1] += ell * (ell + 1) * u[1:-1] / (r[1:-1] * r[1:-1])
-    p2u = _edge_extrapolated(p2u)
-    return _simpson(p2u * p2u, r)
+def checked_solve(potential, ell, mu, box, points, count):
+    """One DVR solve whose states pass the bound-state, wall-amplitude and
+    node-count checks: energies, slopes and unit eigenvectors as columns."""
+    energies, slopes, vectors, v_eff = _dvr_solve(potential, ell, mu, box, points, count)
+    _check_states(energies, vectors.T, v_eff, *box)
+    return energies, slopes, vectors
 
 
-def _kinetic_expectation(state, mu):
-    """<p^2>/2mu from du/dr (central differences) plus the centrifugal piece:
-    independent of the eigensolve's own identity E = T + V on the discrete
-    operator, so comparing it against E - <V> is a real consistency check."""
-    r, u = state.r, state.u
-    du = np.gradient(u, r, edge_order=2)
-    ell = state.qn.ell
-    h2m = 1.0 / (2.0 * mu)
-    value = h2m * _simpson(du * du, r)
-    if ell:
-        value += h2m * ell * (ell + 1) * _simpson(u * u / (r * r), r)
-    return value
-
-
-def _potential_expectation(state, potential):
-    return _simpson(state.u * state.u * np.asarray(potential(state.r), dtype=float), state.r)
-
-
-class TestGrid:
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            RadialGrid(r_min=0.0, r_max=1.0, points=100)
-        with pytest.raises(DomainError):
-            RadialGrid(r_min=2.0, r_max=1.0, points=100)
-        with pytest.raises(DomainError):
-            RadialGrid(r_min=0.1, r_max=1.0, points=4)
-
-    def test_refined_nests(self):
-        grid = RadialGrid(0.1, 2.1, 101)
-        fine = grid.refined()
-        assert fine.points == 201
-        assert fine.spacing == pytest.approx(grid.spacing / 2.0, rel=1e-15)
-        assert np.allclose(fine.positions()[::2], grid.positions())
+COULOMB_BOX = (1e-9, 80.0)
 
 
 @pytest.fixture(scope="module")
 def coulomb_states():
-    grid = RadialGrid(1e-9, 60.0, 8001)
-    return solve_radial(coulomb, 0, 1.0, grid, 3)
+    return checked_solve(coulomb, 0, 1.0, COULOMB_BOX, 512, 3)
 
 
 class TestCoulomb:
     def test_raw_eigenvalues(self, coulomb_states):
-        assert coulomb_states[0].energy == pytest.approx(-0.5, rel=1e-4)
-        assert coulomb_states[1].energy == pytest.approx(-0.125, rel=1e-4)
+        energies, _, _ = coulomb_states
+        assert energies[0] == pytest.approx(-0.5, rel=1e-4)
+        assert energies[1] == pytest.approx(-0.125, rel=1e-4)
 
     def test_node_counts_label_states(self, coulomb_states):
-        for k, state in enumerate(coulomb_states):
-            assert state.qn.n == k
+        _, _, vectors = coulomb_states
+        assert [_count_nodes(v) for v in vectors.T] == [0, 1, 2]
 
     def test_normalization(self, coulomb_states):
-        for state in coulomb_states:
-            assert state.norm_check == pytest.approx(1.0, abs=1e-8)
+        # a unit eigenvector is psi = r^(1/2) u at the points times sqrt(h),
+        # so u = v / sqrt(h r) has int u^2 dr = 1; the trapezoid rule in r is
+        # only as fine as the ln r grid is at large r (4e-4 here)
+        _, _, vectors = coulomb_states
+        r = dvr_grid(COULOMB_BOX, 512)
+        h = math.log(r[1] / r[0])
+        for v in vectors.T:
+            u2 = v * v / (h * r)
+            assert np.sum((u2[1:] + u2[:-1]) * np.diff(r)) / 2.0 == pytest.approx(1.0, abs=1e-3)
 
     def test_monotone_in_n(self, coulomb_states):
-        energies = [s.energy for s in coulomb_states]
-        assert energies == sorted(energies)
+        energies, _, _ = coulomb_states
+        assert list(energies) == sorted(energies)
 
     def test_monotone_in_ell(self):
-        grid = RadialGrid(1e-9, 60.0, 4001)
-        e_l0 = solve_radial(coulomb, 0, 1.0, grid, 1)[0].energy
-        e_l1 = solve_radial(coulomb, 1, 1.0, grid, 1)[0].energy
+        e_l0 = checked_solve(coulomb, 0, 1.0, COULOMB_BOX, 256, 1)[0][0]
+        e_l1 = checked_solve(coulomb, 1, 1.0, COULOMB_BOX, 256, 1)[0][0]
         assert e_l0 < e_l1
         # accidental degeneracy: (n=0, l=1) matches (n=1, l=0) hydrogen level
         assert e_l1 == pytest.approx(hydrogenic_energy(0, 1), rel=1e-4)
@@ -132,81 +95,61 @@ class TestCoulomb:
 
 class TestSolverContracts:
     def test_too_small_box_loses_bound_states(self):
-        grid = RadialGrid(1e-9, 5.0, 2001)
-        with pytest.raises(GridError, match="bound"):
-            solve_radial(coulomb, 0, 1.0, grid, 2)
+        with pytest.raises(GridError, match="only 1 of the requested 2 states are bound"):
+            checked_solve(coulomb, 0, 1.0, (1e-9, 5.0), 256, 2)
 
     def test_boundary_amplitude_guard(self):
         m = synthetic_molecule(20.0)
         pot = KratzerPotential.from_molecule(m)
-        grid = RadialGrid(1e-3, 2.5, 2001)  # outer turning point of n=3 is ~2.24
-        with pytest.raises(GridError, match="r_max"):
-            solve_radial(pot, 0, m.mu, grid, 4)
-
-    def test_bad_count(self):
-        grid = RadialGrid(1e-9, 40.0, 1001)
-        with pytest.raises(DomainError):
-            solve_radial(coulomb, 0, 1.0, grid, 0)
+        for points in (128, 512):  # outer turning point of n=3 is ~2.24
+            with pytest.raises(GridError, match="enlarge r_max"):
+                checked_solve(pot, 0, m.mu, (1e-3, 2.5), points, 4)
 
 
 @pytest.fixture(scope="module")
 def kratzer_case():
     m = synthetic_molecule(20.0)
     pot = KratzerPotential.from_molecule(m)
-    grid = fd_grid(pot, m, 0, 1, 2001)
-    states = solve_radial(pot, 0, m.mu, grid, 2)
-    return m, pot, grid, states
+    box = _dvr_box(pot, m.mu, 1, 1, m.re)
+    return m, pot, box, checked_solve(pot, 1, m.mu, box, 256, 2)
 
 
 class TestPerturbation:
     def test_p4_positive(self, kratzer_case):
-        m, pot, _, states = kratzer_case
-        for state in states:
-            assert p4_expectation(state, pot, m.mu) > 0.0
+        _, _, _, (_, slopes, _) = kratzer_case
+        assert np.all(slopes > 0.0)
 
-    def test_second_difference_route_agrees(self, kratzer_case):
-        m, pot, _, states = kratzer_case
-        primary = p4_expectation(states[0], pot, m.mu)
-        alternative = _p4_second_difference(states[0])
-        assert alternative == pytest.approx(primary, rel=1e-2)
-
-    def test_quadratic_convergence_of_p4(self, kratzer_case):
-        m, pot, grid, _ = kratzer_case
-        values = []
-        g = grid
-        for _ in range(3):
-            state = solve_radial(pot, 0, m.mu, g, 1)[0]
-            values.append(p4_expectation(state, pot, m.mu))
-            g = g.refined()
-        ratio = (values[0] - values[1]) / (values[1] - values[2])
-        assert ratio == pytest.approx(4.0, rel=0.25)
+    def test_hellmann_feynman_agrees_with_the_eigenvectors(self, kratzer_case):
+        # dE/dg1 = <1/r^2>: the central difference of the level in g1 against
+        # the sum over the eigenvector, a route that shares only the matrix
+        m, pot, box, (_, _, vectors) = kratzer_case
+        step = 1e-5 * pot.g1
+        upper, lower = (_dvr_solve(KratzerPotential(pot.g1 + sign * step, pot.g2), 1, m.mu,
+                                   box, 256, 2)[0] for sign in (1.0, -1.0))
+        r = dvr_grid(box, 256)
+        expectation = np.sum(vectors * vectors / (r * r)[:, None], axis=0)
+        np.testing.assert_allclose((upper - lower) / (2.0 * step), expectation, rtol=1e-8,
+                                   atol=0)
 
     def test_virial_consistency(self, kratzer_case):
-        m, pot, grid, _ = kratzer_case
-        ratios = []
-        g = grid
-        for _ in range(3):
-            state = solve_radial(pot, 1, m.mu, g, 1)[0]
-            lhs = _kinetic_expectation(state, m.mu)
-            rhs = state.energy - _potential_expectation(state, pot)
-            ratios.append(lhs / rhs)
-            g = g.refined()
-        assert extrapolate(ratios) == pytest.approx(1.0, abs=1e-6)
+        # scaling r leaves the levels of a box the states have decayed in
+        # unchanged: 2 <T> = <r V'>, with <T> = E - <V> taking the
+        # centrifugal term, which scales as the kinetic one
+        _, pot, box, (energies, _, vectors) = kratzer_case
+        r = dvr_grid(box, 256)
+        weights = vectors * vectors
+        potential = weights.T @ pot(r)
+        r_dv = weights.T @ (-2.0 * pot.g1 / (r * r) + pot.g2 / r)
+        np.testing.assert_allclose(2.0 * (energies - potential), r_dv, rtol=1e-10, atol=0)
 
 
 class TestGridChoice:
     def test_eigenvalue_insensitive_to_inner_wall(self):
         m = synthetic_molecule(20.0)
         pot = KratzerPotential.from_molecule(m)
-        values = []
-        for r_min in (1e-3, 5e-4):
-            grid = fd_grid(pot, m, 0, 0, 4001, r_min=r_min)
-            ladder = []
-            g = grid
-            for _ in range(3):
-                ladder.append(solve_radial(pot, 0, m.mu, g, 1)[0].energy)
-                g = g.refined()
-            values.append(extrapolate(ladder))
+        r_max = _dvr_box(pot, m.mu, 0, 0, m.re)[1]
+        values = [_dvr_levels(pot, 0, m.mu, (r_min, r_max), 1, 64, 6)[0][0]
+                  for r_min in (1e-3, 5e-4)]
         assert abs(values[0] - values[1]) <= 1e-8 * abs(values[0])
 
     def test_auto_grid_requires_a_well(self):
@@ -226,56 +169,42 @@ class TestGridChoice:
         for g in (20.0, 100.0):
             m = synthetic_molecule(g)
             for pot in (KratzerPotential.from_molecule(m), PhoPotential.from_molecule(m)):
-                grid = fd_grid(pot, m, 2, 3, 4001)
-                assert grid.r_max > m.re
+                box = _dvr_box(pot, m.mu, 2, 3, m.re)
+                assert box[1] > m.re
                 # box must actually hold the requested states
-                solve_radial(pot, 2, m.mu, grid, 4)
+                _dvr_levels(pot, 2, m.mu, box, 4, 64, 5)
 
 
 class TestMonotonicity:
     @pytest.mark.parametrize("make_potential", [KratzerPotential.from_molecule,
                                                 PhoPotential.from_molecule])
     def test_energies_increase_in_n_and_ell(self, make_potential):
-        m = synthetic_molecule(20.0)
-        pot = make_potential(m)
-        by_ell = []
-        for ell in range(3):
-            grid = fd_grid(pot, m, ell, 3, 2001)
-            states = solve_radial(pot, ell, m.mu, grid, 4)
-            energies = [s.energy for s in states]
-            assert all(a < b for a, b in zip(energies, energies[1:]))
-            by_ell.append(energies)
-        for n in range(4):
-            ladder = [by_ell[ell][n] for ell in range(3)]
-            assert all(a < b for a, b in zip(ladder, ladder[1:]))
+        for g in (20.0, 100.0):
+            m = synthetic_molecule(g)
+            pot = make_potential(m)
+            by_ell = [checked_solve(pot, ell, m.mu, _dvr_box(pot, m.mu, ell, 3, m.re), 256, 4)[0]
+                      for ell in range(3)]
+            assert np.all(np.diff(by_ell, axis=1) > 0.0)  # in n
+            assert np.all(np.diff(by_ell, axis=0) > 0.0)  # in ell
 
 
 class TestClosedFormAgreement:
     """Spot checks; the full sweep lives in the acceptance suite."""
 
-    def test_kratzer_ground_state(self):
+    @staticmethod
+    def ground_state(kind):
         m = synthetic_molecule(100.0)
-        pot = KratzerPotential.from_molecule(m)
-        grid = fd_grid(pot, m, 0, 0, 2001)
-        ladder = []
-        g = grid
-        for _ in range(3):
-            ladder.append(solve_radial(pot, 0, m.mu, g, 1)[0].energy)
-            g = g.refined()
-        exact = kratzer_energy_undeformed(m, QuantumNumbers(0, 0))
-        assert extrapolate(ladder) == pytest.approx(exact, rel=1e-7)
+        pot = get_model(kind).potential(m)
+        return m, _dvr_levels(pot, 0, m.mu, _dvr_box(pot, m.mu, 0, 0, m.re), 1, 64, 5)[0][0]
+
+    def test_kratzer_ground_state(self):
+        m, energy = self.ground_state("kratzer")
+        assert energy == pytest.approx(kratzer_energy_undeformed(m, QuantumNumbers(0, 0)),
+                                       rel=1e-7)
 
     def test_pho_ground_state(self):
-        m = synthetic_molecule(100.0)
-        pot = PhoPotential.from_molecule(m)
-        grid = fd_grid(pot, m, 0, 0, 2001)
-        ladder = []
-        g = grid
-        for _ in range(3):
-            ladder.append(solve_radial(pot, 0, m.mu, g, 1)[0].energy)
-            g = g.refined()
-        exact = pho_energy_undeformed(m, QuantumNumbers(0, 0))
-        assert extrapolate(ladder) == pytest.approx(exact, rel=1e-7)
+        m, energy = self.ground_state("pho")
+        assert energy == pytest.approx(pho_energy_undeformed(m, QuantumNumbers(0, 0)), rel=1e-7)
 
 
 class TestSweep:
@@ -480,6 +409,22 @@ class TestDVR:
         report = closed_vs_oracle_sweep(potentials=("kratzer",), gammas=(100.0,), n_max=20,
                                         l_max=0, base_points=16, levels=6)
         assert report.all_passed, report.cells[0].note
+
+    @pytest.mark.parametrize("n_max, solved, note", [
+        (100, [], "none of N = 16, 32, 64 has at least 101 points, one per requested state"),
+        (40, [64], "only N = 64 of N = 16, 32, 64 has at least 41 points, one per requested "
+                   "state"),
+        (20, [32, 64], "no two successive solves at N = 32, 64 agree to 1e-08"),
+    ], ids=["none-solved", "one-solved", "two-solved"])
+    def test_not_converged_note_names_the_sizes_solved(self, monkeypatch, n_max, solved, note):
+        sizes = []
+        solve = oracle._dvr_solve
+        monkeypatch.setattr(oracle, "_dvr_solve",
+                            lambda *args: sizes.append(args[4]) or solve(*args))
+        report = closed_vs_oracle_sweep(potentials=("kratzer",), gammas=(20.0,), n_max=n_max,
+                                        l_max=0, base_points=16, levels=3)
+        assert sizes == solved
+        assert {cell.note for cell in report.cells} == {f"sinc DVR not converged: {note}"}
 
     @pytest.mark.parametrize("gamma_value, r_max", [(20.0, 10.0), (1000.0, 3.0)])
     def test_hand_set_box(self, gamma_value, r_max):

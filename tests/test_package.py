@@ -1,5 +1,5 @@
 """Package surface: exported names, pinned CODATA factors, numpy- and scipy-free cold starts,
-and no unused imports in the modules."""
+and no unused imports or private names in the modules."""
 import ast
 import json
 import subprocess
@@ -17,17 +17,16 @@ EXPORTS = (
     "DomainError", "DunhamFit", "EV_TO_CM1", "EnergyLevel", "ExperimentalLevel", "FitError",
     "GridError", "GupmolError", "HBAR", "HBARC_EV_ANGSTROM", "KratzerPotential", "LevelTable",
     "Molecule", "NO_DEFORMATION", "PerturbationWarning", "PhoPotential", "QuantumNumbers",
-    "RadialEigenstate", "RadialGrid", "SpectroscopicConstants", "SweepCell", "SweepReport",
-    "UNITS", "UnitSystem",
+    "SpectroscopicConstants", "SweepCell", "SweepReport", "UNITS", "UnitSystem",
     "beta_from_minimal_length", "closed_form_table", "closed_vs_oracle_sweep", "core",
-    "extrapolate", "fit_beta_bound", "fit_dunham", "gamma",
+    "fit_beta_bound", "fit_dunham", "gamma",
     "kratzer", "kratzer_correction_slope", "kratzer_energy_deformed",
     "kratzer_energy_expansion", "kratzer_energy_undeformed", "kratzer_spectroscopic_constants",
     "lambda_kratzer", "lambda_pho", "load_levels", "load_molecules", "master_energy",
-    "minimal_length", "oracle", "p4_expectation", "packaged_data_path",
+    "minimal_length", "oracle", "packaged_data_path",
     "pho", "pho_correction_slope", "pho_energy_deformed",
     "pho_energy_expansion", "pho_energy_undeformed", "pho_spectroscopic_constants",
-    "solve_radial", "spectroscopy", "synthetic_molecule",
+    "spectroscopy", "synthetic_molecule",
     "verify",
 )
 
@@ -45,12 +44,14 @@ def test_star_import_keeps_every_name():
 
 
 def test_lazy_names_are_the_solver_modules_own():
-    from gupmol import closed_vs_oracle_sweep, solve_radial
-    from gupmol.oracle import solve_radial as oracle_solve_radial
+    from gupmol import SweepCell, SweepReport, closed_vs_oracle_sweep, oracle, verify
+    from gupmol.oracle import _dvr_levels
     from gupmol.verify import closed_vs_oracle_sweep as verify_sweep
 
-    assert solve_radial is oracle_solve_radial
-    assert closed_vs_oracle_sweep is verify_sweep
+    assert oracle._dvr_levels is _dvr_levels
+    assert (closed_vs_oracle_sweep, SweepCell, SweepReport) == (
+        verify_sweep, verify.SweepCell, verify.SweepReport)
+    assert len(EXPORTS) == 57
 
 
 def test_unknown_name_is_attribute_error():
@@ -197,6 +198,53 @@ def test_modules_import_only_what_they_use():
               for path in sorted(package.glob("*.py")) if path.name != "__init__.py"}
     assert {name: names for name, names in unused.items() if names} == {}
 
+
+def unused_private_names(sources: dict[str, str]) -> list[str]:
+    """Private names (one leading underscore, not dunder) that a module of
+    ``sources`` (file name -> source) binds at its top level, by a def, class,
+    assignment or import, and that no module reads: as a name, as an
+    attribute (``core._grid``) or in a ``from ... import``."""
+    read = set()
+    bound = []
+    for file_name, source in sources.items():
+        tree = ast.parse(source)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+            else:
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target] if isinstance(node, ast.AnnAssign) else [])
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            bound += [(file_name, node.lineno, name) for name in names
+                      if name.startswith("_") and not name.startswith("__")]
+    return [f"{file_name}: {name} (line {line})" for file_name, line, name in bound
+            if name not in read]
+
+
+def test_private_name_check_sees_an_unused_name():
+    sources = {
+        "a.py": "import numpy as _np\n_x = 1\n_y: int = 2\n__version__ = '1'\n"
+                "def _f(): return _y\nclass _C: ...\n_p, (_q, _r) = 1, (2, 3)\nprint(_q)\n",
+        "b.py": "from a import _f\nimport a\na._C\ndef g(): return _f()\n",
+    }
+    assert unused_private_names(sources) == [
+        "a.py: _np (line 1)", "a.py: _x (line 2)", "a.py: _p (line 7)", "a.py: _r (line 7)"]
+
+
+def test_modules_read_every_private_name():
+    package = Path(gupmol.__file__).parent
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted(package.glob("*.py"))}
+    assert unused_private_names(sources) == []
 
 
 def unbounded_caches(source: str) -> list[str]:
