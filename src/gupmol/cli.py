@@ -384,8 +384,8 @@ def build_parser() -> argparse.ArgumentParser:
     vp.add_argument("--grid-points", type=int,
                     help="points of the first sinc-DVR solve (default: 64)")
     vp.add_argument("--levels", type=int,
-                    help="most sinc-DVR solves, each with twice the points of the one "
-                         "before; the last may not exceed the DVR size cap (default: 5)")
+                    help="sinc-DVR sizes to try, each twice the one before, up to the DVR size "
+                         "cap; a size with fewer points than states is left out (default: 5)")
     vp.add_argument("--rmax", type=float, help="override the automatic box size")
     vp.add_argument("--format", choices=("csv", "json"), default="csv")
     vp.set_defaults(func=cmd_verify)

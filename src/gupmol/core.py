@@ -248,7 +248,11 @@ class QuantumNumbers:
         if type(self.n) is int and type(self.ell) is int and self.n >= 0 and self.ell >= 0:
             return  # exact ints need neither a check nor a conversion
         for label, value in (("n", self.n), ("ell", self.ell)):
-            if isinstance(value, bool) or int(value) != value or value < 0:
+            try:  # None >= 0 and int(inf) raise errors of their own
+                integral = not isinstance(value, bool) and value >= 0 and int(value) == value
+            except (TypeError, ValueError, OverflowError):
+                integral = False
+            if not integral:
                 raise DomainError(f"{label} must be a nonnegative integer, got {value!r}")
             object.__setattr__(self, label, int(value))
 

@@ -18,8 +18,8 @@ r^(1/2 + lambda) at the origin, a branch point that a uniform r grid
 resolves only slowly but that is a plain exponential in x; the error falls
 faster than any power of the spacing.  The box comes from V_eff sampled
 once on a grid in ln r: its minimum, then a WKB walk over the same points
-from there, outward and inward (``_dvr_box``).  The sweep doubles the number
-of points until two successive solves agree (``_dvr_levels``).
+from there, outward and inward (``_dvr_box``).  The sweep's sizes are
+tried in turn until two successive solves agree (``_dvr_levels``).
 
 The first-order minimal-length shift is evaluated through the operator
 identity p^2 u = 2 mu (E - V) u on an eigenstate, which turns <p^4> into
@@ -35,7 +35,7 @@ kinetic term grows as 1/r_min^2.
 from __future__ import annotations
 
 import math
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.linalg import toeplitz
@@ -68,8 +68,8 @@ MIN_GRID_POINTS = 16
 INNER_WALL = 1e-3
 
 #: Most points of a sinc-DVR Hamiltonian.  The dense 2048 x 2048 matrix is
-#: 32 MB and is solved in place: one solve at the cap takes about 40 MB and
-#: 0.8 s on one BLAS thread.
+#: 32 MB, and the solve overwrites it in place: one solve at the cap takes
+#: about 40 MB and 0.8 s on one BLAS thread.
 DVR_MAX_POINTS = 2048
 
 #: Relative agreement, on every energy and slope, at which the finer of two
@@ -238,23 +238,19 @@ def _dvr_solve(potential: RadialPotential, ell: int, mu: float, box: tuple[float
 
 
 def _dvr_levels(potential: RadialPotential, ell: int, mu: float, box: tuple[float, float],
-                count: int, points: int, solves: int) -> tuple[np.ndarray, np.ndarray]:
+                count: int, sizes: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     """Converged energies and <p^4>/mu slopes of the lowest ``count`` states.
 
-    Solves the DVR on ``points``, 2 * ``points``, ... points, at most
-    ``solves`` times, skipping a size with fewer points than ``count``, and
-    accepts the finer of the first two successive solves that agree to
-    DVR_RTOL on every energy and slope.  Only the accepted solve must pass
-    the bound-state, wall-amplitude and node-count checks (GridError or
-    ConvergenceError); a coarser one that would fail them just doubles N.
-    Raises ConvergenceError when no two successive solves agree; its message
-    names the sizes solved, or says that fewer than two sizes have ``count``
-    points.
+    Solves the DVR at each of ``sizes`` points in turn, each size at least
+    ``count``, and accepts the finer of the first two successive solves that
+    agree to DVR_RTOL on every energy and slope.  Only the accepted solve
+    must pass the bound-state, wall-amplitude and node-count checks
+    (GridError or ConvergenceError); a coarser one that would fail them just
+    moves on to the next size.  Raises ConvergenceError, naming the sizes,
+    when no two successive solves agree.
     """
-    sizes = [points * 2**k for k in range(solves)]
-    solved = [size for size in sizes if size >= count]  # fewer points than states: too coarse
     previous = None
-    for size in solved:
+    for size in sizes:
         energies, slopes, vectors, v_eff = _dvr_solve(potential, ell, mu, box, size, count)
         current = np.array([energies, slopes])
         with np.errstate(invalid="ignore"):  # inf - inf is nan, which never agrees
@@ -264,10 +260,5 @@ def _dvr_levels(potential: RadialPotential, ell: int, mu: float, box: tuple[floa
             _check_states(energies, vectors.T, v_eff, *box)
             return energies, slopes
         previous = current
-    if len(solved) < min(2, len(sizes)):
-        reached = f"only N = {solved[0]}" if solved else "none"
-        raise ConvergenceError(f"sinc DVR not converged: {reached} of N = "
-                               f"{', '.join(map(str, sizes))} has at least {count} points, "
-                               f"one per requested state")
     raise ConvergenceError(f"sinc DVR not converged: no two successive solves at N = "
-                           f"{', '.join(map(str, solved))} agree to {DVR_RTOL:g}")
+                           f"{', '.join(map(str, sizes))} agree to {DVR_RTOL:g}")

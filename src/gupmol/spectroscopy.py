@@ -70,10 +70,10 @@ def get_model(kind: str) -> Model:
 class LevelTable:
     """Levels of one molecule as read-only columns, integer ``n`` and ``ell`` and float
     ``energy``, plus provenance.  Built from ``entries``, ((QuantumNumbers, energy), ...),
-    or by closed_form_table from its kernel columns, when ``entries`` is a view made
-    on first use.  A level may not repeat: entries are checked for repeats; the kernel
-    columns of closed_form_table are an n-major grid and are not re-checked.  A table
-    equals only itself.
+    or by closed_form_table from its kernel columns; ``entries`` is a view built from
+    the columns on each read, so a loop over levels reads the columns.  A level may not
+    repeat: entries are checked for repeats; the kernel columns of closed_form_table
+    are an n-major grid and are not re-checked.  A table equals only itself.
 
     The fit basis (fit_dunham's design matrix and distinct counts) is built on the
     first fit and kept.  A closed_form_table shares its ``n`` and ``ell`` columns and
@@ -92,7 +92,7 @@ class LevelTable:
         if provenance not in PROVENANCES:
             raise DomainError(f"provenance must be one of {PROVENANCES}, got {provenance!r}")
         if _columns is None:
-            self.__dict__["entries"] = entries = tuple(entries)
+            entries = tuple(entries)
             n = np.array([qn.n for qn, _ in entries], dtype=np.int64)
             ell = np.array([qn.ell for qn, _ in entries], dtype=np.int64)
             order = np.lexsort((ell, n))  # stable, so each repeat sorts after its first row
@@ -107,7 +107,7 @@ class LevelTable:
             column.flags.writeable = False
         self.__dict__.update(molecule=molecule, n=n, ell=ell, energy=energy, provenance=provenance)
 
-    @cached_property
+    @property
     def entries(self) -> tuple[tuple[QuantumNumbers, float], ...]:
         return tuple(zip(map(QuantumNumbers, self.n.tolist(), self.ell.tolist()),
                          self.energy.tolist()))

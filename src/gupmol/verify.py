@@ -85,17 +85,17 @@ def closed_vs_oracle_sweep(
 ) -> SweepReport:
     """Run the full verification sweep and collect one cell per (n, ell).
 
-    Each (potential, gamma, ell) starts the DVR at ``base_points`` points and
-    doubles them, at most ``levels`` solves, until two successive solves
-    agree (``oracle._dvr_levels``).  Solver failures (box too small, no
-    agreement, a failed check) mark the affected cells FAIL with the
-    diagnostic in ``note`` instead of aborting the sweep, so a deliberately
-    coarse start produces a failing report rather than a crash.
-    Configuration errors (no potential or gamma, unknown potential, n_max or
-    l_max not a nonnegative integer, tolerances, grid size above
-    DVR_MAX_POINTS, box) raise DomainError before the first solve, and a
-    closed-form level or shift that is not finite raises DomainError before
-    its (potential, gamma, ell) is solved.
+    The DVR sizes are ``base_points`` doubled, ``levels`` sizes in all, less
+    those with fewer points than the n_max + 1 states; each (potential,
+    gamma, ell) solves them in turn until two successive solves agree
+    (``oracle._dvr_levels``).  Solver failures (box too small, no agreement,
+    a failed check) mark the affected cells FAIL with the diagnostic in
+    ``note``, so a deliberately coarse start produces a failing report rather
+    than a crash.  DomainError comes before the first box or solve: for no
+    potential or gamma, an unknown potential, n_max or l_max not a
+    nonnegative integer, tolerances, sizes (``levels`` below 1, below
+    MIN_GRID_POINTS, above DVR_MAX_POINTS, none with room for the states),
+    the box, and a closed-form level or shift not finite or at a slope pole.
     """
     models = [get_model(kind) for kind in potentials]
     molecules = [synthetic_molecule(gamma_value) for gamma_value in gammas]
@@ -113,14 +113,17 @@ def closed_vs_oracle_sweep(
     if levels - 1 > (DVR_MAX_POINTS // base_points).bit_length() - 1:
         raise DomainError(f"{levels} solves from {base_points} points exceed the DVR cap of "
                           f"{DVR_MAX_POINTS} points")
+    sizes = [size for size in (base_points * 2**k for k in range(levels)) if size > n_max]
+    if not sizes:
+        raise DomainError(f"{levels} solves from {base_points} points never reach one point "
+                          f"for each of the {n_max + 1} states")
     if r_max is not None and not (math.isfinite(r_max)
                                   and all(r_max > INNER_WALL * m.re for m in molecules)):
         raise DomainError(f"r_max must be finite and above the inner wall ({INNER_WALL:g} re), "
                           f"got {r_max!r}")
     t0 = time.perf_counter()
     deformation = Deformation(beta)
-    cells: list[SweepCell] = []
-
+    plan = []  # every closed form, so that no refusal follows a solve
     for model in models:
         for gamma_value, m in zip(gammas, molecules):
             potential = model.potential(m)
@@ -134,32 +137,32 @@ def closed_vs_oracle_sweep(
                             f"gamma = {gamma_value!r} is out of floating-point range (level "
                             f"{e_closed!r}, shift {de_closed!r}); cannot verify it"
                         )
-                try:
-                    box = _dvr_box(potential, m.mu, ell, n_max, m.re, r_max)
-                    energies, slopes = _dvr_levels(potential, ell, m.mu, box, n_max + 1,
-                                                   base_points, levels)
-                    failure = None
-                except GupmolError as exc:
-                    failure = str(exc)
+                plan.append((model.name, gamma_value, m, potential, ell, closed))
 
-                for n, (e_closed, de_closed) in enumerate(closed):
-                    if failure is not None:  # an infinite error fails the tolerance test
-                        e_oracle = de_oracle = math.nan
-                        e_rel = de_rel = math.inf
-                    else:
-                        e_oracle = float(energies[n])
-                        de_oracle = deformation.beta * float(slopes[n])
-                        e_rel = _rel(abs(e_oracle - e_closed), e_closed)
-                        if deformation.beta == 0.0:
-                            de_rel = 0.0  # both shifts are exactly zero
-                        else:
-                            de_rel = _rel(abs(de_oracle - de_closed), de_closed)
-                    cells.append(
-                        SweepCell(model.name, gamma_value, n, ell, e_closed, e_oracle, e_rel,
-                                  de_closed, de_oracle, de_rel,
-                                  passed=(e_rel <= tol_energy and de_rel <= tol_correction),
-                                  note=failure or "")
-                    )
+    cells: list[SweepCell] = []
+    for name, gamma_value, m, potential, ell, closed in plan:
+        try:
+            box = _dvr_box(potential, m.mu, ell, n_max, m.re, r_max)
+            energies, slopes = _dvr_levels(potential, ell, m.mu, box, n_max + 1, sizes)
+            failure = None
+        except GupmolError as exc:
+            failure = str(exc)
+
+        for n, (e_closed, de_closed) in enumerate(closed):
+            if failure is not None:  # an infinite error fails the tolerance test
+                e_oracle = de_oracle = math.nan
+                e_rel = de_rel = math.inf
+            else:
+                e_oracle = float(energies[n])
+                de_oracle = deformation.beta * float(slopes[n])
+                e_rel = _rel(abs(e_oracle - e_closed), e_closed)
+                if deformation.beta == 0.0:
+                    de_rel = 0.0  # both shifts are exactly zero
+                else:
+                    de_rel = _rel(abs(de_oracle - de_closed), de_closed)
+            passed = e_rel <= tol_energy and de_rel <= tol_correction
+            cells.append(SweepCell(name, gamma_value, n, ell, e_closed, e_oracle, e_rel,
+                                   de_closed, de_oracle, de_rel, passed, failure or ""))
 
     return SweepReport(
         cells=tuple(cells),

@@ -332,7 +332,7 @@ def test_criterion_8_hydrogenic_sanity():
     exact = (-0.5, -0.125)
     # converged when two successive DVR solves (64, 128, ... points) agree
     # to DVR_RTOL; the accepted solve's node counts must label the states
-    energies, _ = _dvr_levels(coulomb, 0, 1.0, (1e-9, 60.0), 2, 64, 5)
+    energies, _ = _dvr_levels(coulomb, 0, 1.0, (1e-9, 60.0), 2, (64, 128, 256, 512, 1024))
     rels = [abs(e - x) / abs(x) for e, x in zip(energies, exact)]
     ok = all(r <= 1e-6 for r in rels)
     report(

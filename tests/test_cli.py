@@ -677,6 +677,12 @@ class TestExitCodes:
         # a closed-form shift that is nan: the slope kernels overflow from gamma ~ 1e51
         (["verify", "--gamma", "1e100", "--nmax", "0", "--lmax", "0"], EXIT_CONFIG),
         (["verify", "--gamma", "1e154", "--nmax", "0", "--lmax", "0"], EXIT_CONFIG),
+        # a nan shift after a valid gamma: refused before that gamma is solved
+        (["verify", "--potential", "kratzer", "--gamma", "20", "--gamma", "1e60", "--nmax", "4",
+          "--lmax", "3"], EXIT_CONFIG),
+        # no size of the ladder has a point for each of the 101 states
+        (["verify", "--gamma", "20", "--nmax", "100", "--lmax", "0", "--grid-points", "16",
+          "--levels", "3"], EXIT_CONFIG),
         # a level and slope that are nan: inf / inf
         (["fit-beta", "--synthetic", "1,1e200,1", "--e-exp", "1"], EXIT_CONFIG),
         # gamma so small that gamma^3 (series) or gamma^2 (pho slope) is 0.0
@@ -711,7 +717,8 @@ class TestExitCodes:
           "{dir}/header.csv"], EXIT_DATA),
     ], ids=["spectrum-large-mu", "constants-fit-large-mu", "fit-beta-large-mu", "spectrum-large-re",
             "verify-large-gamma", "verify-huge-gamma", "verify-tiny-gamma",
-            "verify-nan-shift", "verify-nan-shift-large-mu",
+            "verify-nan-shift", "verify-nan-shift-large-mu", "verify-late-nan-shift",
+            "verify-no-size-holds-the-states",
             "fit-beta-nan-slope", "constants-tiny-gamma", "fit-beta-tiny-gamma",
             "constants-huge-gamma-kratzer", "constants-huge-gamma-pho",
             "spectrum-inf-shift", "constants-fit-inf", "fit-beta-inf-length",

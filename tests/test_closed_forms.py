@@ -124,7 +124,7 @@ def test_against_60_digits(kind, g):
                 qn = QuantumNumbers(n, ell)
                 ref = PAPER[kind](g_ref, ell + mp.mpf(1) / 2, n, mp.mpf(m.de), mp.mpf(m.mu),
                                   mp.sqrt, mp.mpf(1) / 2)
-                got = (model.undeformed(m, qn), table.entries[n * (max(ELLS) + 1) + ell][1],
+                got = (model.undeformed(m, qn), table.energy[n * (max(ELLS) + 1) + ell],
                        model.slope(m, qn))
                 for label, value, want in zip(("e0", "level above minimum", "slope"), got, ref):
                     err = abs((mp.mpf(value) - want) / want)

@@ -222,9 +222,10 @@ class TestValidation:
         with pytest.raises(DomainError):
             Molecule("bad", **kwargs)
 
-    @pytest.mark.parametrize("n,ell", [(-1, 0), (0, -2), (0.5, 0), (0, 1.5)])
+    @pytest.mark.parametrize("n,ell", [(-1, 0), (0, -2), (0.5, 0), (0, 1.5),
+                                       (float("inf"), 0), (float("nan"), 0), (None, 0)])
     def test_quantum_numbers(self, n, ell):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="must be a nonnegative integer"):
             QuantumNumbers(n=n, ell=ell)
 
     def test_quantum_numbers_ok(self):

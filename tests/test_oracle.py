@@ -16,7 +16,7 @@ from gupmol import (
     pho_energy_undeformed,
     synthetic_molecule,
 )
-from gupmol import oracle
+from gupmol import oracle, verify
 from gupmol.core import QuantumNumbers
 from gupmol.oracle import (
     DVR_MAX_POINTS,
@@ -53,6 +53,9 @@ def checked_solve(potential, ell, mu, box, points, count):
 
 
 COULOMB_BOX = (1e-9, 80.0)
+
+# the sweep's default ladder: 64 points doubled, five sizes
+LADDER = (64, 128, 256, 512, 1024)
 
 
 @pytest.fixture(scope="module")
@@ -148,7 +151,7 @@ class TestGridChoice:
         m = synthetic_molecule(20.0)
         pot = KratzerPotential.from_molecule(m)
         r_max = _dvr_box(pot, m.mu, 0, 0, m.re)[1]
-        values = [_dvr_levels(pot, 0, m.mu, (r_min, r_max), 1, 64, 6)[0][0]
+        values = [_dvr_levels(pot, 0, m.mu, (r_min, r_max), 1, LADDER + (2048,))[0][0]
                   for r_min in (1e-3, 5e-4)]
         assert abs(values[0] - values[1]) <= 1e-8 * abs(values[0])
 
@@ -172,7 +175,7 @@ class TestGridChoice:
                 box = _dvr_box(pot, m.mu, 2, 3, m.re)
                 assert box[1] > m.re
                 # box must actually hold the requested states
-                _dvr_levels(pot, 2, m.mu, box, 4, 64, 5)
+                _dvr_levels(pot, 2, m.mu, box, 4, LADDER)
 
 
 class TestMonotonicity:
@@ -195,7 +198,7 @@ class TestClosedFormAgreement:
     def ground_state(kind):
         m = synthetic_molecule(100.0)
         pot = get_model(kind).potential(m)
-        return m, _dvr_levels(pot, 0, m.mu, _dvr_box(pot, m.mu, 0, 0, m.re), 1, 64, 5)[0][0]
+        return m, _dvr_levels(pot, 0, m.mu, _dvr_box(pot, m.mu, 0, 0, m.re), 1, LADDER)[0][0]
 
     def test_kratzer_ground_state(self):
         m, energy = self.ground_state("kratzer")
@@ -230,6 +233,31 @@ class TestSweep:
         config = {"gammas": (20.0,), "n_max": 0, "l_max": 0, **options}
         with pytest.raises(DomainError, match=re.escape(message)):
             closed_vs_oracle_sweep(**config)
+
+    @pytest.mark.parametrize("options", [
+        {"potentials": ("kratzer",), "gammas": (20.0, 1e60)},
+        {"potentials": ("pho",), "gammas": (20.0, 0.5), "beta": 1e-6},
+        {"n_max": 100, "l_max": 0, "base_points": 16, "levels": 3},
+        {"tol_energy": 0.0},
+        {"tol_correction": math.nan},
+        {"base_points": 8},
+        {"base_points": 64, "levels": 7},
+        {"r_max": math.inf},
+        {"r_max": 1e-4},
+        {"n_max": -1},
+        {"l_max": 1.5},
+    ], ids=["late-nan-shift", "late-slope-pole", "no-size-holds-the-states", "tol-energy",
+            "tol-correction", "base-points", "size-cap", "r-max-inf", "r-max-inside-the-wall",
+            "n-max", "l-max"])
+    def test_every_refusal_comes_before_the_first_solve(self, monkeypatch, options):
+        calls = []
+        for module, name in [(verify, "_dvr_box"), (oracle, "_dvr_solve")]:
+            original = getattr(module, name)
+            monkeypatch.setattr(module, name,
+                                lambda *args, f=original, **kw: calls.append(f) or f(*args, **kw))
+        with pytest.raises(DomainError):
+            closed_vs_oracle_sweep(**{"n_max": 4, "l_max": 3, **options})
+        assert calls == []
 
     def test_numpy_integer_counts_accepted(self):
         report = closed_vs_oracle_sweep(potentials=("pho",), gammas=(20.0,), n_max=np.int64(1),
@@ -411,11 +439,9 @@ class TestDVR:
         assert report.all_passed, report.cells[0].note
 
     @pytest.mark.parametrize("n_max, solved, note", [
-        (100, [], "none of N = 16, 32, 64 has at least 101 points, one per requested state"),
-        (40, [64], "only N = 64 of N = 16, 32, 64 has at least 41 points, one per requested "
-                   "state"),
+        (40, [64], "no two successive solves at N = 64 agree to 1e-08"),
         (20, [32, 64], "no two successive solves at N = 32, 64 agree to 1e-08"),
-    ], ids=["none-solved", "one-solved", "two-solved"])
+    ], ids=["one-solved", "two-solved"])
     def test_not_converged_note_names_the_sizes_solved(self, monkeypatch, n_max, solved, note):
         sizes = []
         solve = oracle._dvr_solve

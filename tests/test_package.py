@@ -308,3 +308,79 @@ def test_caches_are_bounded():
     found = {path.name: unbounded_caches(path.read_text(encoding="utf-8"))
              for path in sorted(package.glob("*.py"))}
     assert {name: caches for name, caches in found.items() if caches} == {}
+
+
+# Every cache in the package, listed on purpose with the benchmark workload that
+# hits it: a new cache must be added here.
+CACHES = {
+    "core._grid": "tables",
+    "spectroscopy._grid_basis": "tables",
+    "spectroscopy.LevelTable._basis": "tables",
+    "spectroscopy._parse_molecules": "interactive",
+    "cli._parser": "interactive",
+}
+
+
+def cached_names(module: str, source: str) -> list[str]:
+    """``module.qualname`` of each definition in ``source`` that an ``lru_cache``,
+    a ``functools.cache`` or a ``cached_property`` decorates, and ``module: line N``
+    for one of them used other than as a decorator (a bare ``cache`` counts only as
+    a decorator); in line order."""
+    tree = ast.parse(source)
+    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+
+    def qualname(node):
+        names = []
+        while node in parents:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names.append(node.name)
+            node = parents[node]
+        return ".".join([module, *reversed(names)])
+
+    found = []
+    for node in ast.walk(tree):
+        name = getattr(node, "attr", getattr(node, "id", None))
+        if name not in ("lru_cache", "cache", "cached_property"):
+            continue
+        call = parents.get(node)
+        top = call if isinstance(call, ast.Call) and call.func is node else node
+        owner = parents.get(top)
+        if top in getattr(owner, "decorator_list", ()):
+            found.append((node.lineno, qualname(owner)))
+        elif name != "cache" or getattr(getattr(node, "value", None), "id", None) == "functools":
+            found.append((node.lineno, f"{module}: line {node.lineno}"))
+    return [name for _, name in sorted(found)]
+
+
+def test_cache_list_sees_every_cache():
+    source = """
+import functools
+from functools import cache, cached_property, lru_cache
+
+@lru_cache(maxsize=4)
+def kept(a): ...
+
+@functools.cache
+def once(): ...
+
+class Table:
+    @cached_property
+    def view(self): ...
+
+    @functools.lru_cache
+    def method(self): ...
+
+cache = {}
+wrapped = functools.lru_cache(maxsize=2)(kept)
+"""
+    assert cached_names("m", source) == [
+        "m.kept", "m.once", "m.Table.view", "m.Table.method", "m: line 19"]
+
+
+def test_every_cache_is_listed_with_the_workload_that_hits_it():
+    package = Path(gupmol.__file__).parent
+    found = [name for path in sorted(package.glob("*.py"))
+             for name in cached_names(path.stem, path.read_text(encoding="utf-8"))]
+    assert sorted(found) == sorted(CACHES)
+    benchmark = json.loads((Path(__file__).parents[1] / "BENCHMARK.json").read_text())
+    assert set(CACHES.values()) <= {workload["name"] for workload in benchmark["workloads"]}

@@ -5,6 +5,7 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -338,11 +339,28 @@ class TestColumns:
         again = LevelTable(molecule=m, entries=table.entries, provenance=table.provenance)
         for name in ("n", "ell", "energy"):
             assert np.array_equal(getattr(again, name), getattr(table, name))
-        assert again.entries is table.entries
+        assert again.entries == table.entries
         fit, fit_again = fit_dunham(table), fit_dunham(again)
         assert fit_again.constants == fit.constants
         assert (fit_again.residual_max, fit_again.residual_rms) == (
             fit.residual_max, fit.residual_rms)
+
+    def test_reading_entries_keeps_nothing(self):
+        # the view is built on each read: a kept copy held about 390 kB here
+        warm, table = (closed_form_table(synthetic_molecule(g), NO_DEFORMATION, "pho", 200, 10)
+                       for g in (50.0, 60.0))
+        tracemalloc.start()
+        try:
+            # fill the interpreter's tuple and float free lists with traced blocks; one
+            # read may swap in only a few hundred, as the lists hand out their own first
+            for _ in range(10):
+                assert len(warm.entries) == 201 * 11
+            before = tracemalloc.get_traced_memory()[0]
+            assert len(table.entries) == 201 * 11
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained < 10_000
 
     def test_columns_are_read_only(self):
         table = closed_form_table(synthetic_molecule(60.0), NO_DEFORMATION, "pho", 4, 4)
