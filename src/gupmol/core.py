@@ -367,21 +367,39 @@ def master_energy(c: SpectroscopicConstants, qn: QuantumNumbers) -> float:
     return sum(x * b for x, b in zip(astuple(c), _master_basis(qn.n, qn.ell)))
 
 
-# A cached grid holds 16 bytes a level in its two int64 columns, and 8 bytes
-# per n and per ell in the kernel inputs: 0.65 MB at the CLI's 201 x 201 cap,
-# so the four kept shapes hold at most 2.6 MB there (16 bytes a level beyond).
+def _fit_basis(n, ell) -> tuple:
+    """The master expression's design matrix over the levels (n, ell), one
+    read-only row each, and the numbers of distinct n and of distinct ell."""
+    import numpy as np
+
+    # The basis carries the master expression's signs, so the solution vector is the constants.
+    design = np.empty((len(n), 6))
+    for j, column in enumerate(_master_basis(n, ell)):
+        design[:, j] = column
+    design.flags.writeable = False
+    # Steps in a sorted copy, not np.unique, whose first call imports numpy.ma
+    # (15 ms of a cold CLI); the rows may come in any order.
+    distinct_n, distinct_l = (int(np.count_nonzero(np.diff(np.sort(c)))) + 1 if c.size else 0
+                              for c in (n, ell))
+    return design, distinct_n, distinct_l
+
+
+# A cached grid holds 64 bytes a level, 16 in its two int64 columns and 48 in
+# its design, and 8 bytes per n and per ell in the kernel inputs: 2.6 MB at the
+# CLI's 201 x 201 cap, so the four kept shapes hold at most 10.4 MB there.
 @lru_cache(maxsize=4)
 def _grid(n_max: int, l_max: int) -> tuple:
     """The levels n <= n_max, ell <= l_max, built once per shape and shared
     read-only by every table of that shape: n-major int64 columns of n and
-    ell, and the kernels' inputs, a float column of n and a float row of ell."""
+    ell, the kernels' inputs, a float column of n and a float row of ell, and
+    the fit basis of those levels (see _fit_basis)."""
     import numpy as np
 
     n_col, ell_col = np.divmod(np.arange((n_max + 1) * (l_max + 1)), l_max + 1)
     grid = (n_col, ell_col, np.arange(n_max + 1.0)[:, None], np.arange(l_max + 1.0))
     for array in grid:
         array.flags.writeable = False
-    return grid
+    return *grid, _fit_basis(n_col, ell_col)
 
 
 def _warn_first_order(m: Molecule, qn: QuantumNumbers, shift: float, level: float,
@@ -458,8 +476,9 @@ class Model:
     def table(self, m: Molecule, d: Deformation, n_max: int, l_max: int):
         """Every level n <= n_max, ell <= l_max in n-major order, one kernel call each,
         as flat columns: (n, ell, e0, level above the minimum, shift), n and ell
-        int64.  The n and ell columns are built once per (n_max, l_max) and shared
-        read-only by every table of that shape; the other three are new arrays.
+        int64.  The n and ell columns come from the grid built once per (n_max,
+        l_max) and shared read-only by every table of that shape (see _grid, which
+        also holds the shape's fit basis); the other three are new arrays.
         Flags levels as ``level`` does, but warns once per table: the warning's
         ``count`` is the number flagged and its ``qn`` and ``ratio`` are the first
         level of largest |shift| / |e0|, the only one that gets a QuantumNumbers.
@@ -469,7 +488,7 @@ class Model:
         import numpy as np
 
         _require_counts(n_max=n_max, l_max=l_max)
-        n_col, ell_col, n, ell = _grid(int(n_max), int(l_max))
+        n_col, ell_col, n, ell, _ = _grid(int(n_max), int(l_max))
         with np.errstate(over="ignore", invalid="ignore"):
             e0, e_min = self.energies(m, n, ell)
             de = np.zeros_like(e0) if d.beta == 0.0 else d.beta * self.slopes(m, n, ell)

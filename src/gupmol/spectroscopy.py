@@ -22,7 +22,7 @@ import io
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -37,8 +37,8 @@ from .core import (
     Molecule,
     QuantumNumbers,
     SpectroscopicConstants,
+    _fit_basis,
     _grid,
-    _master_basis,
     gamma,
 )
 from .kratzer import KRATZER
@@ -75,9 +75,10 @@ class LevelTable:
     repeat: entries are checked for repeats; the kernel columns of closed_form_table
     are an n-major grid and are not re-checked.  A table equals only itself.
 
-    The fit basis (fit_dunham's design matrix and distinct counts) is built on the
-    first fit and kept.  A closed_form_table shares its ``n`` and ``ell`` columns and
-    its basis, all read-only, with every table of its (n_max, l_max) shape."""
+    The fit basis (fit_dunham's design matrix and distinct counts) is part of the
+    table: a table built from ``entries`` builds its own when it is built, and a
+    closed_form_table shares its ``n`` and ``ell`` columns and its basis, all
+    read-only, with every table of its (n_max, l_max) shape (core._grid)."""
 
     molecule: Molecule | None
     n: np.ndarray
@@ -100,46 +101,18 @@ class LevelTable:
             if repeats.size:
                 k = repeats.min()
                 raise DomainError(f"duplicate level (n={n[k]}, ell={ell[k]}) in table")
-            _columns = (n, ell, [e for _, e in entries])
+            _columns = (n, ell, [e for _, e in entries], _fit_basis(n, ell))
         n, ell = (np.asarray(column, dtype=np.int64) for column in _columns[:2])
         energy = np.asarray(_columns[2], dtype=float)
         for column in (n, ell, energy):
             column.flags.writeable = False
-        self.__dict__.update(molecule=molecule, n=n, ell=ell, energy=energy, provenance=provenance)
+        self.__dict__.update(molecule=molecule, n=n, ell=ell, energy=energy, provenance=provenance,
+                             _basis=_columns[3])
 
     @property
     def entries(self) -> tuple[tuple[QuantumNumbers, float], ...]:
         return tuple(zip(map(QuantumNumbers, self.n.tolist(), self.ell.tolist()),
                          self.energy.tolist()))
-
-    @cached_property
-    def _basis(self) -> tuple:
-        return _fit_basis(self.n, self.ell)
-
-
-def _fit_basis(n, ell) -> tuple:
-    """The master expression's design matrix over the levels (n, ell), one
-    read-only row each, and the numbers of distinct n and of distinct ell."""
-    import numpy as np
-
-    # The basis carries the master expression's signs, so the solution vector is the constants.
-    design = np.empty((len(n), 6))
-    for j, column in enumerate(_master_basis(n, ell)):
-        design[:, j] = column
-    design.flags.writeable = False
-    # Steps in a sorted copy, not np.unique, whose first call imports numpy.ma
-    # (15 ms of a cold CLI); the rows may come in any order.
-    distinct_n, distinct_l = (int(np.count_nonzero(np.diff(np.sort(c)))) + 1 if c.size else 0
-                              for c in (n, ell))
-    return design, distinct_n, distinct_l
-
-
-# A cached basis holds 48 bytes a level: 1.9 MB at the CLI's 201 x 201 cap, so
-# the four kept shapes hold at most 7.8 MB there (48 bytes a level beyond).
-@lru_cache(maxsize=4)
-def _grid_basis(n_max: int, l_max: int) -> tuple:
-    """The fit basis of the (n_max + 1) x (l_max + 1) grid, built once per shape."""
-    return _fit_basis(*_grid(n_max, l_max)[:2])
 
 
 @dataclass(frozen=True)
@@ -207,19 +180,18 @@ def closed_form_table(
 
     One evaluation of the model's kernels over the whole (n, ell) grid, rows
     in n-major order; the kernel's columns become the table's, with no
-    per-level object, and its fit basis is the one kept for its shape.  Each
-    energy is the kernel's level above the well minimum plus its shift, so
-    fitted y00 is directly comparable with the closed-form constant.  n_max
-    and l_max must be nonnegative integers.
+    per-level object, and its fit basis is the one core._grid keeps for its
+    shape.  Each energy is the kernel's level above the well minimum plus its
+    shift, so fitted y00 is directly comparable with the closed-form constant.
+    n_max and l_max must be nonnegative integers.
     """
     import numpy as np
 
     n, ell, _, e_min, de = get_model(kind).table(m, d, n_max, l_max)
     with np.errstate(over="ignore"):  # a level beyond float range is inf
         energy = e_min + de
-    table = LevelTable(m, None, f"computed-{kind}", _columns=(n, ell, energy))
-    table.__dict__["_basis"] = _grid_basis(int(n_max), int(l_max))  # the cached property's slot
-    return table
+    return LevelTable(m, None, f"computed-{kind}",
+                      _columns=(n, ell, energy, _grid(int(n_max), int(l_max))[4]))
 
 
 @dataclass(frozen=True)

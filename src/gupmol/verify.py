@@ -92,17 +92,19 @@ def closed_vs_oracle_sweep(
     a failed check) mark the affected cells FAIL with the diagnostic in
     ``note``, so a deliberately coarse start produces a failing report rather
     than a crash.  DomainError comes before the first box or solve: for no
-    potential or gamma, an unknown potential, n_max or l_max not a
-    nonnegative integer, tolerances, sizes (``levels`` below 1, below
-    MIN_GRID_POINTS, above DVR_MAX_POINTS, none with room for the states),
-    the box, and a closed-form level or shift not finite or at a slope pole.
+    potential or gamma, an unknown potential, n_max, l_max, levels or
+    base_points not a nonnegative integer, tolerances, sizes (``levels``
+    below 1, below MIN_GRID_POINTS, above DVR_MAX_POINTS, none with room for
+    the states), the box, and a closed-form level or shift not finite or at a
+    slope pole.
     """
     models = [get_model(kind) for kind in potentials]
     molecules = [synthetic_molecule(gamma_value) for gamma_value in gammas]
     if not (models and molecules):
         raise DomainError(f"the sweep needs at least one potential and one gamma, got "
                           f"{potentials!r} and {gammas!r}")
-    _require_counts(n_max=n_max, l_max=l_max)
+    _require_counts(n_max=n_max, l_max=l_max, levels=levels, base_points=base_points)
+    base_points = int(base_points)
     if levels < 1:
         raise DomainError(f"levels must be >= 1, got {levels}")
     _require_positive("tol_energy", tol_energy)

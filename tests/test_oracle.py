@@ -223,7 +223,12 @@ class TestSweep:
         ({"l_max": 1.0}, "l_max must be a nonnegative integer, got 1.0"),
         ({"gammas": ()}, "the sweep needs at least one potential and one gamma"),
         ({"potentials": ()}, "the sweep needs at least one potential and one gamma"),
-    ], ids=["negative-n", "negative-l", "bool-n", "float-l", "no-gamma", "no-potential"])
+        ({"levels": 2.5}, "levels must be a nonnegative integer, got 2.5"),
+        ({"levels": 2.0}, "levels must be a nonnegative integer, got 2.0"),
+        ({"levels": True}, "levels must be a nonnegative integer, got True"),
+        ({"base_points": 64.0}, "base_points must be a nonnegative integer, got 64.0"),
+    ], ids=["negative-n", "negative-l", "bool-n", "float-l", "no-gamma", "no-potential",
+            "fractional-levels", "float-levels", "bool-levels", "float-base-points"])
     def test_empty_or_invalid_configuration_rejected(self, monkeypatch, options, message):
         # nothing is solved: a configuration error comes before the first solve
         def no_solve(*args, **kwargs):
@@ -233,6 +238,11 @@ class TestSweep:
         config = {"gammas": (20.0,), "n_max": 0, "l_max": 0, **options}
         with pytest.raises(DomainError, match=re.escape(message)):
             closed_vs_oracle_sweep(**config)
+
+    def test_numpy_integer_base_points_run_the_same_cells(self):
+        config = {"potentials": ("kratzer",), "gammas": (20.0,), "n_max": 1, "l_max": 0}
+        assert (closed_vs_oracle_sweep(base_points=np.int64(64), **config).cells
+                == closed_vs_oracle_sweep(base_points=64, **config).cells)
 
     @pytest.mark.parametrize("options", [
         {"potentials": ("kratzer",), "gammas": (20.0, 1e60)},

@@ -314,8 +314,6 @@ def test_caches_are_bounded():
 # hits it: a new cache must be added here.
 CACHES = {
     "core._grid": "tables",
-    "spectroscopy._grid_basis": "tables",
-    "spectroscopy.LevelTable._basis": "tables",
     "spectroscopy._parse_molecules": "interactive",
     "cli._parser": "interactive",
 }
@@ -384,3 +382,13 @@ def test_every_cache_is_listed_with_the_workload_that_hits_it():
     assert sorted(found) == sorted(CACHES)
     benchmark = json.loads((Path(__file__).parents[1] / "BENCHMARK.json").read_text())
     assert set(CACHES.values()) <= {workload["name"] for workload in benchmark["workloads"]}
+
+
+def test_every_cache_is_empty_after_a_cold_import():
+    # a call at import time would fill a cache and move its work into every start
+    code = ("import operator, gupmol, gupmol.cli\n"
+            f"for name in {sorted(CACHES)!r}:\n"
+            "    print(name, operator.attrgetter(name)(gupmol).cache_info().currsize)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "".join(f"{name} 0\n" for name in sorted(CACHES))

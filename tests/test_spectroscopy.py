@@ -37,7 +37,7 @@ from gupmol import (
     kratzer_spectroscopic_constants,
     synthetic_molecule,
 )
-from gupmol import core, spectroscopy
+from gupmol import core
 from gupmol.core import _master_basis
 from gupmol.spectroscopy import MODELS
 
@@ -240,15 +240,22 @@ class TestSharedGrid:
             with pytest.raises(ValueError):
                 array[0] = 7
 
+    def test_a_kept_grid_holds_64_bytes_a_level(self):
+        # the bound in the comment above core._grid, at the CLI's 201 x 201 cap
+        *arrays, (design, distinct_n, distinct_l) = core._grid(200, 200)
+        kept = sum(array.nbytes for array in (*arrays, design))
+        assert kept == 64 * 201 * 201 + 16 * 201 == 2_588_880
+        assert (distinct_n, distinct_l) == (201, 201)
+
     def test_one_basis_for_ten_tables_of_a_shape(self, basis_builds):
         m = synthetic_molecule(36.0)
         for k in range(1, 11):
             fit_dunham(closed_form_table(m, Deformation(k * 1e-6), "kratzer", 200, 10))
         assert len(basis_builds) == 1
 
-    def test_entries_table_builds_its_basis_on_its_first_fit(self, basis_builds):
+    def test_entries_table_builds_its_basis_once_when_built(self, basis_builds):
         table = table_from_constants(SpectroscopicConstants(1.0, 2.0, 0.1, 0.01, 3.0, 0.05))
-        assert basis_builds == []
+        assert len(basis_builds) == 1
         assert _fit_values(table) == _fit_values(table)
         assert len(basis_builds) == 1
 
@@ -256,11 +263,10 @@ class TestSharedGrid:
     def test_fit_is_the_same_from_any_cache_state(self, kind):
         m, d = synthetic_molecule(36.0), Deformation(4e-5)
         core._grid.cache_clear()
-        spectroscopy._grid_basis.cache_clear()
         cold_table = closed_form_table(m, d, kind, 200, 10)
         cold = _fit_values(cold_table)
         assert _fit_values(closed_form_table(m, d, kind, 200, 10)) == cold  # warm
-        for k in range(spectroscopy._grid_basis.cache_parameters()["maxsize"]):
+        for k in range(core._grid.cache_parameters()["maxsize"]):
             closed_form_table(m, d, kind, 4 + k, 3)
         evicted = closed_form_table(m, d, kind, 200, 10)
         assert evicted.n is not cold_table.n and evicted._basis is not cold_table._basis
