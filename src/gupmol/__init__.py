@@ -11,14 +11,13 @@ both modules and the sweep's names are resolved on first use.  The closed
 forms load no numpy: importing the package and computing single levels,
 slopes, band constants and beta bounds runs on Python floats.  numpy is
 imported where an array is built: level tables (``closed_form_table``,
-``LevelTable``), ``fit_dunham`` and the potentials' values.
+``LevelTable``) and ``fit_dunham``.
 """
 from importlib import import_module as _import_module
 
 from .core import (
     AMU_TO_INTERNAL,
     EV_TO_CM1,
-    HBAR,
     HBARC_EV_ANGSTROM,
     NO_DEFORMATION,
     UNITS,
@@ -34,16 +33,13 @@ from .core import (
     PerturbationWarning,
     QuantumNumbers,
     UnitSystem,
-    beta_from_minimal_length,
     gamma,
     lambda_kratzer,
     lambda_pho,
     master_energy,
-    minimal_length,
     synthetic_molecule,
 )
 from .kratzer import (
-    KratzerPotential,
     kratzer_correction_slope,
     kratzer_energy_deformed,
     kratzer_energy_expansion,
@@ -51,7 +47,6 @@ from .kratzer import (
     kratzer_spectroscopic_constants,
 )
 from .pho import (
-    PhoPotential,
     pho_correction_slope,
     pho_energy_deformed,
     pho_energy_expansion,

@@ -21,13 +21,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import asdict, astuple, dataclass
-from functools import lru_cache, wraps
+from functools import lru_cache
 from typing import TYPE_CHECKING, Any, Callable
 
 if TYPE_CHECKING:
     import numpy as np
-
-HBAR = 1.0
 
 # CODATA 2022 factors, as scipy 1.17's scipy.constants gives them (pinned here
 # so that importing the package loads no scipy): hbar*c in MeV fm, eV in
@@ -129,24 +127,6 @@ def _require_positive(name: str, value: float) -> None:
         raise DomainError(f"{name} must be finite and > 0, got {value!r}")
 
 
-def _radial(formula: Callable) -> Callable:
-    """A potential's ``value(r)`` from its ``formula(self, r)`` on a float array:
-    r may be a number or an array, and a number gives a float.  DomainError
-    unless every radius is finite and > 0."""
-
-    @wraps(formula)
-    def value(self, r):
-        import numpy as np
-
-        r = np.asarray(r, dtype=float)
-        if np.any(r <= 0.0) or not np.all(np.isfinite(r)):
-            raise DomainError("radius must be finite and > 0")
-        out = formula(self, r)
-        return float(out) if out.ndim == 0 else out
-
-    return value
-
-
 def _require_counts(**counts: int) -> None:
     """DomainError unless each value is a nonnegative integer (numpy's, not a bool)."""
     import numpy as np
@@ -191,7 +171,7 @@ def synthetic_molecule(gamma_value: float, de: float = 1.0, re: float = 1.0,
     for label, value in (("gamma_value", gamma_value), ("de", de), ("re", re)):
         _require_positive(label, value)
     try:
-        mu = (gamma_value * HBAR / re) ** 2 / (2.0 * de)
+        mu = (gamma_value / re) ** 2 / (2.0 * de)
     except OverflowError:
         mu = math.inf
     if mu == 0.0 or math.isinf(mu):
@@ -212,29 +192,21 @@ class Deformation:
 
     @property
     def minimal_length(self) -> float:
-        return HBAR * math.sqrt(5.0 * self.beta)
+        """Smallest resolvable length hbar*sqrt(5 beta), in Angstrom (hbar = 1)."""
+        return math.sqrt(5.0 * self.beta)
 
     @classmethod
     def from_minimal_length(cls, x: float) -> "Deformation":
+        """Inverse of :attr:`minimal_length`; rejects negative lengths."""
         if not (math.isfinite(x) and x >= 0.0):
             raise DomainError(f"minimal length must be finite and >= 0, got {x!r}")
         if math.isinf(x * x):
             raise DomainError(f"minimal length {x!r} is out of floating-point range: its "
                               "beta = x^2/5 overflows")
-        return cls(beta=x * x / (5.0 * HBAR * HBAR))
+        return cls(beta=x * x / 5.0)
 
 
 NO_DEFORMATION = Deformation(0.0)
-
-
-def minimal_length(d: Deformation) -> float:
-    """Smallest resolvable length hbar*sqrt(5 beta), in Angstrom."""
-    return d.minimal_length
-
-
-def beta_from_minimal_length(x: float) -> Deformation:
-    """Inverse of :func:`minimal_length`; rejects negative lengths."""
-    return Deformation.from_minimal_length(x)
 
 
 @dataclass(frozen=True)
@@ -263,7 +235,7 @@ def gamma(m: Molecule) -> float:
     The same expression serves both potentials; it is large (>> 1) for real
     molecules and is the expansion variable of the band-spectrum series.
     """
-    value = m.re * math.sqrt(2.0 * m.mu * m.de) / HBAR
+    value = m.re * math.sqrt(2.0 * m.mu * m.de)
     if not (math.isfinite(value) and value > 0.0):
         raise DomainError(f"gamma is not finite and positive for {m.name!r}")
     return value
@@ -428,9 +400,10 @@ def _warn_first_order(m: Molecule, qn: QuantumNumbers, shift: float, level: floa
 class Model:
     """One potential's closed forms, as every routine that takes a kind reads them.
 
-    V(r) from a molecule; two array kernels, each the one home of its
-    formulas; the band constants; and the offset that moves a level to the
-    well minimum.  ``energies(m, n, ell)`` gives the undeformed level on the
+    ``potential(m, r)``, V on an array of radii, which the solver evaluates;
+    two array kernels, each the one home of its formulas; the band
+    constants; and the offset that moves a level to the well minimum.
+    ``energies(m, n, ell)`` gives the undeformed level on the
     potential's own scale (from dissociation for the 1/r^2 - 1/r well) and the
     level above the well minimum; ``slopes(m, n, ell)`` gives the shift per
     unit beta.  Both take arrays of n and ell that broadcast (a column of n
@@ -442,7 +415,7 @@ class Model:
     """
 
     name: str
-    potential: Callable[[Molecule], Any]
+    potential: Callable[[Molecule, Any], Any]
     energies: Callable[[Molecule, Any, Any], tuple[np.ndarray, np.ndarray]]
     slopes: Callable[[Molecule, Any, Any], np.ndarray]
     constants: Callable[[Molecule, Deformation], SpectroscopicConstants]

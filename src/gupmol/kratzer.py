@@ -1,13 +1,14 @@
 """Closed-form spectra for the g1/r^2 - g2/r molecular potential.
 
-Provides the exact bound-state energies, the first-order minimal-length
-shift, the large-gamma series of both, and the band-spectrum constants the
-series implies.  Everything is analytic; the numerical cross-checks live in
+Provides the potential itself, the exact bound-state energies, the
+first-order minimal-length shift, the large-gamma series of both, and the
+band-spectrum constants the series implies, as the fields of the model
+record ``KRATZER``.  Everything is analytic; the numerical cross-checks,
+which solve the radial equation on this potential, live in
 :mod:`gupmol.oracle`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .core import (
@@ -17,9 +18,7 @@ from .core import (
     Molecule,
     QuantumNumbers,
     SpectroscopicConstants,
-    _radial,
     _reject_pole,
-    _require_positive,
     _series_gamma,
     gamma,
     lambda_kratzer,
@@ -30,39 +29,14 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-@dataclass(frozen=True)
-class KratzerPotential:
-    """V(r) = g1/r^2 - g2/r with g1 = de*re^2 and g2 = 2*de*re.
-
-    The minimum sits at re with value -de; the well dissociates to 0 from
-    below as r -> infinity.
+def _potential(m: Molecule, r):
+    """V(r) = g1/r^2 - g2/r with g1 = de*re^2 and g2 = 2*de*re, on a number or
+    an array of radii.  The minimum sits at re with value -de; the well
+    dissociates to 0 from below as r -> infinity.  Evaluated left to right,
+    the expression forms g1 and g2 first, so its values are g1/(r*r) - g2/r
+    bit for bit: the solver's digits, and so verify's output, depend on it.
     """
-
-    g1: float
-    g2: float
-
-    def __post_init__(self) -> None:
-        _require_positive("g1", self.g1)
-        _require_positive("g2", self.g2)
-
-    @classmethod
-    def from_molecule(cls, m: Molecule) -> "KratzerPotential":
-        return cls(g1=m.de * m.re * m.re, g2=2.0 * m.de * m.re)
-
-    @property
-    def de(self) -> float:
-        return self.g2 * self.g2 / (4.0 * self.g1)
-
-    @property
-    def re(self) -> float:
-        return 2.0 * self.g1 / self.g2
-
-    @_radial
-    def value(self, r):
-        """Potential at r (scalar or array); rejects r <= 0."""
-        return self.g1 / (r * r) - self.g2 / r
-
-    __call__ = value
+    return m.de * m.re * m.re / (r * r) - 2.0 * m.de * m.re / r
 
 
 def _slope_polynomial(lam, n, a2):
@@ -190,7 +164,7 @@ def kratzer_spectroscopic_constants(m: Molecule, d: Deformation) -> Spectroscopi
 
 KRATZER = Model(
     name="kratzer",
-    potential=KratzerPotential.from_molecule,
+    potential=_potential,
     energies=_energies,
     slopes=_slopes,
     constants=kratzer_spectroscopic_constants,

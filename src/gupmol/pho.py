@@ -1,15 +1,14 @@
 """Closed-form spectra for the pseudoharmonic potential de*(r/re - re/r)^2.
 
-Exact levels, first-order minimal-length shift, large-gamma series, and the
-derived band-spectrum constants; the model record ``PHO`` holds the ones the
-package dispatches on, as ``KRATZER`` does in :mod:`gupmol.kratzer`.  The
-undeformed spectrum is exactly linear in n, so the anharmonicity and
-rotation-vibration coupling constants vanish at beta = 0 and are generated
-purely by the deformation, with a negative sign.
+The potential, exact levels, first-order minimal-length shift, large-gamma
+series, and the derived band-spectrum constants; the model record ``PHO``
+holds the ones the package dispatches on, as ``KRATZER`` does in
+:mod:`gupmol.kratzer`.  The undeformed spectrum is exactly linear in n, so
+the anharmonicity and rotation-vibration coupling constants vanish at
+beta = 0 and are generated purely by the deformation, with a negative sign.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .core import (
@@ -19,9 +18,7 @@ from .core import (
     Molecule,
     QuantumNumbers,
     SpectroscopicConstants,
-    _radial,
     _reject_pole,
-    _require_positive,
     _series_gamma,
     gamma,
     lambda_pho,
@@ -31,28 +28,11 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-@dataclass(frozen=True)
-class PhoPotential:
-    """V(r) = de*(r/re - re/r)^2; zero at re, nonnegative everywhere."""
-
-    de: float
-    re: float
-
-    def __post_init__(self) -> None:
-        _require_positive("de", self.de)
-        _require_positive("re", self.re)
-
-    @classmethod
-    def from_molecule(cls, m: Molecule) -> "PhoPotential":
-        return cls(de=m.de, re=m.re)
-
-    @_radial
-    def value(self, r):
-        """Potential at r (scalar or array); rejects r <= 0."""
-        x = r / self.re - self.re / r
-        return self.de * x * x
-
-    __call__ = value
+def _potential(m: Molecule, r):
+    """V(r) = de*(r/re - re/r)^2 on a number or an array of radii; zero at re,
+    nonnegative everywhere."""
+    x = r / m.re - m.re / r
+    return m.de * x * x
 
 
 def _slope_polynomial(lam, delta, n):
@@ -161,7 +141,7 @@ def pho_spectroscopic_constants(m: Molecule, d: Deformation) -> SpectroscopicCon
 
 PHO = Model(
     name="pho",
-    potential=PhoPotential.from_molecule,
+    potential=_potential,
     energies=_energies,
     slopes=_slopes,
     constants=pho_spectroscopic_constants,

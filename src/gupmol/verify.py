@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from functools import partial
 
 from .core import (
     Deformation,
@@ -128,7 +129,7 @@ def closed_vs_oracle_sweep(
     plan = []  # every closed form, so that no refusal follows a solve
     for model in models:
         for gamma_value, m in zip(gammas, molecules):
-            potential = model.potential(m)
+            potential = partial(model.potential, m)
             for ell in range(l_max + 1):
                 closed = [(model.undeformed(m, qn), model.shift(m, deformation, qn))
                           for qn in (QuantumNumbers(n=n, ell=ell) for n in range(n_max + 1))]

@@ -12,17 +12,16 @@ distinct n at least).  The other nine constants recover well inside 1%,
 and the same leakage measured here matches those analytic floors.
 """
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 
 from gupmol import (
     Deformation,
-    KratzerPotential,
     Molecule,
     NO_DEFORMATION,
     QuantumNumbers,
-    beta_from_minimal_length,
     closed_form_table,
     closed_vs_oracle_sweep,
     fit_beta_bound,
@@ -34,7 +33,6 @@ from gupmol import (
     kratzer_spectroscopic_constants,
     load_levels,
     load_molecules,
-    minimal_length,
     packaged_data_path,
     pho_correction_slope,
     pho_energy_deformed,
@@ -43,6 +41,7 @@ from gupmol import (
     pho_spectroscopic_constants,
     synthetic_molecule,
 )
+from gupmol.kratzer import KRATZER
 from gupmol.oracle import _check_states, _dvr_levels, _dvr_solve
 
 TOL_ENERGY = 1e-6
@@ -113,7 +112,7 @@ def test_criterion_3_synthetic_exact_point():
     # here, so the inner cutoff must be tight).  Each size is held to the
     # tolerance: on this shallow well the slopes drift by about 1e-7 per
     # doubling, so successive solves never meet the sweep's DVR_RTOL.
-    pot = KratzerPotential.from_molecule(m)
+    pot = partial(KRATZER.potential, m)
     box = (1e-6, 60.0)
     e_err = s_err = 0.0
     for points in (256, 512):
@@ -309,7 +308,7 @@ def test_criterion_7_identities(rng):
                     checked += 1
     worst_round_trip = 0.0
     for x in rng.uniform(1e-9, 1.0, size=100):
-        back = minimal_length(beta_from_minimal_length(x))
+        back = Deformation.from_minimal_length(x).minimal_length
         worst_round_trip = max(worst_round_trip, abs(back - x) / x)
     ok = worst_round_trip <= 1e-12
     report(

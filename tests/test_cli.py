@@ -621,11 +621,6 @@ class TestRepeatedCalls:
     def test_build_parser_returns_a_new_parser(self):
         assert build_parser() is not build_parser()
 
-    def test_import_builds_no_parser(self):
-        code = "import gupmol.cli as cli; print(cli._parser.cache_info().currsize)"
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-        assert (proc.returncode, proc.stdout) == (0, "0\n")
-
     @staticmethod
     def write_catalogue(path, de_ev):
         path.write_text(f"name,De_eV,re_angstrom,mu_amu\nX,{de_ev},0.74144,0.503913\n")

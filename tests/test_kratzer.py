@@ -1,12 +1,10 @@
 import math
 
-import numpy as np
 import pytest
 
 from gupmol import (
     Deformation,
     DomainError,
-    KratzerPotential,
     Molecule,
     NO_DEFORMATION,
     PerturbationWarning,
@@ -19,38 +17,19 @@ from gupmol import (
     kratzer_spectroscopic_constants,
     synthetic_molecule,
 )
+from gupmol.kratzer import KRATZER
 
 
 class TestPotential:
     def test_minimum_value(self, unit_molecule):
-        pot = KratzerPotential.from_molecule(unit_molecule)
-        assert pot.value(1.0) == pytest.approx(-1.0, rel=1e-14)
+        assert KRATZER.potential(unit_molecule, 1.0) == pytest.approx(-1.0, rel=1e-14)
 
     def test_exact_zero_crossing(self, unit_molecule):
-        pot = KratzerPotential.from_molecule(unit_molecule)
-        assert pot.value(0.5) == pytest.approx(0.0, abs=1e-14)
+        assert KRATZER.potential(unit_molecule, 0.5) == pytest.approx(0.0, abs=1e-14)
 
     def test_asymptote_from_below(self, unit_molecule):
-        pot = KratzerPotential.from_molecule(unit_molecule)
-        tail = pot.value(1e6)
+        tail = KRATZER.potential(unit_molecule, 1e6)
         assert -1e-5 < tail < 0.0
-
-    def test_parameter_recovery(self):
-        m = Molecule("x", de=3.0, re=0.7, mu=10.0)
-        pot = KratzerPotential.from_molecule(m)
-        assert pot.de == pytest.approx(m.de, rel=1e-14)
-        assert pot.re == pytest.approx(m.re, rel=1e-14)
-
-    def test_bad_radius(self, unit_molecule):
-        pot = KratzerPotential.from_molecule(unit_molecule)
-        with pytest.raises(DomainError):
-            pot.value(0.0)
-        with pytest.raises(DomainError):
-            pot.value(np.array([1.0, -2.0]))
-
-    def test_bad_parameters(self):
-        with pytest.raises(DomainError):
-            KratzerPotential(g1=0.0, g2=1.0)
 
 
 class TestUndeformed:

@@ -1,5 +1,6 @@
 import math
 import re
+from functools import partial
 
 import numpy as np
 import pytest
@@ -9,8 +10,6 @@ from gupmol import (
     ConvergenceError,
     DomainError,
     GridError,
-    KratzerPotential,
-    PhoPotential,
     closed_vs_oracle_sweep,
     kratzer_energy_undeformed,
     pho_energy_undeformed,
@@ -18,6 +17,7 @@ from gupmol import (
 )
 from gupmol import oracle, verify
 from gupmol.core import QuantumNumbers
+from gupmol.kratzer import KRATZER
 from gupmol.oracle import (
     DVR_MAX_POINTS,
     INNER_WALL,
@@ -103,7 +103,7 @@ class TestSolverContracts:
 
     def test_boundary_amplitude_guard(self):
         m = synthetic_molecule(20.0)
-        pot = KratzerPotential.from_molecule(m)
+        pot = partial(KRATZER.potential, m)
         for points in (128, 512):  # outer turning point of n=3 is ~2.24
             with pytest.raises(GridError, match="enlarge r_max"):
                 checked_solve(pot, 0, m.mu, (1e-3, 2.5), points, 4)
@@ -112,7 +112,7 @@ class TestSolverContracts:
 @pytest.fixture(scope="module")
 def kratzer_case():
     m = synthetic_molecule(20.0)
-    pot = KratzerPotential.from_molecule(m)
+    pot = partial(KRATZER.potential, m)
     box = _dvr_box(pot, m.mu, 1, 1, m.re)
     return m, pot, box, checked_solve(pot, 1, m.mu, box, 256, 2)
 
@@ -125,10 +125,11 @@ class TestPerturbation:
     def test_hellmann_feynman_agrees_with_the_eigenvectors(self, kratzer_case):
         # dE/dg1 = <1/r^2>: the central difference of the level in g1 against
         # the sum over the eigenvector, a route that shares only the matrix
-        m, pot, box, (_, _, vectors) = kratzer_case
-        step = 1e-5 * pot.g1
-        upper, lower = (_dvr_solve(KratzerPotential(pot.g1 + sign * step, pot.g2), 1, m.mu,
-                                   box, 256, 2)[0] for sign in (1.0, -1.0))
+        m, _, box, (_, _, vectors) = kratzer_case
+        g1, g2 = m.de * m.re * m.re, 2.0 * m.de * m.re
+        step = 1e-5 * g1
+        upper, lower = (_dvr_solve(lambda r: (g1 + s) / (r * r) - g2 / r, 1, m.mu, box, 256,
+                                   2)[0] for s in (step, -step))
         r = dvr_grid(box, 256)
         expectation = np.sum(vectors * vectors / (r * r)[:, None], axis=0)
         np.testing.assert_allclose((upper - lower) / (2.0 * step), expectation, rtol=1e-8,
@@ -138,18 +139,19 @@ class TestPerturbation:
         # scaling r leaves the levels of a box the states have decayed in
         # unchanged: 2 <T> = <r V'>, with <T> = E - <V> taking the
         # centrifugal term, which scales as the kinetic one
-        _, pot, box, (energies, _, vectors) = kratzer_case
+        m, pot, box, (energies, _, vectors) = kratzer_case
+        g1, g2 = m.de * m.re * m.re, 2.0 * m.de * m.re
         r = dvr_grid(box, 256)
         weights = vectors * vectors
         potential = weights.T @ pot(r)
-        r_dv = weights.T @ (-2.0 * pot.g1 / (r * r) + pot.g2 / r)
+        r_dv = weights.T @ (-2.0 * g1 / (r * r) + g2 / r)
         np.testing.assert_allclose(2.0 * (energies - potential), r_dv, rtol=1e-10, atol=0)
 
 
 class TestGridChoice:
     def test_eigenvalue_insensitive_to_inner_wall(self):
         m = synthetic_molecule(20.0)
-        pot = KratzerPotential.from_molecule(m)
+        pot = partial(KRATZER.potential, m)
         r_max = _dvr_box(pot, m.mu, 0, 0, m.re)[1]
         values = [_dvr_levels(pot, 0, m.mu, (r_min, r_max), 1, LADDER + (2048,))[0][0]
                   for r_min in (1e-3, 5e-4)]
@@ -164,14 +166,14 @@ class TestGridChoice:
 
     def test_inner_wall_past_a_given_r_max_falls_back_to_the_clamp(self):
         m = synthetic_molecule(20.0)
-        pot = KratzerPotential.from_molecule(m)
+        pot = partial(KRATZER.potential, m)
         assert _dvr_box(pot, m.mu, 0, 0, m.re)[0] > 0.1
         assert _dvr_box(pot, m.mu, 0, 0, m.re, r_max=0.1) == (INNER_WALL * m.re, 0.1)
 
     def test_auto_grid_boxes_both_potentials(self):
         for g in (20.0, 100.0):
             m = synthetic_molecule(g)
-            for pot in (KratzerPotential.from_molecule(m), PhoPotential.from_molecule(m)):
+            for pot in (partial(get_model(kind).potential, m) for kind in ("kratzer", "pho")):
                 box = _dvr_box(pot, m.mu, 2, 3, m.re)
                 assert box[1] > m.re
                 # box must actually hold the requested states
@@ -179,12 +181,11 @@ class TestGridChoice:
 
 
 class TestMonotonicity:
-    @pytest.mark.parametrize("make_potential", [KratzerPotential.from_molecule,
-                                                PhoPotential.from_molecule])
-    def test_energies_increase_in_n_and_ell(self, make_potential):
+    @pytest.mark.parametrize("kind", ["kratzer", "pho"])
+    def test_energies_increase_in_n_and_ell(self, kind):
         for g in (20.0, 100.0):
             m = synthetic_molecule(g)
-            pot = make_potential(m)
+            pot = partial(get_model(kind).potential, m)
             by_ell = [checked_solve(pot, ell, m.mu, _dvr_box(pot, m.mu, ell, 3, m.re), 256, 4)[0]
                       for ell in range(3)]
             assert np.all(np.diff(by_ell, axis=1) > 0.0)  # in n
@@ -197,7 +198,7 @@ class TestClosedFormAgreement:
     @staticmethod
     def ground_state(kind):
         m = synthetic_molecule(100.0)
-        pot = get_model(kind).potential(m)
+        pot = partial(get_model(kind).potential, m)
         return m, _dvr_levels(pot, 0, m.mu, _dvr_box(pot, m.mu, 0, 0, m.re), 1, LADDER)[0][0]
 
     def test_kratzer_ground_state(self):
@@ -328,7 +329,7 @@ def stepwise_walls(potential, mu, ell, n_max, r_scale):
 
 def check_wall(kind, gamma_value, wall):
     m = synthetic_molecule(gamma_value)
-    pot = get_model(kind).potential(m)
+    pot = partial(get_model(kind).potential, m)
     for ell, n_max in [(0, 0), (3, 4)]:
         expected = stepwise_walls(pot, m.mu, ell, n_max, m.re)[wall]
         assert _dvr_box(pot, m.mu, ell, n_max, m.re)[wall] == expected
@@ -375,7 +376,7 @@ class TestDVR:
     def test_subset_solve_matches_the_full_solve(self, kind, gamma_value, slope_rtol, ell,
                                                  points):
         m = synthetic_molecule(gamma_value)
-        pot = get_model(kind).potential(m)
+        pot = partial(get_model(kind).potential, m)
         box = _dvr_box(pot, m.mu, ell, 4, m.re)
         energies, slopes, _, _ = _dvr_solve(pot, ell, m.mu, box, points, 5)
         expected_energies, expected_slopes = full_dvr_solve(pot, ell, m.mu, box, points, 5)
@@ -386,7 +387,7 @@ class TestDVR:
     @pytest.mark.parametrize("kind", ["kratzer", "pho"])
     def test_potential_evaluated_once_per_solve(self, kind, ell):
         m = synthetic_molecule(20.0)
-        pot = get_model(kind).potential(m)
+        pot = partial(get_model(kind).potential, m)
         calls = []
 
         def counted(r):
@@ -413,7 +414,7 @@ class TestDVR:
         monkeypatch.setattr(oracle, "dsyevr", dsyevr)
         m = synthetic_molecule(20.0)
         with pytest.raises(ConvergenceError, match="eigensolve failed"):
-            _dvr_solve(get_model("pho").potential(m), 0, m.mu, (0.1, 3.0), 64, 5)
+            _dvr_solve(partial(get_model("pho").potential, m), 0, m.mu, (0.1, 3.0), 64, 5)
 
     def test_small_gamma_meets_the_acceptance_tolerances(self):
         # LAPACK's default bisection tolerance, or reducing the upper
@@ -425,7 +426,7 @@ class TestDVR:
         for kind, gamma_value, clamped in [("pho", 0.5, True), ("kratzer", 5.0, False),
                                            ("pho", 100.0, False)]:
             m = synthetic_molecule(gamma_value)
-            r_min, r_max = _dvr_box(get_model(kind).potential(m), m.mu, 0, 0, m.re)
+            r_min, r_max = _dvr_box(partial(get_model(kind).potential, m), m.mu, 0, 0, m.re)
             assert (r_min == INNER_WALL * m.re) == clamped
             assert INNER_WALL * m.re <= r_min < m.re < r_max
 

