@@ -6,15 +6,13 @@ smallest resolvable length hbar*sqrt(5 beta), an independent eigensolver
 of the radial equation (a sinc DVR in ln r) that verifies every formula, and
 an estimator for the upper bound on beta from experimental data.
 
-The solver (``oracle``) and the sweep built on it (``verify``) load scipy, so
-both modules and the sweep's names are resolved on first use.  The closed
-forms load no numpy: importing the package and computing single levels,
-slopes, band constants and beta bounds runs on Python floats.  numpy is
-imported where an array is built: level tables (``closed_form_table``,
-``LevelTable``) and ``fit_dunham``.
+Importing the package loads neither numpy nor scipy.  The closed forms run
+on Python floats: single levels, slopes, band constants and beta bounds.
+numpy is imported where an array is built: level tables
+(``closed_form_table``, ``LevelTable``), ``fit_dunham`` and the solver.
+scipy is imported by the solver's eigensolve alone (``oracle._dvr_solve``),
+so a sweep loads it at its first solve and a refused one never does.
 """
-from importlib import import_module as _import_module
-
 from .core import (
     AMU_TO_INTERNAL,
     EV_TO_CM1,
@@ -66,28 +64,8 @@ from .spectroscopy import (
     load_molecules,
     packaged_data_path,
 )
+from .verify import SweepCell, SweepReport, closed_vs_oracle_sweep
 
 __version__ = "0.1.0"
 
-_LAZY_MODULES = {
-    "oracle": (),
-    "verify": ("SweepCell", "SweepReport", "closed_vs_oracle_sweep"),
-}
-_LAZY_NAMES = {name: module for module, names in _LAZY_MODULES.items() for name in names}
-__all__ = sorted(
-    {name for name in globals() if not name.startswith("_")}
-    | set(_LAZY_MODULES)
-    | set(_LAZY_NAMES)
-)
-
-
-def __getattr__(name: str):
-    if name in _LAZY_MODULES:
-        return _import_module(f".{name}", __name__)
-    if name in _LAZY_NAMES:
-        return getattr(_import_module(f".{_LAZY_NAMES[name]}", __name__), name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(__all__))
+__all__ = sorted(name for name in globals() if not name.startswith("_"))

@@ -47,6 +47,7 @@ from .spectroscopy import (
     load_molecules,
     packaged_data_path,
 )
+from .verify import closed_vs_oracle_sweep
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -256,9 +257,7 @@ def cmd_constants(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    _check_caps(args)  # before the import: a refused size loads no scipy
-    from .verify import closed_vs_oracle_sweep  # loads the solver and scipy
-
+    _check_caps(args)
     options = {keyword: getattr(args, flag) for flag, keyword in SWEEP_OPTIONS.items()
                if getattr(args, flag) is not None}
     if "gammas" in options:

@@ -19,6 +19,7 @@ is derived from.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import asdict, astuple, dataclass
 from functools import lru_cache
@@ -129,10 +130,8 @@ def _require_positive(name: str, value: float) -> None:
 
 def _require_counts(**counts: int) -> None:
     """DomainError unless each value is a nonnegative integer (numpy's, not a bool)."""
-    import numpy as np
-
     for name, value in counts.items():
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
             raise DomainError(f"{name} must be a nonnegative integer, got {value!r}")
 
 

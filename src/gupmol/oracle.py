@@ -35,15 +35,14 @@ kinetic term grows as 1/r_min^2.
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
-
-import numpy as np
-from scipy.linalg import toeplitz
-from scipy.linalg.lapack import dsyevr
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .core import ConvergenceError, DomainError, GridError
 
-RadialPotential = Callable[[np.ndarray], np.ndarray]
+if TYPE_CHECKING:
+    import numpy as np
+
+    RadialPotential = Callable[[np.ndarray], np.ndarray]
 
 #: Relative amplitude allowed at the outer grid end before the box is
 #: declared too small; bound states decay exponentially there.
@@ -79,6 +78,8 @@ DVR_RTOL = 1e-8
 
 def _v_eff(potential: RadialPotential, ell: int, mu: float, r: np.ndarray) -> np.ndarray:
     """V(r) plus the centrifugal term ell(ell+1)/(2 mu r^2)."""
+    import numpy as np
+
     out = np.asarray(potential(r), dtype=float)
     if ell:
         with np.errstate(over="ignore"):  # 2 mu r^2 beyond float range: the term is 0
@@ -87,6 +88,8 @@ def _v_eff(potential: RadialPotential, ell: int, mu: float, r: np.ndarray) -> np
 
 
 def _count_nodes(u: np.ndarray) -> int:
+    import numpy as np
+
     significant = np.abs(u) > 1e-9 * np.max(np.abs(u))
     signs = np.sign(u[significant])
     return int(np.sum(signs[1:] != signs[:-1]))
@@ -99,6 +102,8 @@ def _check_states(energies, states, v_eff: np.ndarray, r_min: float, r_max: floa
     ``states`` holds each state's values on the grid points, the first and
     last nearest the walls; ``v_eff`` is V_eff at the same points.
     """
+    import numpy as np
+
     # Bound on this box means decaying at the outer end: E below V_eff there.
     count = len(energies)
     n_bound = int(np.sum(energies < v_eff[-1]))
@@ -135,6 +140,8 @@ def _walk(r: np.ndarray, v: np.ndarray, mu: float, e_top: float, budget: float) 
     (each point's k times the length of the step after it) are spent.  None
     if the points run out.
     """
+    import numpy as np
+
     (turning,) = np.nonzero(~(v[:-1] < e_top))
     if not turning.size:
         return None
@@ -164,6 +171,8 @@ def _dvr_box(potential: RadialPotential, mu: float, ell: int, n_max: int, r_scal
     replaces the outer wall; the inner one is then the clamp where there is
     no interior minimum or the walk ends past r_max.
     """
+    import numpy as np
+
     clamp = INNER_WALL * r_scale
     r = clamp * np.exp(0.02 * np.arange(math.ceil(math.log(5e4 / INNER_WALL) / 0.02) + 1))
     v = _v_eff(potential, ell, mu, r)
@@ -200,6 +209,10 @@ def _dvr_solve(potential: RadialPotential, ell: int, mu: float, box: tuple[float
     Raises DomainError when the Hamiltonian is not finite on the grid and
     ConvergenceError when the eigensolve fails.
     """
+    import numpy as np
+    from scipy.linalg import toeplitz  # the only scipy the package loads
+    from scipy.linalg.lapack import dsyevr
+
     x, h = np.linspace(math.log(box[0]), math.log(box[1]), points, retstep=True)
     r = np.exp(x)
     k = np.arange(1, points)
@@ -249,6 +262,8 @@ def _dvr_levels(potential: RadialPotential, ell: int, mu: float, box: tuple[floa
     moves on to the next size.  Raises ConvergenceError, naming the sizes,
     when no two successive solves agree.
     """
+    import numpy as np
+
     previous = None
     for size in sizes:
         energies, slopes, vectors, v_eff = _dvr_solve(potential, ell, mu, box, size, count)

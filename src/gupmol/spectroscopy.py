@@ -265,7 +265,8 @@ class ExperimentalLevel:
 
 def _data_rows(path: Path, data: bytes, expected_fields: int):
     """Yield (lineno, fields) from the bytes of the CSV at ``path``, skipping blanks,
-    comments, header; decoded as ``open(path, newline="")`` decodes them."""
+    comments, header; decoded as ``open(path, newline="")`` decodes them.  The first
+    row is the header only if none of fields 2 to 4, numbers in both files, is one."""
     with io.TextIOWrapper(io.BytesIO(data), newline="") as handle:
         try:
             rows = list(csv.reader(handle))
@@ -279,7 +280,7 @@ def _data_rows(path: Path, data: bytes, expected_fields: int):
                 continue
             if not header_skipped:
                 header_skipped = True
-                if not _looks_numeric(row[1] if len(row) > 1 else ""):
+                if not any(map(_looks_numeric, row[1:4])):
                     continue  # header row
             if len(row) < expected_fields:
                 raise DataFormatError(

@@ -228,8 +228,10 @@ class TestSweep:
         ({"levels": 2.0}, "levels must be a nonnegative integer, got 2.0"),
         ({"levels": True}, "levels must be a nonnegative integer, got True"),
         ({"base_points": 64.0}, "base_points must be a nonnegative integer, got 64.0"),
+        ({"l_max": np.True_}, f"l_max must be a nonnegative integer, got {np.True_!r}"),
     ], ids=["negative-n", "negative-l", "bool-n", "float-l", "no-gamma", "no-potential",
-            "fractional-levels", "float-levels", "bool-levels", "float-base-points"])
+            "fractional-levels", "float-levels", "bool-levels", "float-base-points",
+            "numpy-bool-l"])
     def test_empty_or_invalid_configuration_rejected(self, monkeypatch, options, message):
         # nothing is solved: a configuration error comes before the first solve
         def no_solve(*args, **kwargs):
@@ -411,7 +413,7 @@ class TestDVR:
         def dsyevr(a, iu, **_):
             return np.zeros(len(a)), np.zeros((len(a), iu)), found, None, info
 
-        monkeypatch.setattr(oracle, "dsyevr", dsyevr)
+        monkeypatch.setattr("scipy.linalg.lapack.dsyevr", dsyevr)  # _dvr_solve imports it per call
         m = synthetic_molecule(20.0)
         with pytest.raises(ConvergenceError, match="eigensolve failed"):
             _dvr_solve(partial(get_model("pho").potential, m), 0, m.mu, (0.1, 3.0), 64, 5)

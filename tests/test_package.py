@@ -43,14 +43,11 @@ def test_star_import_keeps_every_name():
     assert set(namespace) - {"__builtins__"} == set(EXPORTS)
 
 
-def test_lazy_names_are_the_solver_modules_own():
-    from gupmol import SweepCell, SweepReport, closed_vs_oracle_sweep, oracle, verify
-    from gupmol.oracle import _dvr_levels
-    from gupmol.verify import closed_vs_oracle_sweep as verify_sweep
+def test_sweep_names_are_the_verify_modules_own():
+    from gupmol import verify
 
-    assert oracle._dvr_levels is _dvr_levels
-    assert (closed_vs_oracle_sweep, SweepCell, SweepReport) == (
-        verify_sweep, verify.SweepCell, verify.SweepReport)
+    for name in ("SweepCell", "SweepReport", "closed_vs_oracle_sweep"):
+        assert getattr(gupmol, name) is getattr(verify, name)
     assert len(EXPORTS) == 52
 
 
@@ -75,6 +72,9 @@ runs = [
     ["constants", "--potential", "pho", "--molecule", "H2", "--beta", "1e-5", "--fit"],
     ["fit-beta", "--molecule", "H2-kratzer", "--e-exp", "2170"],
     ["verify", "--nmax", "201"],
+    ["verify", "--rmax", "-1"],
+    ["verify", "--tol-energy", "0"],
+    ["verify", "--levels", "0"],
 ]
 codes = []
 with contextlib.redirect_stdout(io.StringIO()):
@@ -89,7 +89,7 @@ def test_closed_form_commands_load_no_scipy():
     proc = subprocess.run([sys.executable, "-c", COLD_START], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
-    assert result == {"codes": [0, 0, 0, 2], "scipy": []}
+    assert result == {"codes": [0, 0, 0, 2, 2, 2, 2], "scipy": []}
 
 
 NUMPY_FREE = """
@@ -106,6 +106,7 @@ runs = [
     ["constants", "--potential", "pho", "--molecule", "H2", "--beta", "1e-5"],
     ["fit-beta", "--molecule", "H2-kratzer", "--e-exp", "2170"],
     ["fit-beta", "--potential", "pho", "--molecule", "H2"],
+    ["verify", "--gamma", "-5"],
 ]
 codes = []
 with contextlib.redirect_stdout(io.StringIO()):
@@ -124,9 +125,9 @@ def test_closed_form_commands_load_no_numpy():
     proc = subprocess.run([sys.executable, "-c", NUMPY_FREE], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
-    assert result["codes"] == [0, 0, 0, 0, 0]
+    assert result["codes"] == [0, 0, 0, 0, 0, 2]
     assert result["numpy"] == {"import gupmol": False, "spectrum": False, "constants": False,
-                               "fit-beta": False, "library": False}
+                               "fit-beta": False, "verify": False, "library": False}
 
 
 NUMPY_CALL = """
@@ -166,6 +167,58 @@ def test_sweep_loads_scipy_linalg_only():
     assert result["passed"]
     assert "scipy.linalg" in result["scipy"]
     assert not any(n.startswith("scipy.integrate") for n in result["scipy"])
+
+
+def import_scopes(source: str, package: str) -> list[str]:
+    """Where ``source`` imports ``package`` or one of its submodules, in line
+    order: the enclosing function's name, ``TYPE_CHECKING`` inside an ``if
+    TYPE_CHECKING:`` block outside any function, or ``<module>``."""
+    tree = ast.parse(source)
+    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            modules = [node.module]
+        else:
+            continue
+        if not any(m == package or m.startswith(package + ".") for m in modules):
+            continue
+        scope, owner = "<module>", parents.get(node)
+        while owner is not None and not isinstance(owner, (ast.FunctionDef,
+                                                           ast.AsyncFunctionDef)):
+            if isinstance(owner, ast.If) and getattr(owner.test, "id", None) == "TYPE_CHECKING":
+                scope = "TYPE_CHECKING"
+            owner = parents.get(owner)
+        found.append((node.lineno, owner.name if owner is not None else scope))
+    return [scope for _, scope in sorted(found)]
+
+
+def test_import_scope_check_sees_each_scope():
+    source = """
+from typing import TYPE_CHECKING
+import numpy as np
+if TYPE_CHECKING:
+    import numpy.typing
+def solve():
+    if True:
+        import numpy
+    from numpy.linalg import eigh
+import numpyro
+from . import numpy
+"""
+    assert import_scopes(source, "numpy") == ["<module>", "TYPE_CHECKING", "solve", "solve"]
+
+
+def test_scipy_is_imported_only_by_the_eigensolve():
+    # numpy outside a function only for annotations, so no module load costs it
+    package = Path(gupmol.__file__).parent
+    scopes = {root: sorted(f"{path.stem}.{scope}" for path in sorted(package.glob("*.py"))
+                           for scope in import_scopes(path.read_text(encoding="utf-8"), root))
+              for root in ("numpy", "scipy")}
+    assert scopes["scipy"] == ["oracle._dvr_solve", "oracle._dvr_solve"]
+    assert [scope for scope in scopes["numpy"] if scope.endswith(".<module>")] == []
 
 
 def unused_imports(source: str) -> list[str]:

@@ -538,6 +538,18 @@ class TestDataFiles:
         with pytest.raises(DataFormatError, match=r":3:"):
             load_molecules(path)
 
+    @pytest.mark.parametrize("load, text, message", [
+        (load_molecules, "H2,abc,0.74144,0.503913\n", ":1: field 'De_eV' is not a number"),
+        (load_levels, "H2,x,0,2179.3,cm-1,src\n", ":1: n and l must be nonnegative integers"),
+    ], ids=["molecules", "levels"])
+    def test_headerless_first_row_with_a_bad_number_is_reported(self, tmp_path, load, text,
+                                                                message):
+        # a number in another numeric field makes the row data, not a header to skip
+        path = tmp_path / "data.csv"
+        path.write_text(text)
+        with pytest.raises(DataFormatError, match=re.escape(message)):
+            load(path)
+
     def test_duplicate_name_reports_lineno(self, tmp_path):
         path = tmp_path / "molecules.csv"
         path.write_text("name,De_eV,re_angstrom,mu_amu\nH2,4.7,0.74,0.5\nH2,4.8,0.74,0.5\n")
