@@ -18,7 +18,6 @@ from .core import (
     EV_TO_CM1,
     HBARC_EV_ANGSTROM,
     NO_DEFORMATION,
-    UNITS,
     ConvergenceError,
     DataFormatError,
     Deformation,
@@ -30,7 +29,6 @@ from .core import (
     Molecule,
     PerturbationWarning,
     QuantumNumbers,
-    UnitSystem,
     gamma,
     lambda_kratzer,
     lambda_pho,
@@ -68,4 +66,6 @@ from .verify import SweepCell, SweepReport, closed_vs_oracle_sweep
 
 __version__ = "0.1.0"
 
+# The names bound now: without __all__, a star import would also bind each
+# submodule imported later, such as ``cli``.
 __all__ = sorted(name for name in globals() if not name.startswith("_"))

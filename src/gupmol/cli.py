@@ -26,7 +26,6 @@ from pathlib import Path
 from .core import (
     ENERGY_UNITS,
     FIRST_ORDER_WARN_RATIO,
-    UNITS,
     DataFormatError,
     Deformation,
     DomainError,
@@ -35,6 +34,7 @@ from .core import (
     Molecule,
     PerturbationWarning,
     QuantumNumbers,
+    _per_ev,
     gamma,
 )
 from .spectroscopy import (
@@ -160,17 +160,13 @@ def _summarize_warnings():
 
     A command that fails printed nothing, so its error line stands alone.
     """
-    flagged, other = [], []
-    with warnings.catch_warnings():
+    with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", PerturbationWarning)
-
-        def collect(message, category, *where):
-            (flagged if issubclass(category, PerturbationWarning) else other).append(message)
-
-        warnings.showwarning = collect
         yield
-    for message in other:
-        print(f"warning: {message}", file=sys.stderr)
+    flagged = [w.message for w in caught if issubclass(w.category, PerturbationWarning)]
+    for w in caught:
+        if not issubclass(w.category, PerturbationWarning):
+            print(f"warning: {w.message}", file=sys.stderr)
     if flagged:
         worst = max(flagged, key=lambda w: w.ratio)
         print(f"warning: {sum(w.count for w in flagged)} levels have a first-order shift above "
@@ -180,8 +176,9 @@ def _summarize_warnings():
 
 
 def _spectrum_rows(model: Model, molecule: Molecule, deformation: Deformation, n_max: int,
-                   l_max: int, unit: str) -> list[dict]:
-    """The levels n <= n_max, ell <= l_max in n-major order, energies in ``unit``.
+                   l_max: int, per_ev: float) -> list[dict]:
+    """The levels n <= n_max, ell <= l_max in n-major order, energies in the
+    unit of which 1 eV is ``per_ev``.
 
     Both ways of building them (see PER_LEVEL_MAX) give the same rows bit for
     bit and, once _summarize_warnings folds them, the same warning line.
@@ -190,7 +187,7 @@ def _spectrum_rows(model: Model, molecule: Molecule, deformation: Deformation, n
         levels = [model.level(molecule, deformation, QuantumNumbers(n, ell))
                   for n in range(n_max + 1) for ell in range(l_max + 1)]
         n, ell = [lv.qn.n for lv in levels], [lv.qn.ell for lv in levels]
-        columns = [[UNITS.energy_from_internal(x, unit) for x in column]
+        columns = [[x * per_ev for x in column]
                    for column in zip(*((lv.e0, lv.de, lv.total) for lv in levels))]
     else:
         import numpy as np
@@ -198,7 +195,7 @@ def _spectrum_rows(model: Model, molecule: Molecule, deformation: Deformation, n
         n, ell, e0, _, de = model.table(molecule, deformation, n_max, l_max)
         n, ell = n.tolist(), ell.tolist()
         with np.errstate(over="ignore"):  # an overflow is inf, which _require_finite refuses
-            columns = [UNITS.energy_from_internal(x, unit).tolist() for x in (e0, de, e0 + de)]
+            columns = [(x * per_ev).tolist() for x in (e0, de, e0 + de)]
     return [{"n": a, "l": b, "e0": c, "delta_e": d, "total": e}
             for a, b, c, d, e in zip(n, ell, *columns)]
 
@@ -210,7 +207,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     unit = args.units
 
     rows = _spectrum_rows(get_model(args.potential), molecule, deformation, args.nmax,
-                          args.lmax, unit)
+                          args.lmax, _per_ev(unit))
 
     meta = {
         "potential": args.potential,
@@ -232,12 +229,13 @@ def cmd_constants(args: argparse.Namespace) -> int:
     closed = get_model(args.potential).constants(molecule, deformation).as_dict()
     _require_finite(closed)
     unit = args.units
+    per_ev = _per_ev(unit)
 
-    values = {"constants": {k: UNITS.energy_from_internal(v, unit) for k, v in closed.items()}}
+    values = {"constants": {k: v * per_ev for k, v in closed.items()}}
     if args.fit:
         table = closed_form_table(molecule, deformation, args.potential, args.nmax, args.lmax)
         fitted = fit_dunham(table).constants.as_dict()
-        values["fitted"] = {k: UNITS.energy_from_internal(fitted[k], unit) for k in closed}
+        values["fitted"] = {k: fitted[k] * per_ev for k in closed}
         values["rel_diff"] = {k: (fitted[k] - closed[k]) / closed[k] if closed[k] != 0.0
                               else fitted[k] for k in closed}
     _require_finite(*values.values())
@@ -292,7 +290,7 @@ def cmd_fit_beta(args: argparse.Namespace) -> int:
     molecule = _resolve_molecule(args)
     qn = QuantumNumbers(n=args.n, ell=args.l)
     if args.e_exp is not None:
-        e_exp = UNITS.energy_to_internal(args.e_exp, args.units)
+        e_exp = args.e_exp / _per_ev(args.units)
         source = "command line"
     else:
         path = _data_file(args.levels_file, "levels.csv")

@@ -3,8 +3,10 @@
 Internal units fix hbar = 1 with energies in eV and lengths in Angstrom.
 The derived mass unit is then eV^-1 A^-2 (1 amu is about 239.225 internal)
 and the deformation parameter beta, an inverse squared momentum, carries A^2.
-Every public function in the package operates on internal-unit quantities;
-conversions live in :class:`UnitSystem` and nowhere else.
+Every public function in the package operates on internal-unit quantities.
+Units change only at the package's edges (the CLI's ``--units``, the unit
+column of a levels file, the amu masses of a molecules file), each by one
+multiply or divide by ``_per_ev(unit)`` or ``AMU_TO_INTERNAL``.
 
 The algebra implemented here is the one-parameter deformation in which the
 position and momentum commutator picks up a quadratic momentum term.  Its
@@ -91,30 +93,6 @@ class PerturbationWarning(UserWarning):
         self.count = count
 
 
-@dataclass(frozen=True)
-class UnitSystem:
-    """Conversions between spectroscopic units and the internal system.
-
-    Lengths are Angstrom both externally and internally, so only energies
-    (eV, cm-1) and masses (amu) carry conversion factors.
-    """
-
-    def energy_to_internal(self, value: float, unit: str) -> float:
-        return value / _per_ev(unit)
-
-    def energy_from_internal(self, value: float, unit: str) -> float:
-        return value * _per_ev(unit)
-
-    def mass_to_internal(self, mu_amu: float) -> float:
-        return mu_amu * AMU_TO_INTERNAL
-
-    def mass_from_internal(self, mu: float) -> float:
-        return mu / AMU_TO_INTERNAL
-
-
-UNITS = UnitSystem()
-
-
 def _per_ev(unit: str) -> float:
     """1 eV in ``unit``; DomainError names the known units."""
     try:
@@ -157,7 +135,7 @@ class Molecule:
     @classmethod
     def from_spectroscopic(cls, name: str, de_ev: float, re_angstrom: float,
                            mu_amu: float) -> "Molecule":
-        return cls(name=name, de=de_ev, re=re_angstrom, mu=UNITS.mass_to_internal(mu_amu))
+        return cls(name=name, de=de_ev, re=re_angstrom, mu=mu_amu * AMU_TO_INTERNAL)
 
 
 def synthetic_molecule(gamma_value: float, de: float = 1.0, re: float = 1.0,

@@ -28,7 +28,6 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .core import (
-    UNITS,
     DataFormatError,
     Deformation,
     DomainError,
@@ -39,6 +38,7 @@ from .core import (
     SpectroscopicConstants,
     _fit_basis,
     _grid,
+    _per_ev,
     gamma,
 )
 from .kratzer import KRATZER
@@ -265,9 +265,10 @@ class ExperimentalLevel:
 
 def _data_rows(path: Path, data: bytes, expected_fields: int):
     """Yield (lineno, fields) from the bytes of the CSV at ``path``, skipping blanks,
-    comments, header; decoded as ``open(path, newline="")`` decodes them.  The first
-    row is the header only if none of fields 2 to 4, numbers in both files, is one."""
-    with io.TextIOWrapper(io.BytesIO(data), newline="") as handle:
+    comments, header; decoded as UTF-8 without a leading byte-order mark, every
+    newline handed to the csv reader.  The first row is the header only if none
+    of fields 2 to 4, numbers in both files, is one."""
+    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline="") as handle:
         try:
             rows = list(csv.reader(handle))
         except UnicodeDecodeError as exc:
@@ -374,7 +375,7 @@ def load_levels(path) -> list[ExperimentalLevel]:
         value = _parse_float(path, lineno, "energy", row[3])
         unit = row[4]
         try:
-            energy = UNITS.energy_to_internal(value, unit)
+            energy = value / _per_ev(unit)
         except DomainError as exc:
             raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
         key = (name, qn.n, qn.ell)

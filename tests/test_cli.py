@@ -472,6 +472,20 @@ class TestPerturbationWarningSummary:
         assert code == EXIT_OK
         assert err == line
 
+    class WarningsStandIn:
+        """Delegates every read to ``warnings``, as a tracer's wrapper of it does."""
+
+        def __getattr__(self, name):
+            return getattr(warnings, name)
+
+    def test_golden_stderr_with_warnings_replaced(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "warnings", self.WarningsStandIn())
+        code, _, err = run_main(capsys, "spectrum", "--potential", "kratzer", "--synthetic",
+                                "1,1,3", "--beta", "1e-1", "--nmax", "1", "--lmax", "1")
+        assert code == EXIT_OK
+        assert err == ("warning: 4 levels have a first-order shift above 0.1 of the level "
+                       "(PerturbationWarning); worst n=1 l=0 with |delta_e|/|e0| = 0.27\n")
+
     def test_constants_fit_summarized(self, capsys):
         code, _, err = run_main(
             capsys, "constants", "--potential", "pho", "--molecule", "H2-kratzer",

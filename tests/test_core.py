@@ -1,4 +1,4 @@
-import dataclasses
+import json
 import math
 import re
 
@@ -6,77 +6,79 @@ import numpy as np
 import pytest
 
 from gupmol import (
+    AMU_TO_INTERNAL,
     EV_TO_CM1,
-    UNITS,
     Deformation,
     DomainError,
     EnergyLevel,
     Molecule,
     QuantumNumbers,
-    UnitSystem,
     gamma,
     lambda_kratzer,
     lambda_pho,
     closed_form_table,
+    load_levels,
     synthetic_molecule,
 )
-from gupmol.core import _sqrt
+from gupmol.cli import main
+from gupmol.core import _per_ev, _sqrt
 from gupmol.spectroscopy import MODELS
 
 
-class TestUnitSystem:
-    @pytest.mark.parametrize("unit", ["internal", "eV", "cm-1"])
-    def test_energy_round_trip(self, unit, rng):
-        for value in rng.uniform(1e-6, 1e4, size=50):
-            back = UNITS.energy_from_internal(UNITS.energy_to_internal(value, unit), unit)
-            assert back == pytest.approx(value, rel=1e-12)
-
-    def test_mass_round_trip(self, rng):
-        for value in rng.uniform(0.1, 300.0, size=50):
-            assert UNITS.mass_from_internal(UNITS.mass_to_internal(value)) == pytest.approx(
-                value, rel=1e-12
-            )
-
-    def test_ev_to_cm1_magnitude(self):
-        # spectroscopy convention: 1 eV is about 8065.54 cm-1
-        assert UNITS.energy_from_internal(1.0, "cm-1") == pytest.approx(8065.54, rel=1e-4)
+class TestUnitEdges:
+    """Units change only at the edges, each by one multiply or divide by a factor."""
 
     def test_unknown_unit_rejected(self):
         message = "unknown energy unit 'hartree'; expected one of ('internal', 'eV', 'cm-1')"
-        for convert in (UNITS.energy_to_internal, UNITS.energy_from_internal):
-            with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
-                convert(1.0, "hartree")
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            _per_ev("hartree")
 
-    VALUES = [0.0, -0.0, 1.0, -2.5e-7, 3.3e300, 5e-324, math.inf, -math.inf, math.nan]
+    def test_ev_to_cm1_magnitude(self):
+        # spectroscopy convention: 1 eV is about 8065.54 cm-1
+        assert EV_TO_CM1 == pytest.approx(8065.54, rel=1e-4)
 
-    @pytest.mark.parametrize("x", VALUES)
-    def test_floats_convert_bit_for_bit(self, x):
-        expected = {
-            ("energy_to_internal", "internal"): x, ("energy_to_internal", "eV"): x,
-            ("energy_to_internal", "cm-1"): x / EV_TO_CM1,
-            ("energy_from_internal", "internal"): x, ("energy_from_internal", "eV"): x,
-            ("energy_from_internal", "cm-1"): x * EV_TO_CM1,
-        }
-        for (convert, unit), want in expected.items():
-            got = getattr(UNITS, convert)(x, unit)
-            assert type(got) is float
-            # struct-level equality: the same bits, -0.0 and nan included
-            assert np.float64(got).tobytes() == np.float64(want).tobytes(), (convert, unit)
+    def test_amu_mass_is_one_multiply(self, rng):
+        for mu_amu in rng.uniform(0.1, 300.0, size=50):
+            molecule = Molecule.from_spectroscopic("x", 4.7, 0.74, mu_amu)
+            assert molecule.mu == mu_amu * AMU_TO_INTERNAL
 
-    def test_arrays_convert_bit_for_bit(self):
-        x = np.array(self.VALUES)
-        with np.errstate(over="ignore"):
-            cases = [(UNITS.energy_to_internal(x, "internal"), x),
-                     (UNITS.energy_to_internal(x, "eV"), x),
-                     (UNITS.energy_to_internal(x, "cm-1"), x / EV_TO_CM1),
-                     (UNITS.energy_from_internal(x, "internal"), x),
-                     (UNITS.energy_from_internal(x, "eV"), x),
-                     (UNITS.energy_from_internal(x, "cm-1"), x * EV_TO_CM1)]
-        for got, want in cases:
-            assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+    PER_EV = {"internal": 1.0, "eV": 1.0, "cm-1": EV_TO_CM1}
 
-    def test_no_settable_factors(self):
-        assert dataclasses.fields(UnitSystem) == ()
+    @pytest.mark.parametrize("unit", PER_EV)
+    def test_level_file_energy_is_one_divide(self, tmp_path, unit):
+        path = tmp_path / "levels.csv"
+        path.write_text(f"H2,0,0,2179.3,{unit},x\n")
+        (level,) = load_levels(path)
+        assert level.energy == 2179.3 / self.PER_EV[unit]
+
+    @staticmethod
+    def energies(document):
+        """The energies a spectrum or constants JSON document prints, in order."""
+        if "levels" in document:
+            return [row[k] for row in document["levels"] for k in ("e0", "delta_e", "total")]
+        return [*document["constants"].values(), *document["fitted"].values()]
+
+    @pytest.mark.parametrize("unit", ["eV", "cm-1"])
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--potential", "kratzer", "--molecule", "H2", "--beta", "1e-6"],
+        ["spectrum", "--potential", "pho", "--molecule", "H2", "--beta", "1e-6",
+         "--nmax", "5", "--lmax", "5"],
+        ["constants", "--potential", "pho", "--molecule", "H2", "--beta", "1e-5", "--fit"],
+    ], ids=["spectrum-per-level", "spectrum-table", "constants-fit"])
+    def test_cli_prints_internal_values_times_the_factor(self, capsys, argv, unit):
+        # JSON floats are reprs, so the printed numbers are the floats themselves
+        def printed(unit):
+            assert main([*argv, "--units", unit, "--format", "json"]) == 0
+            return self.energies(json.loads(capsys.readouterr().out))
+
+        internal = printed("internal")
+        assert printed(unit) == [x * self.PER_EV[unit] for x in internal]
+
+    @pytest.mark.parametrize("unit", PER_EV)
+    def test_e_exp_is_one_divide(self, capsys, unit):
+        assert main(["fit-beta", "--molecule", "H2-kratzer", "--e-exp", "2170", "--units", unit,
+                     "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["e_exp_eV"] == 2170.0 / self.PER_EV[unit]
 
 
 class TestGamma:

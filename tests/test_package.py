@@ -1,5 +1,5 @@
 """Package surface: exported names, pinned CODATA factors, numpy- and scipy-free cold starts,
-and no unused imports or private names in the modules."""
+and no unused imports, unused private names or writes to imported names in the modules."""
 import ast
 import json
 import subprocess
@@ -17,7 +17,7 @@ EXPORTS = (
     "DomainError", "DunhamFit", "EV_TO_CM1", "EnergyLevel", "ExperimentalLevel", "FitError",
     "GridError", "GupmolError", "HBARC_EV_ANGSTROM", "LevelTable",
     "Molecule", "NO_DEFORMATION", "PerturbationWarning", "QuantumNumbers",
-    "SpectroscopicConstants", "SweepCell", "SweepReport", "UNITS", "UnitSystem",
+    "SpectroscopicConstants", "SweepCell", "SweepReport",
     "closed_form_table", "closed_vs_oracle_sweep", "core",
     "fit_beta_bound", "fit_dunham", "gamma",
     "kratzer", "kratzer_correction_slope", "kratzer_energy_deformed",
@@ -43,12 +43,20 @@ def test_star_import_keeps_every_name():
     assert set(namespace) - {"__builtins__"} == set(EXPORTS)
 
 
+def test_star_import_skips_a_submodule_imported_later():
+    import gupmol.cli  # noqa: F401  (binds gupmol.cli)
+
+    namespace = {}
+    exec("from gupmol import *", namespace)
+    assert "cli" in dir(gupmol) and "cli" not in namespace
+
+
 def test_sweep_names_are_the_verify_modules_own():
     from gupmol import verify
 
     for name in ("SweepCell", "SweepReport", "closed_vs_oracle_sweep"):
         assert getattr(gupmol, name) is getattr(verify, name)
-    assert len(EXPORTS) == 52
+    assert len(EXPORTS) == 50
 
 
 def test_unknown_name_is_attribute_error():
@@ -251,6 +259,53 @@ def test_modules_import_only_what_they_use():
     unused = {path.name: unused_imports(path.read_text(encoding="utf-8"))
               for path in sorted(package.glob("*.py")) if path.name != "__init__.py"}
     assert {name: names for name, names in unused.items() if names} == {}
+
+
+def imported_attribute_writes(source: str) -> list[str]:
+    """Assignments in ``source`` whose target is an attribute chain rooted at a
+    name an import binds (``warnings.showwarning = f``): a write into another
+    module or into what it exports, which whoever stands in for that name
+    never sees.  In line order."""
+    tree = ast.parse(source)
+    imported = {alias.asname or alias.name.split(".")[0] for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    found = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)):
+            continue
+        root = node.value
+        while isinstance(root, ast.Attribute):
+            root = root.value
+        if isinstance(root, ast.Name) and root.id in imported:
+            found.append((node.lineno, ast.unparse(node)))
+    return [f"{target} (line {line})" for line, target in sorted(found)]
+
+
+def test_attribute_write_check_sees_each_write():
+    source = """
+import warnings
+import numpy as np
+from . import core as _core
+from .core import Model
+def install(table):
+    warnings.showwarning = print
+    np.random.state, count = None, 1
+    _core._PER_EV.extra: dict = {}
+    Model.level += 1
+    table.flags.writeable = False
+    for warnings.filters in ():
+        pass
+"""
+    assert imported_attribute_writes(source) == [
+        "warnings.showwarning (line 7)", "np.random.state (line 8)",
+        "_core._PER_EV.extra (line 9)", "Model.level (line 10)", "warnings.filters (line 12)"]
+
+
+def test_modules_write_no_attribute_of_an_imported_name():
+    package = Path(gupmol.__file__).parent
+    found = {path.name: imported_attribute_writes(path.read_text(encoding="utf-8"))
+             for path in sorted(package.glob("*.py"))}
+    assert {name: writes for name, writes in found.items() if writes} == {}
 
 
 def unused_private_names(sources: dict[str, str]) -> list[str]:

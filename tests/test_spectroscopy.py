@@ -524,13 +524,34 @@ class TestDataFiles:
     @pytest.mark.parametrize("data, names", [
         (b"\xef\xbb\xbfname,De_eV,re_angstrom,mu_amu\r\nH2,4.7,0.74,0.5\r\n", ["H2"]),
         (b"\xef\xbb\xbfH2,4.7,0.74,0.5\rCO,11.1,1.13,6.86\r\n\"N\r2\",9.8,1.1,7.0\n",
-         ["\ufeffH2", "CO", "N\r2"]),
+         ["H2", "CO", "N\r2"]),
     ], ids=["bom-crlf", "bom-headerless-mixed-newlines"])
-    def test_bytes_are_decoded_as_a_text_mode_open(self, tmp_path, data, names):
-        # open(path, newline="") keeps a BOM and hands every newline to the csv reader
+    def test_bom_is_dropped_and_every_newline_reaches_the_csv_reader(self, tmp_path, data,
+                                                                     names):
         path = tmp_path / "molecules.csv"
         path.write_bytes(data)
         assert [m.name for m in load_molecules(path)] == names
+
+    @pytest.mark.parametrize("load, filename", [
+        (load_molecules, "molecules.csv"), (load_levels, "levels.csv"),
+    ], ids=["molecules", "levels"])
+    def test_packaged_file_saved_with_a_bom_loads_the_same(self, tmp_path, load, filename):
+        # as a spreadsheet's "CSV UTF-8" saves it: a BOM before the first comment line
+        packaged = packaged_data_path(filename)
+        path = tmp_path / filename
+        path.write_bytes(b"\xef\xbb\xbf" + packaged.read_bytes())
+        assert load(path) == load(packaged)
+
+    @pytest.mark.parametrize("load, data, field", [
+        (load_molecules, b"H2,4.7446,0.74144,0.503913\n", "name"),
+        (load_levels, b"H2,0,0,2179.3,cm-1,src\n", "molecule"),
+    ], ids=["molecules", "levels"])
+    def test_headerless_file_with_a_bom_names_its_first_record(self, tmp_path, load, data,
+                                                                field):
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + data)
+        (record,) = load(path)
+        assert getattr(record, field) == "H2"
 
     def test_malformed_line_reports_lineno(self, tmp_path):
         path = tmp_path / "molecules.csv"
