@@ -25,24 +25,60 @@ from gupmol.core import _per_ev, _sqrt
 from gupmol.spectroscopy import MODELS
 
 
-class TestUnitEdges:
-    """Units change only at the edges, each by one multiply or divide by a factor."""
+class TestUnitSystem:
+    """Units change only at the edges, each by one multiply or divide by a factor:
+    ``x / _per_ev(unit)`` in, ``x * _per_ev(unit)`` out, ``mu_amu * AMU_TO_INTERNAL``."""
+
+    PER_EV = {"internal": 1.0, "eV": 1.0, "cm-1": EV_TO_CM1}
+
+    @pytest.mark.parametrize("unit", PER_EV)
+    def test_energy_round_trip(self, unit, rng, tmp_path):
+        # in through a levels file, out as the CLI prints an energy
+        values = rng.uniform(1e-6, 1e4, size=50).tolist()
+        path = tmp_path / "levels.csv"
+        path.write_text("".join(f"H2,{n},0,{value!r},{unit},x\n"
+                                for n, value in enumerate(values)))
+        back = [level.energy * _per_ev(unit) for level in load_levels(path)]
+        assert back == pytest.approx(values, rel=1e-12)
+
+    def test_mass_round_trip(self, rng):
+        for mu_amu in rng.uniform(0.1, 300.0, size=50):
+            mu = Molecule.from_spectroscopic("x", 4.7, 0.74, mu_amu).mu
+            assert mu == mu_amu * AMU_TO_INTERNAL
+            assert mu / AMU_TO_INTERNAL == pytest.approx(mu_amu, rel=1e-12)
+
+    def test_ev_to_cm1_magnitude(self):
+        # spectroscopy convention: 1 eV is about 8065.54 cm-1
+        assert EV_TO_CM1 == pytest.approx(8065.54, rel=1e-4)
 
     def test_unknown_unit_rejected(self):
         message = "unknown energy unit 'hartree'; expected one of ('internal', 'eV', 'cm-1')"
         with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             _per_ev("hartree")
 
-    def test_ev_to_cm1_magnitude(self):
-        # spectroscopy convention: 1 eV is about 8065.54 cm-1
-        assert EV_TO_CM1 == pytest.approx(8065.54, rel=1e-4)
+    VALUES = [0.0, -0.0, 1.0, -2.5e-7, 3.3e300, 5e-324, math.inf, -math.inf, math.nan]
 
-    def test_amu_mass_is_one_multiply(self, rng):
-        for mu_amu in rng.uniform(0.1, 300.0, size=50):
-            molecule = Molecule.from_spectroscopic("x", 4.7, 0.74, mu_amu)
-            assert molecule.mu == mu_amu * AMU_TO_INTERNAL
+    @pytest.mark.parametrize("x", VALUES)
+    def test_floats_convert_bit_for_bit(self, x):
+        expected = {
+            ("in", "internal"): x, ("in", "eV"): x, ("in", "cm-1"): x / EV_TO_CM1,
+            ("out", "internal"): x, ("out", "eV"): x, ("out", "cm-1"): x * EV_TO_CM1,
+        }
+        for (edge, unit), want in expected.items():
+            got = x / _per_ev(unit) if edge == "in" else x * _per_ev(unit)
+            assert type(got) is float
+            # struct-level equality: the same bits, -0.0 and nan included
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), (edge, unit)
 
-    PER_EV = {"internal": 1.0, "eV": 1.0, "cm-1": EV_TO_CM1}
+    def test_arrays_convert_bit_for_bit(self):
+        x = np.array(self.VALUES)
+        with np.errstate(over="ignore"):
+            cases = [(x / _per_ev("internal"), x), (x / _per_ev("eV"), x),
+                     (x / _per_ev("cm-1"), x / EV_TO_CM1),
+                     (x * _per_ev("internal"), x), (x * _per_ev("eV"), x),
+                     (x * _per_ev("cm-1"), x * EV_TO_CM1)]
+        for got, want in cases:
+            assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("unit", PER_EV)
     def test_level_file_energy_is_one_divide(self, tmp_path, unit):

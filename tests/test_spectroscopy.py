@@ -526,8 +526,9 @@ class TestDataFiles:
         (b"\xef\xbb\xbfH2,4.7,0.74,0.5\rCO,11.1,1.13,6.86\r\n\"N\r2\",9.8,1.1,7.0\n",
          ["H2", "CO", "N\r2"]),
     ], ids=["bom-crlf", "bom-headerless-mixed-newlines"])
-    def test_bom_is_dropped_and_every_newline_reaches_the_csv_reader(self, tmp_path, data,
-                                                                     names):
+    def test_bytes_are_decoded_as_a_text_mode_open(self, tmp_path, data, names):
+        # decoded as utf-8-sig with newline="": the BOM is dropped and every
+        # newline reaches the csv reader
         path = tmp_path / "molecules.csv"
         path.write_bytes(data)
         assert [m.name for m in load_molecules(path)] == names
