@@ -317,25 +317,37 @@ def master_energy(c: SpectroscopicConstants, qn: QuantumNumbers) -> float:
 
 
 def _fit_basis(n, ell) -> tuple:
-    """The master expression's design matrix over the levels (n, ell), one
-    read-only row each, and the numbers of distinct n and of distinct ell."""
+    """The master expression's design matrix over the levels (n, ell), kept as
+    its reduced Householder QR: (Q^T, R^-1, rank, distinct n, distinct ell).
+    Q^T is read-only with one column a level; R^-1 is read-only, and None
+    unless the rank is 6.  The rank is lstsq's with rcond=None, counted on the
+    singular values of R, which are the design's."""
     import numpy as np
 
     # The basis carries the master expression's signs, so the solution vector is the constants.
-    design = np.empty((len(n), 6))
+    # Column-major, as LAPACK takes it, so the factorization copies it straight.
+    design = np.empty((len(n), 6), order="F")
     for j, column in enumerate(_master_basis(n, ell)):
         design[:, j] = column
-    design.flags.writeable = False
+    q, r = np.linalg.qr(design)
+    s = np.linalg.svd(r, compute_uv=False)  # descending; empty for a table of no levels
+    rank = int(np.count_nonzero(s > np.finfo(float).eps * max(design.shape) * s[:1]))
+    q.flags.writeable = False
+    r_inv = None
+    if rank == 6:
+        r_inv = np.linalg.inv(r)
+        r_inv.flags.writeable = False
     # Steps in a sorted copy, not np.unique, whose first call imports numpy.ma
     # (15 ms of a cold CLI); the rows may come in any order.
-    distinct_n, distinct_l = (int(np.count_nonzero(np.diff(np.sort(c)))) + 1 if c.size else 0
-                              for c in (n, ell))
-    return design, distinct_n, distinct_l
+    distinct_n, distinct_l = (int(np.count_nonzero(c[1:] != c[:-1])) + 1 if c.size else 0
+                              for c in map(np.sort, (n, ell)))
+    return q.T, r_inv, rank, distinct_n, distinct_l
 
 
 # A cached grid holds 64 bytes a level, 16 in its two int64 columns and 48 in
-# its design, and 8 bytes per n and per ell in the kernel inputs: 2.6 MB at the
-# CLI's 201 x 201 cap, so the four kept shapes hold at most 10.4 MB there.
+# its Q^T, and 8 bytes per n and per ell in the kernel inputs, besides the 6 x 6
+# R^-1: 2.6 MB at the CLI's 201 x 201 cap, so the four kept shapes hold at most
+# 10.4 MB there.
 @lru_cache(maxsize=4)
 def _grid(n_max: int, l_max: int) -> tuple:
     """The levels n <= n_max, ell <= l_max, built once per shape and shared

@@ -75,10 +75,11 @@ class LevelTable:
     repeat: entries are checked for repeats; the kernel columns of closed_form_table
     are an n-major grid and are not re-checked.  A table equals only itself.
 
-    The fit basis (fit_dunham's design matrix and distinct counts) is part of the
-    table: a table built from ``entries`` builds its own when it is built, and a
-    closed_form_table shares its ``n`` and ``ell`` columns and its basis, all
-    read-only, with every table of its (n_max, l_max) shape (core._grid)."""
+    The fit basis (the QR factors of fit_dunham's design matrix, its rank and the
+    distinct counts) is part of the table: a table built from ``entries`` builds
+    its own when it is built, and a closed_form_table shares its ``n`` and ``ell``
+    columns and its basis, all read-only, with every table of its (n_max, l_max)
+    shape (core._grid)."""
 
     molecule: Molecule | None
     n: np.ndarray
@@ -97,7 +98,9 @@ class LevelTable:
             n = np.array([qn.n for qn, _ in entries], dtype=np.int64)
             ell = np.array([qn.ell for qn, _ in entries], dtype=np.int64)
             order = np.lexsort((ell, n))  # stable, so each repeat sorts after its first row
-            repeats = order[1:][(np.diff(n[order]) == 0) & (np.diff(ell[order]) == 0)]
+            n_sorted, ell_sorted = n[order], ell[order]
+            repeats = order[1:][(n_sorted[1:] == n_sorted[:-1])
+                                & (ell_sorted[1:] == ell_sorted[:-1])]
             if repeats.size:
                 k = repeats.min()
                 raise DomainError(f"duplicate level (n={n[k]}, ell={ell[k]}) in table")
@@ -128,17 +131,19 @@ class DunhamFit:
 def fit_dunham(table: LevelTable) -> DunhamFit:
     """Least-squares extraction of the six constants from a level table.
 
-    Uses an orthogonal-factorization solve (numpy lstsq), never normal
-    equations.  Raises FitError naming the missing quantum-number coverage
-    when the design matrix cannot have full rank: the basis
-    {1, nu, nu^2, nu^3, L, nu L} needs at least 4 distinct n and 2 distinct
-    ell (and 6 entries), and FitError naming the first level, in row order,
-    whose energy is not finite.
+    Solves through the Householder QR the table keeps with its basis, never
+    normal equations: the constants are R^-1 (Q^T E) and the residuals
+    Q (Q^T E) - E, two small products per table.  Raises FitError naming the
+    missing quantum-number coverage when the design matrix cannot have full
+    rank: the basis {1, nu, nu^2, nu^3, L, nu L} needs at least 4 distinct n
+    and 2 distinct ell (and 6 entries); FitError naming the first level, in
+    row order, whose energy is not finite; and FitError when the design is
+    rank deficient all the same.
     """
     import numpy as np
 
     n, ell, rhs = table.n, table.ell, table.energy
-    design, distinct_n, distinct_l = table._basis
+    q_t, r_inv, rank, distinct_n, distinct_l = table._basis
     problems = []
     if len(rhs) < 6:
         problems.append(f"at least 6 levels (got {len(rhs)})")
@@ -148,27 +153,33 @@ def fit_dunham(table: LevelTable) -> DunhamFit:
         problems.append(f"at least {MIN_DISTINCT_L} distinct ell (got {distinct_l})")
     if problems:
         raise FitError("level table cannot determine all six constants; need " + "; ".join(problems))
-    if not np.isfinite(rhs).all():
+    e_max = float(np.abs(rhs).max())  # not finite if any energy is not
+    if not math.isfinite(e_max):
         k = np.flatnonzero(~np.isfinite(rhs))[0]  # the first, in row order
         raise FitError(f"level (n={n[k]}, ell={ell[k]}) has a non-finite energy "
                        f"({float(rhs[k])}); cannot fit")
 
-    coeff, _, rank, _ = np.linalg.lstsq(design, rhs, rcond=None)
     if rank < 6:
         raise FitError("design matrix is rank deficient despite quantum-number coverage")
-    residuals = design @ coeff - rhs
-    # The RMS is taken on residuals scaled by the largest, which cannot overflow.
-    residual_max = float(np.max(np.abs(residuals)))
-    if 0.0 < residual_max < math.inf:
-        residual_rms = residual_max * float(np.sqrt(np.mean((residuals / residual_max) ** 2)))
-    else:
-        residual_rms = residual_max
+    # Solved for E over the power of two at or below max|E|, which changes no bit
+    # of the result, so that no sum of the products overflows near the float maximum.
+    scale = math.ldexp(1.0, math.frexp(e_max)[1] - 1)
+    rhs = rhs / scale
+    projection = q_t @ rhs
+    coeff = r_inv @ projection
+    residuals = projection @ q_t - rhs
+    # The RMS is taken on residuals scaled by the largest, which cannot underflow.
+    residual_max = float(np.abs(residuals).max())
+    residual_rms = residual_max
+    if residual_max > 0.0:
+        scaled = residuals / residual_max
+        residual_rms *= math.sqrt(float((scaled * scaled).sum()) / len(scaled))
     return DunhamFit(
         # Python floats, as the closed forms give them: a unit conversion that
         # overflows is then inf without a numpy RuntimeWarning.
-        constants=SpectroscopicConstants(*coeff.tolist()),
-        residual_max=residual_max,
-        residual_rms=residual_rms,
+        constants=SpectroscopicConstants(*(c * scale for c in coeff.tolist())),
+        residual_max=residual_max * scale,
+        residual_rms=residual_rms * scale,
         n_entries=len(rhs),
     )
 

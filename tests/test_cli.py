@@ -346,16 +346,27 @@ class TestBlasThreads:
             cli.entry_point()
         assert os.environ["OPENBLAS_NUM_THREADS"] == "4"
 
-    def test_verify_stdout_does_not_depend_on_the_thread_count(self):
-        argv = [sys.executable, "-m", "gupmol", "verify", "--potential", "pho", "--gamma", "100",
-                "--nmax", "2", "--lmax", "1"]
+    @staticmethod
+    def stdout_by_thread_count(*args):
         outputs = []
         for threads in ("1", "2"):
-            proc = subprocess.run(argv, capture_output=True,
+            proc = subprocess.run([sys.executable, "-m", "gupmol", *args], capture_output=True,
                                   env={**os.environ, "OPENBLAS_NUM_THREADS": threads})
             assert proc.returncode == EXIT_OK, proc.stderr
             outputs.append(proc.stdout)
-        assert outputs[0] == outputs[1]
+        return outputs
+
+    def test_verify_stdout_does_not_depend_on_the_thread_count(self):
+        one, two = self.stdout_by_thread_count("verify", "--potential", "pho", "--gamma", "100",
+                                               "--nmax", "2", "--lmax", "1")
+        assert one == two
+
+    def test_fit_stdout_does_not_depend_on_the_thread_count(self):
+        # the shared grid's QR and both products of the fit, on 201 x 11 levels
+        one, two = self.stdout_by_thread_count("constants", "--potential", "kratzer", "--molecule",
+                                               "H2-kratzer", "--fit", "--nmax", "200", "--lmax",
+                                               "10", "--beta", "1e-5")
+        assert one == two
 
 
 class TestShallowWell:
@@ -1036,7 +1047,7 @@ class TestOutputLayout:
         assert out == (csv_text if fmt == "csv" else json_text)
 
     def test_constants_fit_columns(self, capsys):
-        """Only the layout: the lstsq digits may differ between BLAS builds."""
+        """Only the layout: the fit's last digits may differ between BLAS builds."""
         argv = ["constants", "--potential", "pho", "--synthetic", "1,1,1", "--beta", "1e-3",
                 "--fit"]
         _, out, _ = run_main(capsys, *argv)
