@@ -43,23 +43,27 @@ def _slope_polynomial(lam, n, a2):
     """P(lambda, n, a^2), the slope's bracket times
     16 lambda (lambda-1) N (2lambda-3)(2lambda-1)(2lambda+1) once gamma^2 =
     (lambda-1/2)^2 - a^2 is substituted: the paper's O(1) terms, which cancel
-    to O(1/gamma^2), cancel here symbolically.  Horner form in lambda,
-    plain arithmetic on floats and arrays alike; the coefficients are whole
-    numbers, which sympy's nsimplify recovers exactly.
+    to O(1/gamma^2), cancel here symbolically.  Grouped by powers of n,
+    (c2 n + c1) n + c0, where with u = lambda (lambda-1) the c_k share two
+    polynomials in u and a^2:
+
+        y = (48 a^2 + 32 u - 120) a^2 + 28 u + 27,   z = (48 u - 36) u,
+        c2 = y + z,   c1 = 2 lambda y + z,
+        c0 = lambda y + ((32 a^2 - 64) a^2 + 24 u + 14) u.
+
+    On a table the c_k are computed once on the ell row, and only the two
+    multiply-adds in n run on the full grid.  Plain arithmetic on floats and
+    arrays alike; the coefficients are whole numbers, which sympy's
+    nsimplify recovers exactly.
     """
-    nn = n * n
-    a4 = a2 * a2
-    return (
-        (
-            (
-                (48.0 * nn + 48.0 * n + 24.0) * lam
-                + 32.0 * a2 * (2.0 * n + 1.0) - 96.0 * nn - 40.0 * n - 20.0
-            ) * lam
-            + 32.0 * a4 + a2 * (32.0 * nn - 64.0 * n - 96.0) + 40.0 * nn - 44.0 * n + 10.0
-        ) * lam
-        + a4 * (96.0 * n + 16.0) - a2 * (32.0 * nn + 240.0 * n + 56.0)
-        + 8.0 * nn + 90.0 * n + 13.0
-    ) * lam + nn * (48.0 * a4 - 120.0 * a2 + 27.0)
+    u = lam * (lam - 1.0)
+    y = (48.0 * a2 + 32.0 * u - 120.0) * a2 + 28.0 * u + 27.0
+    z = (48.0 * u - 36.0) * u
+    v = lam * y
+    c2 = y + z
+    c1 = 2.0 * v + z
+    c0 = v + ((32.0 * a2 - 64.0) * a2 + 24.0 * u + 14.0) * u
+    return (c2 * n + c1) * n + c0
 
 
 def _energies(m: Molecule, n, ell) -> tuple[np.ndarray, np.ndarray]:
@@ -86,21 +90,27 @@ def _slopes(m: Molecule, n, ell) -> np.ndarray:
 
         mu de^2 (2 gamma/N)^4 P / (16 lambda (lambda-1) N (2lambda-3)(2lambda-1)(2lambda+1))
 
-    with P from _slope_polynomial.  The closed form has poles at lambda = 1
-    and lambda = 3/2 coming from the inverse-power expectation values it is
-    built from, so lambda <= 3/2 (gamma^2 + ell(ell+1) <= 3/4 + ...) is
-    rejected; physical molecules have gamma >> 1 and never get near the guard.
+    with P from _slope_polynomial; the 16s cancel.  On a table the
+    lambda-only factors are two ell rows: (2lambda-3)(2lambda-1)(2lambda+1),
+    which divides P, and mu de^2/(lambda (lambda-1)), about de/(2 re^2),
+    which multiplies P/N (gamma/N)^4 last.  Kept apart, no factor leaves
+    float range before P does (gamma ~ 4e76 at n = 0), so a slope is
+    accurate, inf or nan, never a denominator's overflow to 0.
+    The closed form has poles at lambda = 1 and lambda = 3/2 coming from the
+    inverse-power expectation values it is built from, so lambda <= 3/2
+    (gamma^2 + ell(ell+1) <= 3/4 + ...) is rejected; physical molecules have
+    gamma >> 1 and never get near the guard.
     """
     g = gamma(m)
     lam = lambda_kratzer(g, ell)
     _reject_pole(lam <= 1.5, lam, ell, g, "has poles for lambda <= 3/2")
     a = ell + 0.5
+    x = 2.0 * lam
     nn = lam + n
-    t = 2.0 * g / nn
+    t = g / nn
     t2 = t * t
-    return (m.mu * m.de * m.de * (t2 * t2) * _slope_polynomial(lam, n, a * a)
-            / (16.0 * lam * (lam - 1.0) * nn * (2.0 * lam - 3.0) * (2.0 * lam - 1.0)
-               * (2.0 * lam + 1.0)))
+    return (_slope_polynomial(lam, n, a * a) / ((x - 3.0) * (x - 1.0) * (x + 1.0)) / nn
+            * (t2 * t2) * (m.mu * m.de * m.de / (lam * (lam - 1.0))))
 
 
 def kratzer_energy_undeformed(m: Molecule, qn: QuantumNumbers) -> float:

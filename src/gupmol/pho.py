@@ -35,20 +35,26 @@ def _potential(m: Molecule, r):
     return m.de * x * x
 
 
-def _slope_polynomial(lam, delta, n):
-    """Q(lambda, delta, n), the paper's slope bracket over de^2 times
-    gamma^2 lambda (lambda^2 - 1) once gamma = lambda - delta is substituted:
-    its O(1) terms, which cancel to O(1/gamma^2), cancel here symbolically.
-    Horner form in lambda, plain arithmetic on floats and arrays alike; the
-    coefficients are whole numbers, which sympy's nsimplify recovers exactly.
+def _slope_polynomial(lam, a2, n):
+    """Q(lambda, a^2, n), the paper's slope bracket over de^2 times
+    gamma^2 lambda (lambda^2 - 1) once gamma^2 = lambda^2 - a^2 is
+    substituted: its O(1) terms, which cancel to O(1/gamma^2), cancel here
+    symbolically.  Grouped by powers of n, (c2 n + c1) n + c0, with
+
+        c2 = 6 lambda (lambda^2 - 1),
+        c1 = 2 ((a^2 + 2 lambda^2 - 4) a^2 + (3 lambda^2 + lambda - 3) lambda),
+        c0 = (lambda + 1) ((a^2 + 2 lambda - 4) a^2 + (3 lambda - 2) lambda).
+
+    On a table the c_k are computed once on the ell row, and only the two
+    multiply-adds in n run on the full grid.  Plain arithmetic on floats and
+    arrays alike; the coefficients are whole numbers, which sympy's
+    nsimplify recovers exactly.
     """
-    s = 2.0 * n + 1.0
-    d2 = delta * delta
-    return (
-        ((6.0 * n * n + 6.0 * n + 3.0 + 4.0 * delta * s + 4.0 * d2) * lam
-         + s - 4.0 * delta + d2 * (2.0 * s - 4.0 * delta)) * lam
-        - 6.0 * n * n - 6.0 * n - 2.0 - 8.0 * delta * s + d2 * (2.0 - 4.0 * delta * s + d2)
-    ) * lam + d2 * (d2 * s + 4.0 * s)
+    x = 2.0 * lam
+    c2 = 6.0 * lam * (lam - 1.0) * (lam + 1.0)
+    c1 = 2.0 * ((a2 + x * lam - 4.0) * a2 + ((3.0 * lam + 1.0) * lam - 3.0) * lam)
+    c0 = ((a2 + x - 4.0) * a2 + (3.0 * lam - 2.0) * lam) * (lam + 1.0)
+    return (c2 * n + c1) * n + c0
 
 
 def _energies(m: Molecule, n, ell) -> tuple[np.ndarray, np.ndarray]:
@@ -70,19 +76,21 @@ def _slopes(m: Molecule, n, ell) -> np.ndarray:
 
         4 mu de^2 Q / (gamma^2 lambda (lambda^2 - 1))
 
-    with Q from _slope_polynomial.  The inverse-quartic expectation value
-    behind the paper's last term brings the lambda*(lambda^2 - 1)
-    denominator, so lambda <= 1 is rejected; gamma > 1 already guarantees
-    lambda > 1.
+    with Q from _slope_polynomial.  The grid sees Q divided by the ell row
+    lambda (lambda^2 - 1), then times the number 4 mu de^2/gamma^2, about
+    2 de/re^2.  Q overflows before the row does (gamma ~ 3e102 at n = 0), so
+    a slope is accurate, inf or nan, never a denominator's overflow to 0.  The
+    inverse-quartic expectation value behind the paper's last term brings the
+    lambda*(lambda^2 - 1) denominator, so lambda <= 1 is rejected; gamma > 1
+    already guarantees lambda > 1.
     """
     g = gamma(m)
     lam = lambda_pho(g, ell)
     _reject_pole((lam <= 1.0) | (g * g == 0.0), lam, ell, g,
                  "has a pole for gamma^2 = 0 and for lambda <= 1")
     a = ell + 0.5
-    delta = a * a / (lam + g)
-    return (4.0 * m.mu * m.de * m.de * _slope_polynomial(lam, delta, n)
-            / (g * g * lam * (lam - 1.0) * (lam + 1.0)))
+    return (_slope_polynomial(lam, a * a, n) / (lam * (lam - 1.0) * (lam + 1.0))
+            * (4.0 * m.mu * m.de * m.de / (g * g)))
 
 
 def pho_energy_undeformed(m: Molecule, qn: QuantumNumbers) -> float:

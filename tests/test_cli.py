@@ -156,11 +156,11 @@ class TestSizeRule:
     SHAPES = [(3, 3), (4, 3), (15, 0), (16, 0), (0, 16)]
     DEFORMATIONS = [[], ["--beta", "1e-2"], ["--min-length-angstrom", "0.01"]]
     # a lambda <= 3/2 pole (kratzer) and lambda <= 1 pole (pho), a slope that is
-    # nan (inf / inf), and a shift that overflows to inf
+    # nan (its polynomial overflows at gamma 1e80), and a shift that overflows to inf
     EDGES = [
         ["--potential", "kratzer", "--synthetic", "1,1,0.1", "--beta", "1e-6"],
         ["--potential", "pho", "--synthetic", "1,1,0.1", "--beta", "1e-6"],
-        ["--potential", "kratzer", "--synthetic", "1,1,5e103", "--beta", "1e-6"],
+        ["--potential", "kratzer", "--synthetic", "1,1,5e159", "--beta", "1e-6"],
         ["--potential", "pho", "--synthetic", "1,1,1", "--beta", "1e308"],
     ]
 
@@ -694,11 +694,11 @@ class TestExitCodes:
         (["verify", "--gamma", "1e200"], EXIT_CONFIG),
         (["verify", "--gamma", "1e300", "--nmax", "0", "--lmax", "0"], EXIT_CONFIG),
         (["verify", "--gamma", "1e-300", "--nmax", "0", "--lmax", "0"], EXIT_CONFIG),
-        # a closed-form shift that is nan: the slope kernels overflow from gamma ~ 1e51
+        # a closed-form shift that is nan: the Kratzer slope overflows from gamma ~ 4e76
         (["verify", "--gamma", "1e100", "--nmax", "0", "--lmax", "0"], EXIT_CONFIG),
         (["verify", "--gamma", "1e154", "--nmax", "0", "--lmax", "0"], EXIT_CONFIG),
         # a nan shift after a valid gamma: refused before that gamma is solved
-        (["verify", "--potential", "kratzer", "--gamma", "20", "--gamma", "1e60", "--nmax", "4",
+        (["verify", "--potential", "kratzer", "--gamma", "20", "--gamma", "1e80", "--nmax", "4",
           "--lmax", "3"], EXIT_CONFIG),
         # no size of the ladder has a point for each of the 101 states
         (["verify", "--gamma", "20", "--nmax", "100", "--lmax", "0", "--grid-points", "16",
@@ -788,10 +788,10 @@ class TestExitCodes:
         (["constants", "--potential", "pho", "--synthetic", "1,1,0.5", "--beta", "1e305",
           "--fit", "--nmax", "4", "--lmax", "40", "--units", "internal"],
          "error: level (n=0, ell=29) has a non-finite energy (inf); cannot fit\n"),
-        (["constants", "--potential", "kratzer", "--synthetic", "1,1,5e109", "--beta", "1e-10",
+        (["constants", "--potential", "kratzer", "--synthetic", "1,1,5e159", "--beta", "1e-10",
           "--fit", "--units", "internal"],
          "error: level (n=0, ell=0) has a non-finite energy (nan); cannot fit\n"),
-        (["constants", "--potential", "pho", "--synthetic", "1,1,5e199", "--beta", "1e-10",
+        (["constants", "--potential", "pho", "--synthetic", "1,1,8e204", "--beta", "1e-10",
           "--fit"],
          "error: level (n=0, ell=0) has a non-finite energy (nan); cannot fit\n"),
         # a finite length whose beta overflows: the length is named, not beta = inf
@@ -880,7 +880,7 @@ SPECTRUM_JSON = """\
       "total": -0.4990000000000001
     },
     {
-      "delta_e": 0.0002599455664426703,
+      "delta_e": 0.00025994556644267036,
       "e0": -0.30480589839889627,
       "l": 1,
       "n": 0,
@@ -894,7 +894,7 @@ SPECTRUM_JSON = """\
       "total": -0.22176131687242803
     },
     {
-      "delta_e": 0.0001703953053521863,
+      "delta_e": 0.00017039530535218621,
       "e0": -0.15767078078675462,
       "l": 1,
       "n": 1,
@@ -998,7 +998,7 @@ VERIFY_JSON = """\
       "status": "FAIL"
     },
     {
-      "de_closed": 5.461918724296166e-06,
+      "de_closed": 5.461918724296165e-06,
       "de_oracle": NaN,
       "de_rel_err": Infinity,
       "e_closed": -0.8648298096734234,

@@ -4,10 +4,11 @@ The paper writes each undeformed level and shift slope in a form whose O(1)
 terms cancel at large gamma; the kernels use rearranged forms in which they
 cancel symbolically.  The paper's forms are kept here as the specification:
 sympy proves that the kernels' slope polynomials (``_slope_polynomial``) and
-the rearranged levels equal them identically, and a 60-digit mpmath
-evaluation of them bounds the kernels' float64 error.  The structural
+the rearranged levels equal them identically, and an mpmath evaluation of
+them at 60 digits and more bounds the kernels' float64 error.  The structural
 properties are tested in test_closed_form_properties.py.
 """
+import json
 import math
 import warnings
 
@@ -20,6 +21,7 @@ from gupmol import (
     DomainError,
     Molecule,
     QuantumNumbers,
+    cli,
     closed_form_table,
     kratzer,
     pho,
@@ -27,8 +29,11 @@ from gupmol import (
 from gupmol.spectroscopy import MODELS
 
 KINDS = tuple(MODELS)
-REL_BOUND = 1e-13  # float64 kernels against the 60-digit paper forms
-GAMMAS = (2.5, 5.0, 20.0, 36.0, 100.0, 3e3, 1e4, 2e5, 2e6)
+REL_BOUND = 1e-13  # float64 levels against the paper forms
+# float64 slopes against the paper forms, about twice the worst measured on the
+# grid (1.22e-15 and 3.2e-16)
+SLOPE_BOUND = {"kratzer": 2e-15, "pho": 1e-15}
+GAMMAS = (2.5, 5.0, 20.0, 36.0, 100.0, 3e3, 1e4, 2e5, 2e6, 1e8, 1e12, 1e20, 1e40, 1e55)
 NS = (0, 1, 5, 50, 200)
 ELLS = (0, 1, 10, 200)
 
@@ -102,7 +107,7 @@ class TestIdentities:
         lam = sp.sqrt(g * g + a * a)
         delta = a * a / (lam + g)
         new_e0 = 2 * de * (2 * n + 1 + delta) / g
-        new_slope = (4 * mu * de * de * exact(sp, pho._slope_polynomial(lam, delta, n))
+        new_slope = (4 * mu * de * de * exact(sp, pho._slope_polynomial(lam, a * a, n))
                      / (g * g * lam * (lam - 1) * (lam + 1)))
         assert sp.simplify(new_e0 - e0) == 0
         assert sp.simplify(new_slope - slope) == 0
@@ -111,13 +116,16 @@ class TestIdentities:
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("g", GAMMAS)
 def test_against_60_digits(kind, g):
-    """Every level and slope of the grid within REL_BOUND of the paper's forms."""
+    """Every level of the grid within REL_BOUND of the paper's forms, and every
+    slope finite and within its kind's SLOPE_BOUND.  The paper's slope brackets
+    cancel to O(1/gamma^2), so they are evaluated at 60 digits plus two a
+    decade of gamma."""
     mp = pytest.importorskip("mpmath").mp
     m = Molecule("x", de=1.0, re=1.0, mu=g * g / 2.0)
     model = MODELS[kind]
     table = closed_form_table(m, NO_DEFORMATION, kind, max(NS), max(ELLS))
-    with mp.workdps(60):
-        # gamma as the molecule's float parameters define it, at 60 digits
+    with mp.workdps(60 + 2 * math.ceil(math.log10(g))):
+        # gamma as the molecule's float parameters define it, at the same digits
         g_ref = mp.mpf(m.re) * mp.sqrt(2 * mp.mpf(m.mu) * mp.mpf(m.de))
         for n in NS:
             for ell in ELLS:
@@ -126,9 +134,42 @@ def test_against_60_digits(kind, g):
                                   mp.sqrt, mp.mpf(1) / 2)
                 got = (model.undeformed(m, qn), table.energy[n * (max(ELLS) + 1) + ell],
                        model.slope(m, qn))
-                for label, value, want in zip(("e0", "level above minimum", "slope"), got, ref):
+                bounds = (REL_BOUND, REL_BOUND, SLOPE_BOUND[kind])
+                for label, value, want, bound in zip(("e0", "level above minimum", "slope"),
+                                                     got, ref, bounds):
+                    assert math.isfinite(value), (kind, g, n, ell, label, value)
                     err = abs((mp.mpf(value) - want) / want)
-                    assert err <= REL_BOUND, (kind, g, n, ell, label, float(err))
+                    assert err <= bound, (kind, g, n, ell, label, float(err))
+
+
+def test_cli_prints_checked_shifts_for_deep_wells(capsys):
+    """The Kratzer slope kernel is finite to gamma ~ 4e76 (at n = ell = 0), so
+    at gamma 1e52 spectrum prints every shift within the slope bound of beta
+    times the paper's slope (plus the product's rounding), and a fit at gamma
+    1e55 prints finite constants."""
+    mp = pytest.importorskip("mpmath").mp
+    beta, mu = 1e-6, 5e103
+    assert cli.main(["spectrum", "--potential", "kratzer", "--synthetic", "1,1,5e103",
+                     "--beta", "1e-6", "--units", "internal", "--format", "json"]) == 0
+    levels = json.loads(capsys.readouterr().out)["levels"]
+    assert len(levels) > 1
+    with mp.workdps(60 + 2 * 53):
+        g = mp.sqrt(2 * mp.mpf(mu))
+        for level in levels:
+            slope = paper_kratzer(g, level["l"] + mp.mpf(1) / 2, level["n"], mp.mpf(1),
+                                  mp.mpf(mu), mp.sqrt, mp.mpf(1) / 2)[2]
+            want = mp.mpf(beta) * slope
+            err = abs((mp.mpf(level["delta_e"]) - want) / want)
+            assert err <= SLOPE_BOUND["kratzer"] + 2.0**-53, (level, float(err))
+    assert cli.main(["constants", "--potential", "kratzer", "--synthetic", "1,1,5e109",
+                     "--beta", "1e-6", "--fit", "--units", "internal", "--format", "json"]) == 0
+    document = json.loads(capsys.readouterr().out)
+    assert all(math.isfinite(v) for key in ("constants", "fitted", "rel_diff")
+               for v in document[key].values())
+    # the levels are beta * 3 (nu^2 + 1/4) to O(1/gamma): the shifts carry y00 and
+    # wexe, and every other constant is below the levels' round-off at this depth
+    assert abs(document["rel_diff"]["y00"]) <= 1e-12
+    assert abs(document["rel_diff"]["wexe"]) <= 1e-12
 
 
 class TestTableSizes:

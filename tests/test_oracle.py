@@ -248,7 +248,7 @@ class TestSweep:
                 == closed_vs_oracle_sweep(base_points=64, **config).cells)
 
     @pytest.mark.parametrize("options", [
-        {"potentials": ("kratzer",), "gammas": (20.0, 1e60)},
+        {"potentials": ("kratzer",), "gammas": (20.0, 1e80)},
         {"potentials": ("pho",), "gammas": (20.0, 0.5), "beta": 1e-6},
         {"n_max": 100, "l_max": 0, "base_points": 16, "levels": 3},
         {"tol_energy": 0.0},
