@@ -38,14 +38,12 @@ from .core import (
 from .kratzer import (
     kratzer_correction_slope,
     kratzer_energy_deformed,
-    kratzer_energy_expansion,
     kratzer_energy_undeformed,
     kratzer_spectroscopic_constants,
 )
 from .pho import (
     pho_correction_slope,
     pho_energy_deformed,
-    pho_energy_expansion,
     pho_energy_undeformed,
     pho_spectroscopic_constants,
 )

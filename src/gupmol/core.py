@@ -364,7 +364,7 @@ def _grid(n_max: int, l_max: int) -> tuple:
 
 
 def _warn_first_order(m: Molecule, qn: QuantumNumbers, shift: float, level: float,
-                      count: int = 1) -> None:
+                      stacklevel: int, count: int = 1) -> None:
     """The PerturbationWarning of ``count`` levels whose shift is not small
     against them; ``qn``, ``shift`` and ``level`` are the worst one's."""
     where = f"for {m.name!r} (n={qn.n}, ell={qn.ell})"
@@ -379,9 +379,7 @@ def _warn_first_order(m: Molecule, qn: QuantumNumbers, shift: float, level: floa
             count=count,
         ),
         PerturbationWarning,
-        # through Model.level or Model.table, the caller of kratzer_energy_deformed,
-        # closed_form_table and the like
-        stacklevel=4,
+        stacklevel=stacklevel,
     )
 
 
@@ -398,9 +396,9 @@ class Model:
     unit beta.  Both take arrays of n and ell that broadcast (a column of n
     against a row of ell for a table) and are written so that no large terms
     cancel.  The scalar methods are float views of the same kernels run on
-    Python floats, so a level equals its table entry bit for bit.  The
-    large-gamma series of a level is the master expression of the band
-    constants; it has no home of its own.
+    Python floats, so a level equals its table entry bit for bit; the package
+    exports them per potential.  ``expansion``, the large-gamma series of a
+    level, is the master expression of ``constants``, which holds its terms.
     """
 
     name: str
@@ -432,7 +430,7 @@ class Model:
         e0 = self.undeformed(m, qn)
         de = self.shift(m, d, qn)
         if abs(de) > FIRST_ORDER_WARN_RATIO * abs(e0):
-            _warn_first_order(m, qn, de, e0)
+            _warn_first_order(m, qn, de, e0, stacklevel=3)  # at the caller of level
         return EnergyLevel(qn=qn, e0=e0, de=de)
 
     def table(self, m: Molecule, d: Deformation, n_max: int, l_max: int):
@@ -441,11 +439,12 @@ class Model:
         int64.  The n and ell columns come from the grid built once per (n_max,
         l_max) and shared read-only by every table of that shape (see _grid, which
         also holds the shape's fit basis); the other three are new arrays.
-        Flags levels as ``level`` does, but warns once per table: the warning's
-        ``count`` is the number flagged and its ``qn`` and ``ratio`` are the first
-        level of largest |shift| / |e0|, the only one that gets a QuantumNumbers.
-        Every flagged level is in the e0 and shift columns.  A value beyond float
-        range is inf or nan, which callers that print refuse.
+        Flags levels as ``level`` does, but warns once per table, at the caller of
+        closed_form_table: the warning's ``count`` is the number flagged and its
+        ``qn`` and ``ratio`` are the first level of largest |shift| / |e0|, the only
+        one that gets a QuantumNumbers.  Every flagged level is in the e0 and shift
+        columns.  A value beyond float range is inf or nan, which callers that print
+        refuse.
         """
         import numpy as np
 
@@ -461,7 +460,7 @@ class Model:
                 ratio = np.abs(de[k]) / np.abs(e0[k])
             w = k[ratio.argmax()]  # the first maximum, as max() over levels takes it
             _warn_first_order(m, QuantumNumbers(int(n_col[w]), int(ell_col[w])), float(de[w]),
-                              float(e0[w]), count=k.size)
+                              float(e0[w]), stacklevel=4, count=k.size)
         return n_col, ell_col, e0, e_min, de
 
     def expansion(self, m: Molecule, d: Deformation, qn: QuantumNumbers) -> float:

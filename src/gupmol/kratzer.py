@@ -1,11 +1,11 @@
 """Closed-form spectra for the g1/r^2 - g2/r molecular potential.
 
 Provides the potential itself, the exact bound-state energies, the
-first-order minimal-length shift, the large-gamma series of both, and the
-band-spectrum constants the series implies, as the fields of the model
-record ``KRATZER``.  Everything is analytic; the numerical cross-checks,
-which solve the radial equation on this potential, live in
-:mod:`gupmol.oracle`.
+first-order minimal-length shift, and the band-spectrum constants of the
+large-gamma series, as the fields of the model record ``KRATZER``; the
+public per-level names (``kratzer_energy_deformed`` ...) are its methods.
+Everything is analytic; the numerical cross-checks, which solve the radial
+equation on this potential, live in :mod:`gupmol.oracle`.
 """
 from __future__ import annotations
 
@@ -13,10 +13,8 @@ from typing import TYPE_CHECKING
 
 from .core import (
     Deformation,
-    EnergyLevel,
     Model,
     Molecule,
-    QuantumNumbers,
     SpectroscopicConstants,
     _reject_pole,
     _series_gamma,
@@ -113,27 +111,12 @@ def _slopes(m: Molecule, n, ell) -> np.ndarray:
             * (t2 * t2) * (m.mu * m.de * m.de / (lam * (lam - 1.0))))
 
 
-def kratzer_energy_undeformed(m: Molecule, qn: QuantumNumbers) -> float:
-    """Exact bound level -gamma^2*de/(lambda+n)^2; always in (-de, 0)."""
-    return KRATZER.undeformed(m, qn)
+def kratzer_spectroscopic_constants(m: Molecule, d: Deformation) -> SpectroscopicConstants:
+    """Band-spectrum constants of the large-gamma series of the deformed level,
+    truncated at 1/gamma^3; the one home of its coefficients.
 
-
-def kratzer_correction_slope(m: Molecule, qn: QuantumNumbers) -> float:
-    """First-order level shift per unit beta (see _slopes); DomainError for
-    lambda <= 3/2, where the closed form has poles."""
-    return KRATZER.slope(m, qn)
-
-
-def kratzer_energy_deformed(m: Molecule, d: Deformation, qn: QuantumNumbers) -> EnergyLevel:
-    """Level with its minimal-length shift; exact to first order in beta (see Model.level)."""
-    return KRATZER.level(m, d, qn)
-
-
-def kratzer_energy_expansion(m: Molecule, d: Deformation, qn: QuantumNumbers) -> float:
-    """Large-gamma series of the deformed level, truncated at 1/gamma^3.
-
-    It is the master expression of :func:`kratzer_spectroscopic_constants`
-    less the well depth (see Model.expansion).  Undeformed part:
+    The series is the master expression of these constants less the well
+    depth (see Model.expansion).  Undeformed part:
 
         de * [-1 + 2 nu/g + ((ell+1/2)^2 - 3 nu^2)/g^2
               + (4 nu^3 - 3 nu (ell+1/2)^2)/g^3],    nu = n + 1/2.
@@ -148,13 +131,6 @@ def kratzer_energy_expansion(m: Molecule, d: Deformation, qn: QuantumNumbers) ->
     of both parts is O(1/g^4), which tests/test_acceptance.py measures as a
     log-log slope.  Note the undeformed 1/g^4 coefficient vanishes
     identically when n == ell.
-    """
-    return KRATZER.expansion(m, d, qn)
-
-
-def kratzer_spectroscopic_constants(m: Molecule, d: Deformation) -> SpectroscopicConstants:
-    """Band-spectrum constants implied by the 1/gamma series; the one home of
-    its coefficients.
 
     y00 is referenced to the potential minimum (the well-depth offset -de is
     not part of it).  The rotational constant be = de/gamma^2 carries no beta
@@ -180,3 +156,7 @@ KRATZER = Model(
     constants=kratzer_spectroscopic_constants,
     well_offset=lambda m: m.de,  # the well bottom sits at -de
 )
+
+kratzer_energy_undeformed = KRATZER.undeformed
+kratzer_correction_slope = KRATZER.slope
+kratzer_energy_deformed = KRATZER.level

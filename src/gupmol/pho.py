@@ -1,11 +1,12 @@
 """Closed-form spectra for the pseudoharmonic potential de*(r/re - re/r)^2.
 
-The potential, exact levels, first-order minimal-length shift, large-gamma
-series, and the derived band-spectrum constants; the model record ``PHO``
-holds the ones the package dispatches on, as ``KRATZER`` does in
-:mod:`gupmol.kratzer`.  The undeformed spectrum is exactly linear in n, so
-the anharmonicity and rotation-vibration coupling constants vanish at
-beta = 0 and are generated purely by the deformation, with a negative sign.
+The potential, exact levels, first-order minimal-length shift, and the
+band-spectrum constants of the large-gamma series, as the fields of the
+model record ``PHO``, the twin of ``KRATZER`` in :mod:`gupmol.kratzer`; the
+public per-level names (``pho_energy_deformed`` ...) are its methods.  The
+undeformed spectrum is exactly linear in n, so the anharmonicity and
+rotation-vibration coupling constants vanish at beta = 0 and are generated
+purely by the deformation, with a negative sign.
 """
 from __future__ import annotations
 
@@ -13,10 +14,8 @@ from typing import TYPE_CHECKING
 
 from .core import (
     Deformation,
-    EnergyLevel,
     Model,
     Molecule,
-    QuantumNumbers,
     SpectroscopicConstants,
     _reject_pole,
     _series_gamma,
@@ -93,25 +92,12 @@ def _slopes(m: Molecule, n, ell) -> np.ndarray:
             * (4.0 * m.mu * m.de * m.de / (g * g)))
 
 
-def pho_energy_undeformed(m: Molecule, qn: QuantumNumbers) -> float:
-    """Exact level 2*de*(2n + 1 + lambda - gamma)/gamma, measured from the minimum."""
-    return PHO.undeformed(m, qn)
+def pho_spectroscopic_constants(m: Molecule, d: Deformation) -> SpectroscopicConstants:
+    """Band-spectrum constants of the large-gamma series of the deformed level,
+    truncated at 1/gamma^3; the one home of its coefficients.
 
-
-def pho_correction_slope(m: Molecule, qn: QuantumNumbers) -> float:
-    """First-order level shift per unit beta (see _slopes); DomainError for
-    lambda <= 1, where the closed form has a pole."""
-    return PHO.slope(m, qn)
-
-
-def pho_energy_deformed(m: Molecule, d: Deformation, qn: QuantumNumbers) -> EnergyLevel:
-    """Level with its minimal-length shift, exact to first order in beta (see Model.level)."""
-    return PHO.level(m, d, qn)
-
-
-def pho_energy_expansion(m: Molecule, d: Deformation, qn: QuantumNumbers) -> float:
-    """Large-gamma series of the deformed level, truncated at 1/gamma^3: the
-    master expression of :func:`pho_spectroscopic_constants` (see Model.expansion).
+    The series is the master expression of these constants (see
+    Model.expansion):
 
         de/(4 g^2) + (4 de/g) nu + de*ell(ell+1)/g^2
         + beta*mu*de^2 * [6/g^2 + 24 nu^2/g^2 + 12 nu/g^3
@@ -121,12 +107,6 @@ def pho_energy_expansion(m: Molecule, d: Deformation, qn: QuantumNumbers) -> flo
     12*beta*mu*de^2/g^3) was fixed by re-expanding the closed form; it is the
     only dimensionally consistent possibility, the remainder being O(1/g^4).
     There is no nu^3 term: the deformed spectrum is exactly quadratic in n.
-    """
-    return PHO.expansion(m, d, qn)
-
-
-def pho_spectroscopic_constants(m: Molecule, d: Deformation) -> SpectroscopicConstants:
-    """Band-spectrum constants implied by the series; the one home of its coefficients.
 
     At beta = 0 the anharmonicity wexe, the coupling alphae and weye are all
     exactly zero; for beta > 0, wexe and alphae turn on with a negative sign,
@@ -155,3 +135,7 @@ PHO = Model(
     constants=pho_spectroscopic_constants,
     well_offset=lambda m: 0.0,  # the well bottom sits at 0
 )
+
+pho_energy_undeformed = PHO.undeformed
+pho_correction_slope = PHO.slope
+pho_energy_deformed = PHO.level

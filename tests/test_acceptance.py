@@ -28,7 +28,6 @@ from gupmol import (
     fit_dunham,
     kratzer_correction_slope,
     kratzer_energy_deformed,
-    kratzer_energy_expansion,
     kratzer_energy_undeformed,
     kratzer_spectroscopic_constants,
     load_levels,
@@ -36,12 +35,12 @@ from gupmol import (
     packaged_data_path,
     pho_correction_slope,
     pho_energy_deformed,
-    pho_energy_expansion,
     pho_energy_undeformed,
     pho_spectroscopic_constants,
     synthetic_molecule,
 )
 from gupmol.kratzer import KRATZER
+from gupmol.pho import PHO
 from gupmol.oracle import _check_states, _dvr_levels, _dvr_solve
 
 TOL_ENERGY = 1e-6
@@ -158,7 +157,7 @@ ORDER_CASES = {
     "kratzer-undeformed": (
         QuantumNumbers(1, 0),
         lambda m, qn: abs(
-            kratzer_energy_undeformed(m, qn) - kratzer_energy_expansion(m, NO_DEFORMATION, qn)
+            kratzer_energy_undeformed(m, qn) - KRATZER.expansion(m, NO_DEFORMATION, qn)
         ),
     ),
     "kratzer-beta-part": (
@@ -166,15 +165,15 @@ ORDER_CASES = {
         lambda m, qn: abs(
             kratzer_correction_slope(m, qn)
             - (
-                kratzer_energy_expansion(m, Deformation(1.0), qn)
-                - kratzer_energy_expansion(m, NO_DEFORMATION, qn)
+                KRATZER.expansion(m, Deformation(1.0), qn)
+                - KRATZER.expansion(m, NO_DEFORMATION, qn)
             )
         ),
     ),
     "pho-undeformed": (
         QuantumNumbers(0, 1),
         lambda m, qn: abs(
-            pho_energy_undeformed(m, qn) - pho_energy_expansion(m, NO_DEFORMATION, qn)
+            pho_energy_undeformed(m, qn) - PHO.expansion(m, NO_DEFORMATION, qn)
         ),
     ),
     "pho-beta-part": (
@@ -182,8 +181,8 @@ ORDER_CASES = {
         lambda m, qn: abs(
             pho_correction_slope(m, qn)
             - (
-                pho_energy_expansion(m, Deformation(1.0), qn)
-                - pho_energy_expansion(m, NO_DEFORMATION, qn)
+                PHO.expansion(m, Deformation(1.0), qn)
+                - PHO.expansion(m, NO_DEFORMATION, qn)
             )
         ),
     ),

@@ -376,7 +376,8 @@ class TestShallowWell:
     MOLECULE = Molecule(name="synthetic", de=1.0, re=1.0, mu=0.1)
 
     @pytest.mark.parametrize("kind, undeformed", [("kratzer", kratzer_energy_undeformed),
-                                                  ("pho", pho_energy_undeformed)])
+                                                  ("pho", pho_energy_undeformed)],
+                             ids=["kratzer-kratzer_energy_undeformed", "pho-pho_energy_undeformed"])
     def test_spectrum_at_zero_beta(self, capsys, kind, undeformed):
         code, out, err = run_main(
             capsys, "spectrum", "--potential", kind, "--synthetic", self.SYNTHETIC,

@@ -12,7 +12,6 @@ from gupmol import (
     gamma,
     kratzer_correction_slope,
     kratzer_energy_deformed,
-    kratzer_energy_expansion,
     kratzer_energy_undeformed,
     kratzer_spectroscopic_constants,
     synthetic_molecule,
@@ -96,12 +95,12 @@ class TestExpansion:
         m = synthetic_molecule(1e4)
         qn = QuantumNumbers(0, 0)
         closed = kratzer_energy_undeformed(m, qn)
-        series = kratzer_energy_expansion(m, NO_DEFORMATION, qn)
+        series = KRATZER.expansion(m, NO_DEFORMATION, qn)
         assert abs(closed - series) <= 1e-15 * m.de
 
     def test_leading_term_is_minus_well_depth(self):
         m = synthetic_molecule(1e8)
-        series = kratzer_energy_expansion(m, NO_DEFORMATION, QuantumNumbers(0, 0))
+        series = KRATZER.expansion(m, NO_DEFORMATION, QuantumNumbers(0, 0))
         assert series == pytest.approx(-m.de, rel=1e-7)
 
     def test_beta_part_leading_coefficient(self):
@@ -110,8 +109,8 @@ class TestExpansion:
         beta = 1e-9
         for n, ell in [(0, 0), (2, 1)]:
             qn = QuantumNumbers(n, ell)
-            beta_part = kratzer_energy_expansion(m, Deformation(beta), qn) - (
-                kratzer_energy_expansion(m, NO_DEFORMATION, qn)
+            beta_part = KRATZER.expansion(m, Deformation(beta), qn) - (
+                KRATZER.expansion(m, NO_DEFORMATION, qn)
             )
             nu = n + 0.5
             lh = (ell + 0.5) ** 2
@@ -131,7 +130,7 @@ class TestExpansion:
             diffs.append(
                 abs(
                     kratzer_energy_undeformed(m, qn)
-                    - kratzer_energy_expansion(m, NO_DEFORMATION, qn)
+                    - KRATZER.expansion(m, NO_DEFORMATION, qn)
                 )
             )
         assert diffs[0] / diffs[1] == pytest.approx(16.0, rel=0.25)

@@ -10,6 +10,7 @@ import pytest
 
 import gupmol
 from gupmol import core
+from gupmol.spectroscopy import MODELS
 
 # The package's public names, listed on purpose: a new export must be added here.
 EXPORTS = (
@@ -21,11 +22,11 @@ EXPORTS = (
     "closed_form_table", "closed_vs_oracle_sweep", "core",
     "fit_beta_bound", "fit_dunham", "gamma",
     "kratzer", "kratzer_correction_slope", "kratzer_energy_deformed",
-    "kratzer_energy_expansion", "kratzer_energy_undeformed", "kratzer_spectroscopic_constants",
+    "kratzer_energy_undeformed", "kratzer_spectroscopic_constants",
     "lambda_kratzer", "lambda_pho", "load_levels", "load_molecules", "master_energy",
     "oracle", "packaged_data_path",
     "pho", "pho_correction_slope", "pho_energy_deformed",
-    "pho_energy_expansion", "pho_energy_undeformed", "pho_spectroscopic_constants",
+    "pho_energy_undeformed", "pho_spectroscopic_constants",
     "spectroscopy", "synthetic_molecule",
     "verify",
 )
@@ -56,7 +57,21 @@ def test_sweep_names_are_the_verify_modules_own():
 
     for name in ("SweepCell", "SweepReport", "closed_vs_oracle_sweep"):
         assert getattr(gupmol, name) is getattr(verify, name)
-    assert len(EXPORTS) == 50
+    assert len(EXPORTS) == 48
+
+
+@pytest.mark.parametrize("kind", ["kratzer", "pho"])
+def test_each_per_potential_export_is_its_records_view(kind):
+    # A wrapper function in place of a view would be a second home for the potential.
+    model = MODELS[kind]
+    views = {"energy_undeformed": core.Model.undeformed, "correction_slope": core.Model.slope,
+             "energy_deformed": core.Model.level}
+    for suffix, method in views.items():
+        view = getattr(gupmol, f"{kind}_{suffix}")
+        assert view.__self__ is model and view.__func__ is method
+    assert getattr(gupmol, f"{kind}_spectroscopic_constants") is model.constants
+    assert {name for name in EXPORTS if name.startswith(f"{kind}_")} == {
+        f"{kind}_{suffix}" for suffix in (*views, "spectroscopic_constants")}
 
 
 def test_unknown_name_is_attribute_error():

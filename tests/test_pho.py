@@ -13,7 +13,6 @@ from gupmol import (
     kratzer_spectroscopic_constants,
     pho_correction_slope,
     pho_energy_deformed,
-    pho_energy_expansion,
     pho_energy_undeformed,
     pho_spectroscopic_constants,
     synthetic_molecule,
@@ -95,7 +94,7 @@ class TestExpansion:
         qn = QuantumNumbers(0, 0)
         g = gamma(m)
         closed = pho_energy_undeformed(m, qn)
-        series = pho_energy_expansion(m, NO_DEFORMATION, qn)
+        series = PHO.expansion(m, NO_DEFORMATION, qn)
         assert series == pytest.approx(m.de / (4.0 * g * g) + 2.0 * m.de / g, rel=1e-14)
         assert abs(closed - series) <= 1e-15 * m.de
 
@@ -106,7 +105,7 @@ class TestExpansion:
         beta = 1e-9
         for n, ell in [(0, 0), (1, 2)]:
             qn = QuantumNumbers(n, ell)
-            beta_part = pho_energy_expansion(m, Deformation(beta), qn) - pho_energy_expansion(
+            beta_part = PHO.expansion(m, Deformation(beta), qn) - PHO.expansion(
                 m, NO_DEFORMATION, qn
             )
             nu = n + 0.5

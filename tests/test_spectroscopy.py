@@ -39,6 +39,8 @@ from gupmol import (
     synthetic_molecule,
 )
 from gupmol import core
+from gupmol.kratzer import KRATZER
+from gupmol.pho import PHO
 from gupmol.spectroscopy import MODELS
 
 
@@ -522,13 +524,18 @@ class TestColumns:
         lambda m, d: closed_form_table(m, d, "kratzer", 2, 2),
         lambda m, d: kratzer_energy_deformed(m, d, QuantumNumbers(0, 0)),
         lambda m, d: pho_energy_deformed(m, d, QuantumNumbers(0, 0)),
-    ], ids=["closed_form_table", "kratzer_energy_deformed", "pho_energy_deformed"])
+        lambda m, d: KRATZER.level(m, d, QuantumNumbers(0, 0)),
+        lambda m, d: PHO.level(m, d, QuantumNumbers(0, 0)),
+    ], ids=["closed_form_table", "kratzer_energy_deformed", "pho_energy_deformed",
+            "KRATZER.level", "PHO.level"])
     def test_warning_points_at_the_caller(self, call, unit_molecule):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             call(unit_molecule, Deformation(0.5))
         assert caught
-        assert {w.filename for w in caught} == {__file__}
+        # the line of the call itself, inside the lambda, not the line that runs the lambda
+        where = {(w.filename, w.lineno) for w in caught}
+        assert where == {(__file__, call.__code__.co_firstlineno)}
         assert all(issubclass(w.category, PerturbationWarning) for w in caught)
 
 
