@@ -381,7 +381,8 @@ def build_parser() -> argparse.ArgumentParser:
     vp.add_argument("--grid-points", type=int,
                     help="points of the first sinc-DVR solve (default: 64)")
     vp.add_argument("--levels", type=int,
-                    help="sinc-DVR sizes to try, each twice the one before, up to the DVR size "
+                    help="octaves of sinc-DVR sizes to try: from --grid-points to 2^(levels-1) "
+                         "times it, each octave split at 3/2 of its start, at most the DVR size "
                          "cap; a size with fewer points than states is left out (default: 5)")
     vp.add_argument("--rmax", type=float, help="override the automatic box size")
     vp.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -441,8 +442,9 @@ def entry_point() -> None:
     """The ``gupmol`` command and ``python -m gupmol``: one process, one command.
 
     verify's dense eigensolves (a few hundred points) are too small to gain
-    from BLAS threads: two threads made the benchmark's sweep slower (0.18 ->
-    0.24 s) at 2.5 times the CPU.  OpenBLAS reads OPENBLAS_NUM_THREADS when
+    from BLAS threads: on a 2-vCPU machine, two threads left the benchmark's
+    sweep (gamma 5, 20, 100, 1000; n <= 4, l <= 3) at 0.038 s but doubled
+    its CPU time (0.038 -> 0.078 s).  OpenBLAS reads OPENBLAS_NUM_THREADS when
     scipy first loads it, so the process sets it here, before any command
     runs; ``main``, which callers may run in their own process, sets nothing.
     """

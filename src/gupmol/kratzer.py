@@ -134,8 +134,12 @@ def kratzer_spectroscopic_constants(m: Molecule, d: Deformation) -> Spectroscopi
 
     y00 is referenced to the potential minimum (the well-depth offset -de is
     not part of it).  The rotational constant be = de/gamma^2 carries no beta
-    term: the deformation leaves it untouched.
+    term: the deformation leaves it untouched.  With beta > 0, a molecule
+    whose (n = 0, ell = 0) shift is at its pole (gamma^2 <= 3/4) is refused
+    with the slope's DomainError, as its levels are.
     """
+    if d.beta > 0.0:
+        _slopes(m, 0.0, 0.0)  # DomainError at the shift's pole, as the levels have it
     g = _series_gamma(m)
     bm = d.beta * m.mu * m.de * m.de
     return SpectroscopicConstants(

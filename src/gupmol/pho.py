@@ -112,8 +112,12 @@ def pho_spectroscopic_constants(m: Molecule, d: Deformation) -> SpectroscopicCon
     exactly zero; for beta > 0, wexe and alphae turn on with a negative sign,
     opposite to the tabulated values for real molecules.  be = de/gamma^2 is
     untouched by the deformation and equals the 1/r^2 - 1/r result for the
-    same molecule.
+    same molecule.  With beta > 0, a molecule whose (n = 0, ell = 0) shift
+    is at its pole (gamma^2 <= 3/4) is refused with the slope's DomainError,
+    as its levels are.
     """
+    if d.beta > 0.0:
+        _slopes(m, 0.0, 0.0)  # DomainError at the shift's pole, as the levels have it
     g = _series_gamma(m)
     bm = d.beta * m.mu * m.de * m.de
     return SpectroscopicConstants(

@@ -86,18 +86,20 @@ def closed_vs_oracle_sweep(
 ) -> SweepReport:
     """Run the full verification sweep and collect one cell per (n, ell).
 
-    The DVR sizes are ``base_points`` doubled, ``levels`` sizes in all, less
-    those with fewer points than the n_max + 1 states; each (potential,
-    gamma, ell) solves them in turn until two successive solves agree
-    (``oracle._dvr_levels``).  Solver failures (box too small, no agreement,
-    a failed check) mark the affected cells FAIL with the diagnostic in
-    ``note``, so a deliberately coarse start produces a failing report rather
-    than a crash.  DomainError comes before the first box or solve: for no
-    potential or gamma, an unknown potential, n_max, l_max, levels or
-    base_points not a nonnegative integer, tolerances, sizes (``levels``
-    below 1, below MIN_GRID_POINTS, above DVR_MAX_POINTS, none with room for
-    the states), the box, and a closed-form level or shift not finite or at a
-    slope pole.
+    The DVR sizes climb in half-octaves from ``base_points`` to
+    ``base_points * 2**(levels - 1)``: each power-of-two multiple and the
+    midpoint 3/2 of it, 2 * levels - 1 sizes in all (64, 96, 128, ..., 1024
+    at the defaults), less those with fewer points than the n_max + 1
+    states; each (potential, gamma, ell) solves them in turn until two
+    successive solves agree (``oracle._dvr_levels``).  Solver failures (box
+    too small, no agreement, a failed check) mark the affected cells FAIL
+    with the diagnostic in ``note``, so a deliberately coarse start produces
+    a failing report rather than a crash.  DomainError comes before the
+    first box or solve: for no potential or gamma, an unknown potential,
+    n_max, l_max, levels or base_points not a nonnegative integer,
+    tolerances, sizes (``levels`` below 1, below MIN_GRID_POINTS, above
+    DVR_MAX_POINTS, none with room for the states), the box, and a
+    closed-form level or shift not finite or at a slope pole.
     """
     models = [get_model(kind) for kind in potentials]
     molecules = [synthetic_molecule(gamma_value) for gamma_value in gammas]
@@ -116,7 +118,9 @@ def closed_vs_oracle_sweep(
     if levels - 1 > (DVR_MAX_POINTS // base_points).bit_length() - 1:
         raise DomainError(f"{levels} solves from {base_points} points exceed the DVR cap of "
                           f"{DVR_MAX_POINTS} points")
-    sizes = [size for size in (base_points * 2**k for k in range(levels)) if size > n_max]
+    # half-octaves: base_points * 2**j (k = 2j), then 3/2 of it (k = 2j + 1)
+    sizes = [size for size in (base_points * 2**(k // 2) * (2 + k % 2) // 2
+                               for k in range(2 * levels - 1)) if size > n_max]
     if not sizes:
         raise DomainError(f"{levels} solves from {base_points} points never reach one point "
                           f"for each of the {n_max + 1} states")

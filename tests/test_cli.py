@@ -409,6 +409,15 @@ class TestShallowWell:
         assert "pole" in err
 
     @pytest.mark.parametrize("kind", ["kratzer", "pho"])
+    def test_constants_refuse_the_pole_as_spectrum_does(self, capsys, kind):
+        argv = ["--potential", kind, "--synthetic", self.SYNTHETIC, "--beta"]
+        _, _, spectrum_err = run_main(capsys, "spectrum", *argv, "1e-3")
+        assert run_main(capsys, "constants", *argv, "1e-3") == (EXIT_CONFIG, "", spectrum_err)
+        code, out, err = run_main(capsys, "constants", *argv, "0")
+        assert code == EXIT_OK, err
+        assert len(parse_csv(out)) == 6
+
+    @pytest.mark.parametrize("kind", ["kratzer", "pho"])
     def test_fit_beta_bound_keeps_the_pole_error(self, kind):
         with pytest.raises(DomainError, match="pole"):
             fit_beta_bound(self.MOLECULE, 0.5, QuantumNumbers(0, 0), kind)

@@ -203,7 +203,7 @@ class TestPoleMessages:
 
     @pytest.mark.parametrize("kind", ["kratzer", "pho"])
     @pytest.mark.parametrize("case", CASES, ids=["shallow", "gamma-squared-zero"])
-    @pytest.mark.parametrize("path", ["slope", "table"])
+    @pytest.mark.parametrize("path", ["slope", "table", "constants"])
     def test_message(self, kind, case, path):
         mu, lam_kratzer, lam_pho, g = case
         lam = lam_kratzer if kind == "kratzer" else lam_pho
@@ -213,8 +213,10 @@ class TestPoleMessages:
         with pytest.raises(DomainError) as caught:
             if path == "slope":
                 model.slope(m, QuantumNumbers(1, 0))
-            else:
+            elif path == "table":
                 model.table(m, Deformation(1e-3), 2, 2)
+            else:
+                model.constants(m, Deformation(1e-3))
         assert str(caught.value) == message
 
 

@@ -54,7 +54,7 @@ def checked_solve(potential, ell, mu, box, points, count):
 
 COULOMB_BOX = (1e-9, 80.0)
 
-# the sweep's default ladder: 64 points doubled, five sizes
+# 64 points doubled, five sizes: the power-of-two sizes of the sweep's default ladder
 LADDER = (64, 128, 256, 512, 1024)
 
 
@@ -452,8 +452,8 @@ class TestDVR:
         assert report.all_passed, report.cells[0].note
 
     @pytest.mark.parametrize("n_max, solved, note", [
-        (40, [64], "no two successive solves at N = 64 agree to 1e-08"),
-        (20, [32, 64], "no two successive solves at N = 32, 64 agree to 1e-08"),
+        (50, [64], "no two successive solves at N = 64 agree to 1e-08"),
+        (40, [48, 64], "no two successive solves at N = 48, 64 agree to 1e-08"),
     ], ids=["one-solved", "two-solved"])
     def test_not_converged_note_names_the_sizes_solved(self, monkeypatch, n_max, solved, note):
         sizes = []
@@ -464,6 +464,26 @@ class TestDVR:
                                         l_max=0, base_points=16, levels=3)
         assert sizes == solved
         assert {cell.note for cell in report.cells} == {f"sinc DVR not converged: {note}"}
+
+    def test_default_sizes_climb_in_half_octaves(self, monkeypatch):
+        # a stand-in solve whose levels move by 1 each call, so no two agree
+        sizes = []
+
+        def never_agrees(potential, ell, mu, box, points, count):
+            sizes.append(points)
+            return np.full(count, float(len(sizes))), np.ones(count), None, None
+
+        monkeypatch.setattr(oracle, "_dvr_solve", never_agrees)
+        report = closed_vs_oracle_sweep(potentials=("kratzer",), gammas=(20.0,), n_max=0,
+                                        l_max=0)
+        assert sizes == [64, 96, 128, 192, 256, 384, 512, 768, 1024]
+        assert "N = 64, 96, 128, 192, 256, 384, 512, 768, 1024 agree" in report.cells[0].note
+
+    def test_deep_pho_well_converges_between_the_last_two_sizes(self):
+        # 768 and 1024 points agree; 512 and 1024, the last pair of a
+        # doubling ladder, did not
+        report = closed_vs_oracle_sweep(potentials=("pho",), gammas=(1e7,), n_max=1, l_max=0)
+        assert report.all_passed, [c.note for c in report.cells]
 
     @pytest.mark.parametrize("gamma_value, r_max", [(20.0, 10.0), (1000.0, 3.0)])
     def test_hand_set_box(self, gamma_value, r_max):
