@@ -72,7 +72,8 @@ INNER_WALL = 1e-3
 DVR_MAX_POINTS = 2048
 
 #: Relative agreement, on every energy and slope, at which the finer of two
-#: successive DVR solves (N and 2N points) is accepted.
+#: successive DVR solves is accepted: two neighbouring sizes of the sweep's
+#: half-octave ladder, such as 64 and 96 or 96 and 128 points.
 DVR_RTOL = 1e-8
 
 
@@ -87,12 +88,17 @@ def _v_eff(potential: RadialPotential, ell: int, mu: float, r: np.ndarray) -> np
     return out
 
 
-def _count_nodes(u: np.ndarray) -> int:
+def _count_nodes(u: np.ndarray) -> np.ndarray:
+    """Nodes of each column of ``u``: the sign changes between its successive
+    entries above 1e-9 of the column's largest magnitude."""
     import numpy as np
 
-    significant = np.abs(u) > 1e-9 * np.max(np.abs(u))
-    signs = np.sign(u[significant])
-    return int(np.sum(signs[1:] != signs[:-1]))
+    magnitude = np.abs(u)
+    # (column, row) of every significant entry, column by column
+    columns, rows = np.nonzero((magnitude > 1e-9 * magnitude.max(axis=0)).T)
+    signs = np.sign(u[rows, columns])
+    change = (signs[1:] != signs[:-1]) & (columns[1:] == columns[:-1])
+    return np.bincount(columns[1:][change], minlength=u.shape[1])
 
 
 def _check_states(energies, states, v_eff: np.ndarray, r_min: float, r_max: float) -> None:
@@ -100,7 +106,9 @@ def _check_states(energies, states, v_eff: np.ndarray, r_min: float, r_max: floa
     that sits in a classically forbidden region, and has k nodes.
 
     ``states`` holds each state's values on the grid points, the first and
-    last nearest the walls; ``v_eff`` is V_eff at the same points.
+    last nearest the walls; ``v_eff`` is V_eff at the same points.  A
+    failure names the first failing state and, of its failed checks, the
+    first of r_max amplitude, r_min amplitude and node count.
     """
     import numpy as np
 
@@ -112,26 +120,32 @@ def _check_states(energies, states, v_eff: np.ndarray, r_min: float, r_max: floa
             f"only {n_bound} of the requested {count} states are bound on "
             f"[{r_min:g}, {r_max:g}] (V_eff at r_max = {v_eff[-1]:g}); enlarge the box"
         )
-    for k, (energy, psi) in enumerate(zip(energies, states)):
-        peak = float(np.max(np.abs(psi)))
-        # Amplitude checks only where the wall sits in a classically
-        # forbidden region; at a near-origin wall with V_eff <= E the
-        # Dirichlet condition is the regular solution itself.
-        if abs(psi[-1]) > BOUNDARY_AMPLITUDE_TOL * peak:
-            raise GridError(
-                f"state {k}: amplitude {abs(psi[-1]):.2e} at r_max (relative "
-                f"{abs(psi[-1]) / peak:.2e}) exceeds {BOUNDARY_AMPLITUDE_TOL:g}; enlarge r_max"
-            )
-        if v_eff[0] > energy and abs(psi[0]) > INNER_AMPLITUDE_TOL * peak:
-            raise GridError(
-                f"state {k}: amplitude {abs(psi[0]):.2e} at r_min (relative "
-                f"{abs(psi[0]) / peak:.2e}) exceeds {INNER_AMPLITUDE_TOL:g}; shrink r_min"
-            )
-        nodes = _count_nodes(psi)
-        if nodes != k:
-            raise ConvergenceError(
-                f"state {k} has {nodes} interior nodes; eigensolve or grid is inconsistent"
-            )
+    magnitude = np.abs(states)
+    peak = magnitude.max(axis=1)
+    outer, inner = magnitude[:, -1], magnitude[:, 0]
+    # Amplitude checks only where the wall sits in a classically forbidden
+    # region; at a near-origin wall with V_eff <= E the Dirichlet condition
+    # is the regular solution itself.
+    leaks_out = outer > BOUNDARY_AMPLITUDE_TOL * peak
+    leaks_in = (v_eff[0] > energies) & (inner > INNER_AMPLITUDE_TOL * peak)
+    nodes = _count_nodes(states.T)
+    failed = leaks_out | leaks_in | (nodes != np.arange(count))
+    if not failed.any():
+        return
+    k = int(np.argmax(failed))
+    if leaks_out[k]:
+        raise GridError(
+            f"state {k}: amplitude {outer[k]:.2e} at r_max (relative "
+            f"{outer[k] / peak[k]:.2e}) exceeds {BOUNDARY_AMPLITUDE_TOL:g}; enlarge r_max"
+        )
+    if leaks_in[k]:
+        raise GridError(
+            f"state {k}: amplitude {inner[k]:.2e} at r_min (relative "
+            f"{inner[k] / peak[k]:.2e}) exceeds {INNER_AMPLITUDE_TOL:g}; shrink r_min"
+        )
+    raise ConvergenceError(
+        f"state {k} has {nodes[k]} interior nodes; eigensolve or grid is inconsistent"
+    )
 
 
 def _walk(r: np.ndarray, v: np.ndarray, mu: float, e_top: float, budget: float) -> float | None:
@@ -142,15 +156,16 @@ def _walk(r: np.ndarray, v: np.ndarray, mu: float, e_top: float, budget: float) 
     """
     import numpy as np
 
-    (turning,) = np.nonzero(~(v[:-1] < e_top))
-    if not turning.size:
+    turning = ~(v[:-1] < e_top)
+    j = int(np.argmax(turning))
+    if not turning[j]:
         return None
-    j = turning[0]
     with np.errstate(over="ignore"):  # an overflow is inf, which spends any budget
         decay = np.cumsum(np.sqrt(2.0 * mu * np.maximum(v[j:-1] - e_top, 0.0))
                           * np.abs(np.diff(r[j:])))
-    (spent,) = np.nonzero(~(decay < budget))
-    return float(r[j + spent[0] + 1]) if spent.size else None
+    spent = ~(decay < budget)
+    i = int(np.argmax(spent))
+    return float(r[j + i + 1]) if spent[i] else None
 
 
 def _dvr_box(potential: RadialPotential, mu: float, ell: int, n_max: int, r_scale: float,
@@ -210,25 +225,28 @@ def _dvr_solve(potential: RadialPotential, ell: int, mu: float, box: tuple[float
     ConvergenceError when the eigensolve fails.
     """
     import numpy as np
-    from scipy.linalg import toeplitz  # the only scipy the package loads
-    from scipy.linalg.lapack import dsyevr
+    from scipy.linalg.lapack import dsyevr  # the only scipy the package loads
 
     x, h = np.linspace(math.log(box[0]), math.log(box[1]), points, retstep=True)
     r = np.exp(x)
     k = np.arange(1, points)
-    column = np.empty(points)
-    column[0] = math.pi ** 2 / 3.0 + h * h / 4.0
-    column[1:] = np.where(k % 2, -2.0, 2.0) / (k * k)
+    side = np.where(k % 2, -2.0, 2.0) / (k * k)
+    band = np.concatenate((side[::-1], [math.pi ** 2 / 3.0 + h * h / 4.0], side))
+    # The sinc kinetic matrix is Toeplitz: H[i, j] = band[points - 1 + j - i],
+    # a view into the band with a row stride of minus one entry, never copied.
+    stride = band.itemsize
+    kinetic = np.ndarray((points, points), buffer=band, offset=(points - 1) * stride,
+                         strides=(-stride, stride))
     # Extreme boxes or masses overflow here; anything not finite is refused below.
     with np.errstate(all="ignore"):
         v = np.asarray(potential(r), dtype=float)
         v_eff = v + ell * (ell + 1) / (2.0 * mu * r * r) if ell else v  # as _v_eff has it
-        ham = toeplitz(column / (2.0 * mu * h * h))
+        band /= 2.0 * mu * h * h
         inverse_r = 1.0 / r
-        ham *= inverse_r[:, None]
+        ham = np.multiply(kinetic, inverse_r[:, None], out=np.empty((points, points)))
         ham *= inverse_r
-        ham.flat[:: points + 1] += v_eff
-    if not np.all(np.isfinite(ham)):
+        ham.reshape(-1)[:: points + 1] += v_eff
+    if not np.isfinite(ham).all():
         raise DomainError("DVR Hamiltonian is not finite on the grid")
     # The matrix is graded: its norm comes from the kinetic term at r_min,
     # far from the bound states.  Reducing the lower triangle, which starts

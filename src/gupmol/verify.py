@@ -116,13 +116,15 @@ def closed_vs_oracle_sweep(
         raise DomainError(f"base_points must be >= {MIN_GRID_POINTS}, got {base_points}")
     # largest k with base_points * 2**k <= DVR_MAX_POINTS, without forming 2**(levels - 1)
     if levels - 1 > (DVR_MAX_POINTS // base_points).bit_length() - 1:
-        raise DomainError(f"{levels} solves from {base_points} points exceed the DVR cap of "
+        raise DomainError(f"the size ladder of levels = {levels} from {base_points} points tops "
+                          f"out at {base_points} * 2^{levels - 1} points, above the DVR cap of "
                           f"{DVR_MAX_POINTS} points")
     # half-octaves: base_points * 2**j (k = 2j), then 3/2 of it (k = 2j + 1)
     sizes = [size for size in (base_points * 2**(k // 2) * (2 + k % 2) // 2
                                for k in range(2 * levels - 1)) if size > n_max]
     if not sizes:
-        raise DomainError(f"{levels} solves from {base_points} points never reach one point "
+        raise DomainError(f"the size ladder of levels = {levels} from {base_points} points tops "
+                          f"out at {base_points * 2**(levels - 1)} points, fewer than one point "
                           f"for each of the {n_max + 1} states")
     if r_max is not None and not (math.isfinite(r_max)
                                   and all(r_max > INNER_WALL * m.re for m in molecules)):

@@ -12,13 +12,16 @@ Each grid is one ``closed_vs_oracle_sweep`` per potential and gamma:
 One line per (potential, gamma) gives PASS when every cell passes, else FAIL
 with the (n, l) of the failing cells and their distinct notes; then the worst
 energy and shift errors over the passing cells.  Each grid ends with its
-totals and wall time.  The output names every failing cell, so two commits
-are compared by running the script against each one's ``src`` and diffing
-the lines.  Not a test: pytest does not collect it.  The script pins one
-OpenBLAS thread, as ``gupmol`` does, since the oracle's last digits depend
-on the thread count.
+totals, wall time and a sha256 over the ``repr`` of every cell, one per
+line, in sweep order.  The output names every failing cell and the digest
+changes with any digit of any cell, so two commits are compared by running
+the script against each one's ``src`` and diffing the lines: only the wall
+times differ where the two give bit-identical cells.  Not a test: pytest
+does not collect it.  The script pins one OpenBLAS thread, as ``gupmol``
+does, since the oracle's last digits depend on the thread count.
 """
 import argparse
+import hashlib
 import os
 import time
 
@@ -47,11 +50,14 @@ def run_grid(name: str) -> None:
     gammas = config.pop("gammas")
     passed = total = 0
     worst_e = worst_de = 0.0
+    digest = hashlib.sha256()
     t0 = time.perf_counter()
     for potential in POTENTIALS:
         for gamma_value in gammas:
             cells = closed_vs_oracle_sweep(potentials=(potential,), gammas=(gamma_value,),
                                            **config).cells
+            for cell in cells:
+                digest.update(f"{cell!r}\n".encode())
             good = [c for c in cells if c.passed]
             bad = [c for c in cells if not c.passed]
             e_err = max((c.e_rel_err for c in good), default=0.0)
@@ -66,7 +72,7 @@ def run_grid(name: str) -> None:
                 print(f"    {note or 'outside the tolerances'}")
     wall = time.perf_counter() - t0
     print(f"{name}: {passed}/{total} cells pass; over them max_e_rel={worst_e:.2g} "
-          f"max_de_rel={worst_de:.2g}; wall {wall:.2f} s")
+          f"max_de_rel={worst_de:.2g}; wall {wall:.2f} s; sha256 {digest.hexdigest()}")
 
 
 def main() -> None:

@@ -71,7 +71,7 @@ class TestCoulomb:
 
     def test_node_counts_label_states(self, coulomb_states):
         _, _, vectors = coulomb_states
-        assert [_count_nodes(v) for v in vectors.T] == [0, 1, 2]
+        assert _count_nodes(vectors).tolist() == [0, 1, 2]
 
     def test_normalization(self, coulomb_states):
         # a unit eigenvector is psi = r^(1/2) u at the points times sqrt(h),
@@ -107,6 +107,71 @@ class TestSolverContracts:
         for points in (128, 512):  # outer turning point of n=3 is ~2.24
             with pytest.raises(GridError, match="enlarge r_max"):
                 checked_solve(pot, 0, m.mu, (1e-3, 2.5), points, 4)
+
+    # Hand-made states on eight points: V_eff 10 at both walls and 0 inside,
+    # energies 1, 2 and 3, and 0, 1 and 2 nodes, each peaking at 1.
+    WALLS = np.array([10.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 10.0])
+    ENERGIES = np.array([1.0, 2.0, 3.0])
+    STATES = ((0.0, 0.2, 0.6, 1.0, 1.0, 0.6, 0.2, 0.0),
+              (0.0, 0.4, 1.0, 0.5, -0.5, -1.0, -0.4, 0.0),
+              (0.0, 0.5, 1.0, -0.5, -0.5, 1.0, 0.5, 0.0))
+
+    def check(self, *edits, v_eff=WALLS, energies=ENERGIES):
+        """_check_states on STATES with each (state, point, value) of ``edits`` set."""
+        states = np.array(self.STATES)
+        for k, i, value in edits:
+            states[k, i] = value
+        _check_states(energies, states, v_eff, 0.1, 5.0)
+
+    def refusal(self, error, *edits, **kwargs):
+        with pytest.raises(error) as caught:
+            self.check(*edits, **kwargs)
+        return str(caught.value)
+
+    def test_hand_made_states_pass(self):
+        self.check()
+
+    def test_unbound_state_is_refused_before_any_other_check(self):
+        assert self.refusal(GridError, (0, 0, 0.5), (1, 3, 7.0),
+                            energies=np.array([1.0, 2.0, 30.0])) == (
+            "only 2 of the requested 3 states are bound on [0.1, 5] (V_eff at r_max = 10); "
+            "enlarge the box")
+
+    def test_amplitude_at_r_min_is_refused(self):
+        assert self.refusal(GridError, (1, 0, 0.02)) == (
+            "state 1: amplitude 2.00e-02 at r_min (relative 2.00e-02) exceeds 0.01; shrink r_min")
+
+    def test_amplitude_at_r_min_is_allowed_where_the_wall_is_not_forbidden(self):
+        # V_eff(r_min) = 1.5 lies above state 0 only: state 1's wall value is its
+        # regular solution, not a leak
+        walls = self.WALLS.copy()
+        walls[0] = 1.5
+        self.check((1, 0, 0.02), v_eff=walls)
+        assert self.refusal(GridError, (0, 0, 0.02), v_eff=walls).startswith(
+            "state 0: amplitude 2.00e-02 at r_min")
+
+    def test_amplitude_at_r_max_is_refused(self):
+        assert self.refusal(GridError, (2, 7, 3e-5)) == (
+            "state 2: amplitude 3.00e-05 at r_max (relative 3.00e-05) exceeds 1e-05; "
+            "enlarge r_max")
+
+    def test_wrong_node_count_is_a_convergence_error(self):
+        assert self.refusal(ConvergenceError, (1, 4, 0.5), (1, 5, 1.0), (1, 6, 0.4)) == (
+            "state 1 has 0 interior nodes; eigensolve or grid is inconsistent")
+
+    def test_first_failing_state_is_named(self):
+        # state 0 gains a node, state 1 leaks at both walls
+        assert self.refusal(ConvergenceError, (0, 6, -0.2), (1, 0, 0.5), (1, 7, 0.5)) == (
+            "state 0 has 1 interior nodes; eigensolve or grid is inconsistent")
+
+    def test_r_max_is_reported_before_r_min(self):
+        assert self.refusal(GridError, (1, 0, 0.5), (1, 7, 0.25), (1, 4, 0.5)) == (
+            "state 1: amplitude 2.50e-01 at r_max (relative 2.50e-01) exceeds 1e-05; "
+            "enlarge r_max")
+
+    def test_r_min_is_reported_before_the_node_count(self):
+        assert self.refusal(GridError, (2, 0, 0.5), (2, 3, 0.5), (2, 4, 0.5)) == (
+            "state 2: amplitude 5.00e-01 at r_min (relative 5.00e-01) exceeds 0.01; shrink r_min")
 
 
 @pytest.fixture(scope="module")
