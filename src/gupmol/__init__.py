@@ -10,7 +10,7 @@ Importing the package loads neither numpy nor scipy.  The closed forms run
 on Python floats: single levels, slopes, band constants and beta bounds.
 numpy is imported where an array is built: level tables
 (``closed_form_table``, ``LevelTable``), ``fit_dunham`` and the solver.
-scipy is imported by the solver's eigensolve alone (``oracle._dvr_solve``),
+scipy is imported by the solver's eigensolve alone (``oracle._dvr_eigensolve``),
 so a sweep loads it at its first solve and a refused one never does.
 """
 from .core import (

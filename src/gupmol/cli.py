@@ -443,10 +443,11 @@ def entry_point() -> None:
 
     verify's dense eigensolves (a few hundred points) are too small to gain
     from BLAS threads: on a 2-vCPU machine, two threads left the benchmark's
-    sweep (gamma 5, 20, 100, 1000; n <= 4, l <= 3) at 0.038 s but doubled
-    its CPU time (0.038 -> 0.078 s).  OpenBLAS reads OPENBLAS_NUM_THREADS when
-    scipy first loads it, so the process sets it here, before any command
-    runs; ``main``, which callers may run in their own process, sets nothing.
+    sweep (gamma 5, 20, 100, 1000; n <= 4, l <= 3) at 0.042 s a pass but
+    doubled its CPU time (0.042 -> 0.086 s).  OpenBLAS reads
+    OPENBLAS_NUM_THREADS when scipy first loads it, so the process sets it
+    here, before any command runs; ``main``, which callers may run in their
+    own process, sets nothing.
     """
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     sys.exit(main())

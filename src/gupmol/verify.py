@@ -2,8 +2,9 @@
 
 One cell of the sweep pins a (potential, gamma, n, ell) combination: the
 closed-form level and shift-per-beta are compared against the converged
-sinc DVR in x = ln r (``oracle._dvr_levels``), one small dense eigensolve
-per (potential, gamma, ell) and size.  Synthetic molecules with de = re = 1
+sinc DVR in x = ln r (``oracle._dvr_well``), one small dense eigensolve
+per (potential, gamma, ell) and size; ells whose boxes are equal share the
+Hamiltonian's build at each size.  Synthetic molecules with de = re = 1
 and mu = gamma^2/2 keep the sweep dimensionless; tolerances default to the
 acceptance values (1e-6 on energies, 1e-4 on the beta shift).
 """
@@ -23,7 +24,7 @@ from .core import (
     _require_positive,
     synthetic_molecule,
 )
-from .oracle import DVR_MAX_POINTS, INNER_WALL, MIN_GRID_POINTS, _dvr_box, _dvr_levels
+from .oracle import DVR_MAX_POINTS, INNER_WALL, MIN_GRID_POINTS, _dvr_well
 from .spectroscopy import MODELS, get_model
 
 DEFAULT_GAMMAS = (20.0, 100.0)
@@ -135,43 +136,41 @@ def closed_vs_oracle_sweep(
     plan = []  # every closed form, so that no refusal follows a solve
     for model in models:
         for gamma_value, m in zip(gammas, molecules):
-            potential = partial(model.potential, m)
+            closed = []
             for ell in range(l_max + 1):
-                closed = [(model.undeformed(m, qn), model.shift(m, deformation, qn))
+                levels = [(model.undeformed(m, qn), model.shift(m, deformation, qn))
                           for qn in (QuantumNumbers(n=n, ell=ell) for n in range(n_max + 1))]
-                for n, (e_closed, de_closed) in enumerate(closed):
+                for n, (e_closed, de_closed) in enumerate(levels):
                     if not (math.isfinite(e_closed) and math.isfinite(de_closed)):
                         raise DomainError(
                             f"closed-form level (n={n}, ell={ell}) of {model.name} at "
                             f"gamma = {gamma_value!r} is out of floating-point range (level "
                             f"{e_closed!r}, shift {de_closed!r}); cannot verify it"
                         )
-                plan.append((model.name, gamma_value, m, potential, ell, closed))
+                closed.append(levels)
+            plan.append((model.name, gamma_value, m, partial(model.potential, m), closed))
 
     cells: list[SweepCell] = []
-    for name, gamma_value, m, potential, ell, closed in plan:
-        try:
-            box = _dvr_box(potential, m.mu, ell, n_max, m.re, r_max)
-            energies, slopes = _dvr_levels(potential, ell, m.mu, box, n_max + 1, sizes)
-            failure = None
-        except GupmolError as exc:
-            failure = str(exc)
-
-        for n, (e_closed, de_closed) in enumerate(closed):
-            if failure is not None:  # an infinite error fails the tolerance test
-                e_oracle = de_oracle = math.nan
-                e_rel = de_rel = math.inf
-            else:
-                e_oracle = float(energies[n])
-                de_oracle = deformation.beta * float(slopes[n])
-                e_rel = _rel(abs(e_oracle - e_closed), e_closed)
-                if deformation.beta == 0.0:
-                    de_rel = 0.0  # both shifts are exactly zero
+    for name, gamma_value, m, potential, closed in plan:
+        solved = _dvr_well(potential, m.mu, l_max, n_max, m.re, r_max, sizes)
+        for ell, (levels, result) in enumerate(zip(closed, solved)):
+            failure = str(result) if isinstance(result, GupmolError) else None
+            for n, (e_closed, de_closed) in enumerate(levels):
+                if failure is not None:  # an infinite error fails the tolerance test
+                    e_oracle = de_oracle = math.nan
+                    e_rel = de_rel = math.inf
                 else:
-                    de_rel = _rel(abs(de_oracle - de_closed), de_closed)
-            passed = e_rel <= tol_energy and de_rel <= tol_correction
-            cells.append(SweepCell(name, gamma_value, n, ell, e_closed, e_oracle, e_rel,
-                                   de_closed, de_oracle, de_rel, passed, failure or ""))
+                    energies, slopes = result
+                    e_oracle = float(energies[n])
+                    de_oracle = deformation.beta * float(slopes[n])
+                    e_rel = _rel(abs(e_oracle - e_closed), e_closed)
+                    if deformation.beta == 0.0:
+                        de_rel = 0.0  # both shifts are exactly zero
+                    else:
+                        de_rel = _rel(abs(de_oracle - de_closed), de_closed)
+                passed = e_rel <= tol_energy and de_rel <= tol_correction
+                cells.append(SweepCell(name, gamma_value, n, ell, e_closed, e_oracle, e_rel,
+                                       de_closed, de_oracle, de_rel, passed, failure or ""))
 
     return SweepReport(
         cells=tuple(cells),

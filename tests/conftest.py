@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import gupmol
-from gupmol import Molecule, cli, core, spectroscopy
+from gupmol import GupmolError, Molecule, cli, core, oracle, spectroscopy
 
 # Tests that start `python -m gupmol` in a subprocess import the same package as the tests.
 os.environ["PYTHONPATH"] = os.pathsep.join(
@@ -22,6 +22,20 @@ def unit_molecule() -> Molecule:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def converged():
+    """The converged DVR energies and slopes of one ell, from
+    ``oracle._dvr_levels`` on that ell alone; the GupmolError that stopped
+    its ladder is raised."""
+    def levels(potential, ell, mu, box, count, sizes):
+        (result,) = oracle._dvr_levels(potential, [ell], mu, box, count, sizes)
+        if isinstance(result, GupmolError):
+            raise result
+        return result
+
+    return levels
 
 
 def _count_builds(monkeypatch, cls) -> list:

@@ -13,21 +13,25 @@ One line per (potential, gamma) gives PASS when every cell passes, else FAIL
 with the (n, l) of the failing cells and their distinct notes; then the worst
 energy and shift errors over the passing cells.  Each grid ends with its
 totals, wall time and a sha256 over the ``repr`` of every cell, one per
-line, in sweep order.  The output names every failing cell and the digest
-changes with any digit of any cell, so two commits are compared by running
-the script against each one's ``src`` and diffing the lines: only the wall
-times differ where the two give bit-identical cells.  Not a test: pytest
-does not collect it.  The script pins one OpenBLAS thread, as ``gupmol``
-does, since the oracle's last digits depend on the thread count.
+line, in sweep order, and then a line with the number of eigensolves at
+each matrix size, counted by wrapping ``oracle._dvr_eigensolve`` here.  The
+output names every failing cell and the digest changes with any digit of
+any cell, so two commits are compared by running the script against each
+one's ``src`` and diffing the lines: only the wall times differ where the
+two give bit-identical cells, and a change to the size ladder or the box
+shows its LAPACK work in the solve counts.  Not a test: pytest does not
+collect it.  The script pins one OpenBLAS thread, as ``gupmol`` does,
+since the oracle's last digits depend on the thread count.
 """
 import argparse
 import hashlib
 import os
 import time
+from collections import Counter
 
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # before numpy loads OpenBLAS
 
-from gupmol import closed_vs_oracle_sweep  # noqa: E402  (after the thread pin)
+from gupmol import closed_vs_oracle_sweep, oracle  # noqa: E402  (after the thread pin)
 
 GRIDS = {
     "full": {
@@ -43,6 +47,15 @@ GRIDS = {
     },
 }
 POTENTIALS = ("kratzer", "pho")
+SOLVES = Counter()  # eigensolves per matrix size, since the current grid began
+
+
+def counting(eigensolve):
+    """``eigensolve`` that counts each call in SOLVES by its matrix size."""
+    def counted(ham, count):
+        SOLVES[len(ham)] += 1
+        return eigensolve(ham, count)
+    return counted
 
 
 def run_grid(name: str) -> None:
@@ -51,6 +64,7 @@ def run_grid(name: str) -> None:
     passed = total = 0
     worst_e = worst_de = 0.0
     digest = hashlib.sha256()
+    SOLVES.clear()
     t0 = time.perf_counter()
     for potential in POTENTIALS:
         for gamma_value in gammas:
@@ -73,12 +87,15 @@ def run_grid(name: str) -> None:
     wall = time.perf_counter() - t0
     print(f"{name}: {passed}/{total} cells pass; over them max_e_rel={worst_e:.2g} "
           f"max_de_rel={worst_de:.2g}; wall {wall:.2f} s; sha256 {digest.hexdigest()}")
+    print(f"{name}: eigensolves per size: "
+          + ", ".join(f"{size}: {SOLVES[size]}" for size in sorted(SOLVES)))
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--grid", action="append", choices=tuple(GRIDS),
                         help="a grid to run; repeatable (default: both)")
+    oracle._dvr_eigensolve = counting(oracle._dvr_eigensolve)
     for name in parser.parse_args().grid or GRIDS:
         run_grid(name)
 

@@ -41,7 +41,13 @@ from gupmol import (
 )
 from gupmol.kratzer import KRATZER
 from gupmol.pho import PHO
-from gupmol.oracle import _check_states, _dvr_levels, _dvr_solve
+from gupmol.oracle import (
+    _check_states,
+    _dvr_build,
+    _dvr_eigensolve,
+    _dvr_hamiltonian,
+    _dvr_slopes,
+)
 
 TOL_ENERGY = 1e-6
 TOL_CORRECTION = 1e-4
@@ -115,7 +121,10 @@ def test_criterion_3_synthetic_exact_point():
     box = (1e-6, 60.0)
     e_err = s_err = 0.0
     for points in (256, 512):
-        energies, slopes, vectors, v_eff = _dvr_solve(pot, 0, m.mu, box, points, 1)
+        build = _dvr_build(pot, m.mu, box, points)
+        ham, v_eff = _dvr_hamiltonian(build, 0, m.mu)
+        energies, vectors = _dvr_eigensolve(ham, 1)
+        slopes = _dvr_slopes(energies, vectors, build[1], m.mu)
         _check_states(energies, vectors.T, v_eff, *box)
         e_err = max(e_err, abs(energies[0] - (-0.5)) / 0.5)
         s_err = max(s_err, abs(slopes[0] / m.mu - 1.0))
@@ -323,14 +332,14 @@ def test_criterion_7_identities(rng):
 # 8. solver sanity on the closed-form hydrogen-like problem
 
 
-def test_criterion_8_hydrogenic_sanity():
+def test_criterion_8_hydrogenic_sanity(converged):
     def coulomb(r):
         return -1.0 / r
 
     exact = (-0.5, -0.125)
     # converged when two successive DVR solves (64, 128, ... points) agree
     # to DVR_RTOL; the accepted solve's node counts must label the states
-    energies, _ = _dvr_levels(coulomb, 0, 1.0, (1e-9, 60.0), 2, (64, 128, 256, 512, 1024))
+    energies, _ = converged(coulomb, 0, 1.0, (1e-9, 60.0), 2, (64, 128, 256, 512, 1024))
     rels = [abs(e - x) / abs(x) for e, x in zip(energies, exact)]
     ok = all(r <= 1e-6 for r in rels)
     report(

@@ -29,7 +29,14 @@ from gupmol import (
 from gupmol.spectroscopy import MODELS
 
 KINDS = tuple(MODELS)
-REL_BOUND = 1e-13  # float64 levels against the paper forms
+# float64 levels against the paper forms, per kind and label, about twice the
+# worst measured on test_against_60_digits' grid (Kratzer 2.8e-16 from
+# dissociation and 4.1e-16 above the minimum, pho 1.9e-16 for both, which are
+# one value)
+LEVEL_BOUND = {
+    "kratzer": {"e0": 6e-16, "level above minimum": 8e-16},
+    "pho": {"e0": 4e-16, "level above minimum": 4e-16},
+}
 # float64 slopes against the paper forms, about twice the worst measured on the
 # grid (1.22e-15 and 3.2e-16)
 SLOPE_BOUND = {"kratzer": 2e-15, "pho": 1e-15}
@@ -116,10 +123,10 @@ class TestIdentities:
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("g", GAMMAS)
 def test_against_60_digits(kind, g):
-    """Every level of the grid within REL_BOUND of the paper's forms, and every
-    slope finite and within its kind's SLOPE_BOUND.  The paper's slope brackets
-    cancel to O(1/gamma^2), so they are evaluated at 60 digits plus two a
-    decade of gamma."""
+    """Every level of the grid within its kind's and label's LEVEL_BOUND of the
+    paper's forms, and every slope finite and within its kind's SLOPE_BOUND.
+    The paper's slope brackets cancel to O(1/gamma^2), so they are evaluated
+    at 60 digits plus two a decade of gamma."""
     mp = pytest.importorskip("mpmath").mp
     m = Molecule("x", de=1.0, re=1.0, mu=g * g / 2.0)
     model = MODELS[kind]
@@ -134,7 +141,8 @@ def test_against_60_digits(kind, g):
                                   mp.sqrt, mp.mpf(1) / 2)
                 got = (model.undeformed(m, qn), table.energy[n * (max(ELLS) + 1) + ell],
                        model.slope(m, qn))
-                bounds = (REL_BOUND, REL_BOUND, SLOPE_BOUND[kind])
+                bounds = (LEVEL_BOUND[kind]["e0"], LEVEL_BOUND[kind]["level above minimum"],
+                          SLOPE_BOUND[kind])
                 for label, value, want, bound in zip(("e0", "level above minimum", "slope"),
                                                      got, ref, bounds):
                     assert math.isfinite(value), (kind, g, n, ell, label, value)

@@ -15,18 +15,24 @@ from gupmol import (
     pho_energy_undeformed,
     synthetic_molecule,
 )
-from gupmol import oracle, verify
+from gupmol import oracle
 from gupmol.core import QuantumNumbers
 from gupmol.kratzer import KRATZER
 from gupmol.oracle import (
     DVR_MAX_POINTS,
     INNER_WALL,
+    _box_grid,
     _check_states,
     _count_nodes,
     _dvr_box,
+    _dvr_build,
+    _dvr_eigensolve,
+    _dvr_hamiltonian,
     _dvr_levels,
-    _dvr_solve,
+    _dvr_slopes,
+    _dvr_well,
     _v_eff,
+    _walk,
 )
 from gupmol.spectroscopy import get_model
 
@@ -40,14 +46,28 @@ def hydrogenic_energy(n, ell, mu=1.0, g2=1.0, hbar=1.0):
 
 
 def dvr_grid(box, points):
-    """The radii of the DVR's grid points on ``box``, as ``_dvr_solve`` has them."""
+    """The radii of the DVR's grid points on ``box``, as ``_dvr_build`` has them."""
     return np.exp(np.linspace(math.log(box[0]), math.log(box[1]), points))
+
+
+def dvr_box(potential, mu, ell, n_max, r_scale, r_max=None):
+    """The box of one ell, from a box grid sampled for it alone."""
+    return _dvr_box(potential, _box_grid(potential, r_scale), mu, ell, n_max, r_scale, r_max)
+
+
+def dvr_solve(potential, ell, mu, box, points, count):
+    """One DVR solve from a build of its own: energies, <p^4>/mu slopes, unit
+    eigenvectors as columns and V_eff at the grid points."""
+    build = _dvr_build(potential, mu, box, points)
+    ham, v_eff = _dvr_hamiltonian(build, ell, mu)
+    energies, vectors = _dvr_eigensolve(ham, count)
+    return energies, _dvr_slopes(energies, vectors, build[1], mu), vectors, v_eff
 
 
 def checked_solve(potential, ell, mu, box, points, count):
     """One DVR solve whose states pass the bound-state, wall-amplitude and
     node-count checks: energies, slopes and unit eigenvectors as columns."""
-    energies, slopes, vectors, v_eff = _dvr_solve(potential, ell, mu, box, points, count)
+    energies, slopes, vectors, v_eff = dvr_solve(potential, ell, mu, box, points, count)
     _check_states(energies, vectors.T, v_eff, *box)
     return energies, slopes, vectors
 
@@ -56,6 +76,9 @@ COULOMB_BOX = (1e-9, 80.0)
 
 # 64 points doubled, five sizes: the power-of-two sizes of the sweep's default ladder
 LADDER = (64, 128, 256, 512, 1024)
+
+# the sweep's default ladder
+HALF_OCTAVES = (64, 96, 128, 192, 256, 384, 512, 768, 1024)
 
 
 @pytest.fixture(scope="module")
@@ -178,7 +201,7 @@ class TestSolverContracts:
 def kratzer_case():
     m = synthetic_molecule(20.0)
     pot = partial(KRATZER.potential, m)
-    box = _dvr_box(pot, m.mu, 1, 1, m.re)
+    box = dvr_box(pot, m.mu, 1, 1, m.re)
     return m, pot, box, checked_solve(pot, 1, m.mu, box, 256, 2)
 
 
@@ -193,7 +216,7 @@ class TestPerturbation:
         m, _, box, (_, _, vectors) = kratzer_case
         g1, g2 = m.de * m.re * m.re, 2.0 * m.de * m.re
         step = 1e-5 * g1
-        upper, lower = (_dvr_solve(lambda r: (g1 + s) / (r * r) - g2 / r, 1, m.mu, box, 256,
+        upper, lower = (dvr_solve(lambda r: (g1 + s) / (r * r) - g2 / r, 1, m.mu, box, 256,
                                    2)[0] for s in (step, -step))
         r = dvr_grid(box, 256)
         expectation = np.sum(vectors * vectors / (r * r)[:, None], axis=0)
@@ -214,35 +237,35 @@ class TestPerturbation:
 
 
 class TestGridChoice:
-    def test_eigenvalue_insensitive_to_inner_wall(self):
+    def test_eigenvalue_insensitive_to_inner_wall(self, converged):
         m = synthetic_molecule(20.0)
         pot = partial(KRATZER.potential, m)
-        r_max = _dvr_box(pot, m.mu, 0, 0, m.re)[1]
-        values = [_dvr_levels(pot, 0, m.mu, (r_min, r_max), 1, LADDER + (2048,))[0][0]
+        r_max = dvr_box(pot, m.mu, 0, 0, m.re)[1]
+        values = [converged(pot, 0, m.mu, (r_min, r_max), 1, LADDER + (2048,))[0][0]
                   for r_min in (1e-3, 5e-4)]
         assert abs(values[0] - values[1]) <= 1e-8 * abs(values[0])
 
     def test_auto_grid_requires_a_well(self):
         with pytest.raises(DomainError):
-            _dvr_box(coulomb, 1.0, 0, 2, 1.0)
+            dvr_box(coulomb, 1.0, 0, 2, 1.0)
 
     def test_given_r_max_boxes_a_potential_without_a_well(self):
-        assert _dvr_box(coulomb, 1.0, 0, 2, 1.0, r_max=40.0) == (INNER_WALL, 40.0)
+        assert dvr_box(coulomb, 1.0, 0, 2, 1.0, r_max=40.0) == (INNER_WALL, 40.0)
 
     def test_inner_wall_past_a_given_r_max_falls_back_to_the_clamp(self):
         m = synthetic_molecule(20.0)
         pot = partial(KRATZER.potential, m)
-        assert _dvr_box(pot, m.mu, 0, 0, m.re)[0] > 0.1
-        assert _dvr_box(pot, m.mu, 0, 0, m.re, r_max=0.1) == (INNER_WALL * m.re, 0.1)
+        assert dvr_box(pot, m.mu, 0, 0, m.re)[0] > 0.1
+        assert dvr_box(pot, m.mu, 0, 0, m.re, r_max=0.1) == (INNER_WALL * m.re, 0.1)
 
-    def test_auto_grid_boxes_both_potentials(self):
+    def test_auto_grid_boxes_both_potentials(self, converged):
         for g in (20.0, 100.0):
             m = synthetic_molecule(g)
             for pot in (partial(get_model(kind).potential, m) for kind in ("kratzer", "pho")):
-                box = _dvr_box(pot, m.mu, 2, 3, m.re)
+                box = dvr_box(pot, m.mu, 2, 3, m.re)
                 assert box[1] > m.re
                 # box must actually hold the requested states
-                _dvr_levels(pot, 2, m.mu, box, 4, LADDER)
+                converged(pot, 2, m.mu, box, 4, LADDER)
 
 
 class TestMonotonicity:
@@ -251,7 +274,7 @@ class TestMonotonicity:
         for g in (20.0, 100.0):
             m = synthetic_molecule(g)
             pot = partial(get_model(kind).potential, m)
-            by_ell = [checked_solve(pot, ell, m.mu, _dvr_box(pot, m.mu, ell, 3, m.re), 256, 4)[0]
+            by_ell = [checked_solve(pot, ell, m.mu, dvr_box(pot, m.mu, ell, 3, m.re), 256, 4)[0]
                       for ell in range(3)]
             assert np.all(np.diff(by_ell, axis=1) > 0.0)  # in n
             assert np.all(np.diff(by_ell, axis=0) > 0.0)  # in ell
@@ -261,18 +284,18 @@ class TestClosedFormAgreement:
     """Spot checks; the full sweep lives in the acceptance suite."""
 
     @staticmethod
-    def ground_state(kind):
+    def ground_state(converged, kind):
         m = synthetic_molecule(100.0)
         pot = partial(get_model(kind).potential, m)
-        return m, _dvr_levels(pot, 0, m.mu, _dvr_box(pot, m.mu, 0, 0, m.re), 1, LADDER)[0][0]
+        return m, converged(pot, 0, m.mu, dvr_box(pot, m.mu, 0, 0, m.re), 1, LADDER)[0][0]
 
-    def test_kratzer_ground_state(self):
-        m, energy = self.ground_state("kratzer")
+    def test_kratzer_ground_state(self, converged):
+        m, energy = self.ground_state(converged, "kratzer")
         assert energy == pytest.approx(kratzer_energy_undeformed(m, QuantumNumbers(0, 0)),
                                        rel=1e-7)
 
-    def test_pho_ground_state(self):
-        m, energy = self.ground_state("pho")
+    def test_pho_ground_state(self, converged):
+        m, energy = self.ground_state(converged, "pho")
         assert energy == pytest.approx(pho_energy_undeformed(m, QuantumNumbers(0, 0)), rel=1e-7)
 
 
@@ -302,7 +325,7 @@ class TestSweep:
         def no_solve(*args, **kwargs):
             raise AssertionError("solved")
 
-        monkeypatch.setattr("gupmol.verify._dvr_levels", no_solve)
+        monkeypatch.setattr("gupmol.verify._dvr_well", no_solve)
         config = {"gammas": (20.0,), "n_max": 0, "l_max": 0, **options}
         with pytest.raises(DomainError, match=re.escape(message)):
             closed_vs_oracle_sweep(**config)
@@ -329,9 +352,9 @@ class TestSweep:
             "n-max", "l-max"])
     def test_every_refusal_comes_before_the_first_solve(self, monkeypatch, options):
         calls = []
-        for module, name in [(verify, "_dvr_box"), (oracle, "_dvr_solve")]:
-            original = getattr(module, name)
-            monkeypatch.setattr(module, name,
+        for name in ("_box_grid", "_dvr_build", "_dvr_eigensolve"):
+            original = getattr(oracle, name)
+            monkeypatch.setattr(oracle, name,
                                 lambda *args, f=original, **kw: calls.append(f) or f(*args, **kw))
         with pytest.raises(DomainError):
             closed_vs_oracle_sweep(**{"n_max": 4, "l_max": 3, **options})
@@ -363,7 +386,8 @@ def stepwise_walls(potential, mu, ell, n_max, r_scale):
     grid finds them: the reference for the vectorized walk, which must match
     it to the last bit."""
     def v_eff(r):
-        return float(_v_eff(potential, ell, mu, np.array([r]))[0])
+        point = np.array([r])
+        return float(_v_eff(potential(point), ell, mu, point)[0])
 
     r = list(INNER_WALL * r_scale * np.exp(0.02 * np.arange(888)))
     assert r[-2] < 5e4 * r_scale <= r[-1]
@@ -399,7 +423,7 @@ def check_wall(kind, gamma_value, wall):
     pot = partial(get_model(kind).potential, m)
     for ell, n_max in [(0, 0), (3, 4)]:
         expected = stepwise_walls(pot, m.mu, ell, n_max, m.re)[wall]
-        assert _dvr_box(pot, m.mu, ell, n_max, m.re)[wall] == expected
+        assert dvr_box(pot, m.mu, ell, n_max, m.re)[wall] == expected
 
 
 class TestWalk:
@@ -413,6 +437,71 @@ class TestWalk:
     def test_outer_wall_matches_the_stepwise_walk(self, kind, gamma_value):
         check_wall(kind, gamma_value, 1)
 
+    # Hand-made walks with mu = 1/2, so that each step past the turning point
+    # decays by sqrt(V_eff - e_top) times its length: r = 0, 1, 2, ... and
+    # V_eff -1 at the first three points and 1 from there, each step 1.
+    R = np.arange(400.0)
+    V = np.where(R < 3.0, -1.0, 1.0)
+
+    def walk(self, v=V, budget=1e6, r=R):
+        end = _walk(r, v, 0.5, 0.0, budget)
+        assert end == walk_reference(r, v, 0.5, 0.0, budget)
+        return end
+
+    @pytest.mark.parametrize("budget", [1, 2, 63, 64, 65, 100, 127, 128, 129, 300, 396])
+    def test_budget_spent_after_any_number_of_steps(self, budget):
+        # the sum reaches the budget exactly after ``budget`` steps from point
+        # 3; budgets on both sides of 64 and 128 steps, where a sum taken in
+        # windows of a power of two would carry its total
+        assert self.walk(budget=budget) == 3.0 + budget
+
+    @pytest.mark.parametrize("points", [5, 64, 65, 150, 400])
+    def test_points_run_out(self, points):
+        assert self.walk(budget=points, r=self.R[:points], v=self.V[:points]) is None
+
+    def test_overflowing_term_spends_the_budget(self):
+        v = self.V.copy()
+        v[170] = 1e308  # 2 mu (V_eff - e_top) is 1e308, k^2 2e308: inf
+        assert self.walk(v) == 171.0
+
+    @pytest.mark.parametrize("point, end", [(1, 2.0), (3, 4.0), (90, 91.0), (398, 399.0)])
+    def test_nan_v_eff_ends_the_walk_at_the_next_point(self, point, end):
+        # ~(nan < e_top) makes a NaN the turning point if none comes before
+        # it, and its decay, nan, is not below the budget either
+        v = self.V.copy()
+        v[point] = math.nan
+        assert self.walk(v) == end
+
+    def test_no_turning_point(self):
+        assert self.walk(np.full(400, -1.0)) is None
+        assert self.walk(np.append(np.full(399, -1.0), 1.0)) is None  # the last point is no step
+
+    @pytest.mark.parametrize("budget", [5.0, 18.0, 36.0, 90.0, 400.0])
+    def test_uneven_steps_end_where_the_running_sum_does(self, budget):
+        # an outward walk in a Kratzer well, on steps of 0.02 in ln r: uneven
+        # steps and decays that end 23, 46, 65, 95 and 157 steps past the
+        # turning point, each to the last bit of the running sum's end
+        r = np.exp(0.02 * np.arange(900))
+        v = 1.0 / (r * r) - 2.0 / r
+        end = _walk(r, v, 0.5, -0.01, budget)
+        assert end is not None and end == walk_reference(r, v, 0.5, -0.01, budget)
+
+
+def walk_reference(r, v, mu, e_top, budget):
+    """``_walk`` point by point in Python floats: the first point short of the
+    last whose V_eff is not below e_top, then a running sum, from there, of
+    k times the step after each point, until the sum is not below the budget."""
+    r, v = r.tolist(), v.tolist()
+    j = next((k for k in range(len(r) - 1) if not v[k] < e_top), None)
+    if j is None:
+        return None
+    decay = 0.0
+    for k in range(j, len(r) - 1):
+        decay += math.sqrt(2.0 * mu * max(v[k] - e_top, 0.0)) * abs(r[k + 1] - r[k])
+        if not decay < budget:
+            return r[k + 1]
+    return None
+
 
 def full_dvr_solve(potential, ell, mu, box, points, count):
     """Lowest ``count`` energies and <p^4>/mu slopes of the sinc DVR on
@@ -423,7 +512,7 @@ def full_dvr_solve(potential, ell, mu, box, points, count):
     d = np.abs(np.subtract.outer(np.arange(points), np.arange(points)))
     t_x = np.where(d == 0, np.pi ** 2 / 3.0, 2.0 * (-1.0) ** d / np.maximum(d, 1) ** 2)
     ham = (t_x + np.where(d == 0, h * h / 4.0, 0.0)) / (2.0 * mu * h * h) / np.outer(r, r)
-    ham += np.diag(_v_eff(potential, ell, mu, r))
+    ham += np.diag(_v_eff(potential(r), ell, mu, r))
     energies, vectors = eigh(ham)
     energies, vectors = energies[:count], vectors[:, :count]
     v = potential(r)[:, None]
@@ -444,11 +533,73 @@ class TestDVR:
                                                  points):
         m = synthetic_molecule(gamma_value)
         pot = partial(get_model(kind).potential, m)
-        box = _dvr_box(pot, m.mu, ell, 4, m.re)
-        energies, slopes, _, _ = _dvr_solve(pot, ell, m.mu, box, points, 5)
+        box = dvr_box(pot, m.mu, ell, 4, m.re)
+        energies, slopes, _, _ = dvr_solve(pot, ell, m.mu, box, points, 5)
         expected_energies, expected_slopes = full_dvr_solve(pot, ell, m.mu, box, points, 5)
         np.testing.assert_allclose(energies, expected_energies, rtol=1e-12, atol=0)
         np.testing.assert_allclose(slopes, expected_slopes, rtol=slope_rtol, atol=0)
+
+    @pytest.mark.parametrize("potential, box", [
+        (lambda r: np.where(r > 1.0, np.nan, -1.0 / r), (0.1, 3.0)),
+        (coulomb, (1e-200, 3.0)),
+    ], ids=["nan-potential", "kinetic-overflow"])
+    def test_hamiltonian_not_finite_is_refused(self, potential, box):
+        # V not finite at some points spoils only the diagonal; 1/r_min^2
+        # beyond float range spoils the kinetic matrix every ell shares
+        with pytest.raises(DomainError, match="^DVR Hamiltonian is not finite on the grid$"):
+            dvr_solve(potential, 0, 1.0, box, 64, 2)
+        results = _dvr_levels(potential, [0, 1], 1.0, box, 2, (64, 96))
+        assert [str(result) for result in results] == [
+            "DVR Hamiltonian is not finite on the grid"] * 2
+
+    @pytest.mark.parametrize("points", [64, 1024])
+    @pytest.mark.parametrize("kind", ["kratzer", "pho"])
+    def test_slopes_sum_in_grid_order(self, kind, points):
+        # each slope is 4 mu times the products psi^2 (E - V)^2 added one after
+        # another in grid order, to the last bit; a lone state's are added as
+        # numpy adds one contiguous row, pairwise
+        m = synthetic_molecule(20.0)
+        pot = partial(get_model(kind).potential, m)
+        box = dvr_box(pot, m.mu, 1, 4, m.re)
+        v = pot(dvr_grid(box, points)).tolist()
+        for count in (5, 1):
+            energies, slopes, vectors, _ = dvr_solve(pot, 1, m.mu, box, points, count)
+            for k, energy in enumerate(energies.tolist()):
+                products = [x * x * ((energy - v_i) * (energy - v_i))
+                            for x, v_i in zip(vectors[:, k].tolist(), v)]
+                if count == 1:
+                    total = float(np.sum(np.array(products)))
+                else:
+                    total = 0.0
+                    for product in products:
+                        total += product
+                assert slopes[k] == 4.0 * m.mu * total, (count, k)
+
+    @pytest.mark.parametrize("gamma_value", [20.0, 1000.0])
+    @pytest.mark.parametrize("kind", ["kratzer", "pho"])
+    def test_shared_build_matches_a_build_per_ell(self, monkeypatch, converged, kind,
+                                                  gamma_value):
+        # at gamma 1000 the boxes of l <= 3 coincide, so the four ells share
+        # one build per size; at gamma 20 some ells have boxes of their own
+        m = synthetic_molecule(gamma_value)
+        pot = partial(get_model(kind).potential, m)
+        grid = _box_grid(pot, m.re)
+        boxes = [_dvr_box(pot, grid, m.mu, ell, 4, m.re) for ell in range(4)]
+        assert (len(set(boxes)) == 1) == (gamma_value == 1000.0)
+        builds, sizes = [], []
+        build, solve = oracle._dvr_build, oracle._dvr_eigensolve
+        monkeypatch.setattr(oracle, "_dvr_build",
+                            lambda *args: builds.append(args[3]) or build(*args))
+        monkeypatch.setattr(oracle, "_dvr_eigensolve",
+                            lambda ham, count: sizes.append(len(ham)) or solve(ham, count))
+        shared = _dvr_well(pot, m.mu, 3, 4, m.re, None, HALF_OCTAVES)
+        if gamma_value == 1000.0:
+            assert builds == list(HALF_OCTAVES[:len(builds)]) and len(sizes) > len(builds)
+        for ell, (box, (energies, slopes)) in enumerate(zip(boxes, shared)):
+            sizes.clear()
+            converged(pot, ell, m.mu, box, 5, HALF_OCTAVES)  # alone, for its accepted size
+            alone = dvr_solve(pot, ell, m.mu, box, sizes[-1], 5)
+            assert np.array_equal(energies, alone[0]) and np.array_equal(slopes, alone[1])
 
     @pytest.mark.parametrize("ell", [0, 3])
     @pytest.mark.parametrize("kind", ["kratzer", "pho"])
@@ -461,11 +612,11 @@ class TestDVR:
             calls.append(None)
             return pot(r)
 
-        box = _dvr_box(pot, m.mu, ell, 4, m.re)
-        *_, v_eff = _dvr_solve(counted, ell, m.mu, box, 128, 5)
+        box = dvr_box(pot, m.mu, ell, 4, m.re)
+        *_, v_eff = dvr_solve(counted, ell, m.mu, box, 128, 5)  # one build of its own
         assert len(calls) == 1
-        r = np.exp(np.linspace(math.log(box[0]), math.log(box[1]), 128))  # as _dvr_solve has it
-        assert np.array_equal(v_eff, _v_eff(pot, ell, m.mu, r))
+        r = np.exp(np.linspace(math.log(box[0]), math.log(box[1]), 128))  # as _dvr_build has it
+        assert np.array_equal(v_eff, _v_eff(pot(r), ell, m.mu, r))
 
     def test_matches_the_closed_forms(self):
         report = closed_vs_oracle_sweep(gammas=(5.0, 20.0, 100.0, 1000.0), n_max=4, l_max=3,
@@ -478,10 +629,10 @@ class TestDVR:
         def dsyevr(a, iu, **_):
             return np.zeros(len(a)), np.zeros((len(a), iu)), found, None, info
 
-        monkeypatch.setattr("scipy.linalg.lapack.dsyevr", dsyevr)  # _dvr_solve imports it per call
+        monkeypatch.setattr("scipy.linalg.lapack.dsyevr", dsyevr)  # imported per eigensolve
         m = synthetic_molecule(20.0)
         with pytest.raises(ConvergenceError, match="eigensolve failed"):
-            _dvr_solve(partial(get_model("pho").potential, m), 0, m.mu, (0.1, 3.0), 64, 5)
+            dvr_solve(partial(get_model("pho").potential, m), 0, m.mu, (0.1, 3.0), 64, 5)
 
     def test_small_gamma_meets_the_acceptance_tolerances(self):
         # LAPACK's default bisection tolerance, or reducing the upper
@@ -493,7 +644,7 @@ class TestDVR:
         for kind, gamma_value, clamped in [("pho", 0.5, True), ("kratzer", 5.0, False),
                                            ("pho", 100.0, False)]:
             m = synthetic_molecule(gamma_value)
-            r_min, r_max = _dvr_box(partial(get_model(kind).potential, m), m.mu, 0, 0, m.re)
+            r_min, r_max = dvr_box(partial(get_model(kind).potential, m), m.mu, 0, 0, m.re)
             assert (r_min == INNER_WALL * m.re) == clamped
             assert INNER_WALL * m.re <= r_min < m.re < r_max
 
@@ -522,26 +673,26 @@ class TestDVR:
     ], ids=["one-solved", "two-solved"])
     def test_not_converged_note_names_the_sizes_solved(self, monkeypatch, n_max, solved, note):
         sizes = []
-        solve = oracle._dvr_solve
-        monkeypatch.setattr(oracle, "_dvr_solve",
-                            lambda *args: sizes.append(args[4]) or solve(*args))
+        solve = oracle._dvr_eigensolve
+        monkeypatch.setattr(oracle, "_dvr_eigensolve",
+                            lambda ham, count: sizes.append(len(ham)) or solve(ham, count))
         report = closed_vs_oracle_sweep(potentials=("kratzer",), gammas=(20.0,), n_max=n_max,
                                         l_max=0, base_points=16, levels=3)
         assert sizes == solved
         assert {cell.note for cell in report.cells} == {f"sinc DVR not converged: {note}"}
 
     def test_default_sizes_climb_in_half_octaves(self, monkeypatch):
-        # a stand-in solve whose levels move by 1 each call, so no two agree
+        # a stand-in eigensolve whose levels move by 1 each call, so no two agree
         sizes = []
 
-        def never_agrees(potential, ell, mu, box, points, count):
-            sizes.append(points)
-            return np.full(count, float(len(sizes))), np.ones(count), None, None
+        def never_agrees(ham, count):
+            sizes.append(len(ham))
+            return np.full(count, float(len(sizes))), np.zeros((len(ham), count))
 
-        monkeypatch.setattr(oracle, "_dvr_solve", never_agrees)
+        monkeypatch.setattr(oracle, "_dvr_eigensolve", never_agrees)
         report = closed_vs_oracle_sweep(potentials=("kratzer",), gammas=(20.0,), n_max=0,
                                         l_max=0)
-        assert sizes == [64, 96, 128, 192, 256, 384, 512, 768, 1024]
+        assert sizes == list(HALF_OCTAVES)
         assert "N = 64, 96, 128, 192, 256, 384, 512, 768, 1024 agree" in report.cells[0].note
 
     def test_deep_pho_well_converges_between_the_last_two_sizes(self):
