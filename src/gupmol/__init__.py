@@ -16,8 +16,6 @@ so a sweep loads it at its first solve and a refused one never does.
 from .core import (
     AMU_TO_INTERNAL,
     EV_TO_CM1,
-    HBARC_EV_ANGSTROM,
-    NO_DEFORMATION,
     ConvergenceError,
     DataFormatError,
     Deformation,

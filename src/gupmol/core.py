@@ -39,9 +39,9 @@ _HBARC_MEV_FM = 197.3269804593025
 _EV_INVERSE_METRE = 806554.3937349211
 _AMU_MEV = 931.49410372
 
-HBARC_EV_ANGSTROM = _HBARC_MEV_FM * 10.0
+_HBARC_EV_ANGSTROM = _HBARC_MEV_FM * 10.0
 EV_TO_CM1 = _EV_INVERSE_METRE / 100.0
-AMU_TO_INTERNAL = _AMU_MEV * 1.0e6 / HBARC_EV_ANGSTROM**2
+AMU_TO_INTERNAL = _AMU_MEV * 1.0e6 / _HBARC_EV_ANGSTROM**2
 
 # 1 eV in each energy unit; x * 1.0 and x / 1.0 are x bit for bit in IEEE 754.
 _PER_EV = {"internal": 1.0, "eV": 1.0, "cm-1": EV_TO_CM1}
@@ -181,9 +181,6 @@ class Deformation:
             raise DomainError(f"minimal length {x!r} is out of floating-point range: its "
                               "beta = x^2/5 overflows")
         return cls(beta=x * x / 5.0)
-
-
-NO_DEFORMATION = Deformation(0.0)
 
 
 @dataclass(frozen=True)

@@ -316,11 +316,14 @@ def _dvr_slopes(energies: np.ndarray, vectors: np.ndarray, v: np.ndarray,
                 mu: float) -> np.ndarray:
     """<p^4>/mu of each state: 4 mu <(E - V)^2>, summed over the grid points
     of its unit eigenvector (a column of ``vectors``), with V ``v`` there.
+    The sum runs in grid order for any number of states: ``np.sum`` would add
+    a lone state's products pairwise, so its slope would depend on n_max.
     """
     import numpy as np
 
     with np.errstate(all="ignore"):  # a non-finite slope never agrees, so it never passes
-        return 4.0 * mu * np.sum(vectors * vectors * (energies - v[:, None]) ** 2, axis=0)
+        products = vectors * vectors * (energies - v[:, None]) ** 2
+        return 4.0 * mu * np.cumsum(products, axis=0)[-1]
 
 
 def _dvr_levels(potential: RadialPotential, ells: Sequence[int], mu: float,

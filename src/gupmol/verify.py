@@ -138,24 +138,24 @@ def closed_vs_oracle_sweep(
         for gamma_value, m in zip(gammas, molecules):
             closed = []
             for ell in range(l_max + 1):
-                levels = [(model.undeformed(m, qn), model.shift(m, deformation, qn))
-                          for qn in (QuantumNumbers(n=n, ell=ell) for n in range(n_max + 1))]
-                for n, (e_closed, de_closed) in enumerate(levels):
+                pairs = [(model.undeformed(m, qn), model.shift(m, deformation, qn))
+                         for qn in (QuantumNumbers(n=n, ell=ell) for n in range(n_max + 1))]
+                for n, (e_closed, de_closed) in enumerate(pairs):
                     if not (math.isfinite(e_closed) and math.isfinite(de_closed)):
                         raise DomainError(
                             f"closed-form level (n={n}, ell={ell}) of {model.name} at "
                             f"gamma = {gamma_value!r} is out of floating-point range (level "
                             f"{e_closed!r}, shift {de_closed!r}); cannot verify it"
                         )
-                closed.append(levels)
+                closed.append(pairs)
             plan.append((model.name, gamma_value, m, partial(model.potential, m), closed))
 
     cells: list[SweepCell] = []
     for name, gamma_value, m, potential, closed in plan:
         solved = _dvr_well(potential, m.mu, l_max, n_max, m.re, r_max, sizes)
-        for ell, (levels, result) in enumerate(zip(closed, solved)):
+        for ell, (pairs, result) in enumerate(zip(closed, solved)):
             failure = str(result) if isinstance(result, GupmolError) else None
-            for n, (e_closed, de_closed) in enumerate(levels):
+            for n, (e_closed, de_closed) in enumerate(pairs):
                 if failure is not None:  # an infinite error fails the tolerance test
                     e_oracle = de_oracle = math.nan
                     e_rel = de_rel = math.inf

@@ -9,7 +9,6 @@ that holds its argv alone and run the script.
 """
 import difflib
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -19,9 +18,8 @@ import test_golden  # noqa: E402  (found through the path above)
 
 
 def main() -> None:
-    os.environ.pop(test_golden.cli.DATA_DIR_ENV, None)
     before = test_golden.CORPUS.read_text(encoding="utf-8")
-    entries = [test_golden.observe(entry["argv"]) for entry in json.loads(before)]
+    entries = test_golden.observe([entry["argv"] for entry in json.loads(before)])
     after = json.dumps(entries, indent=1, ensure_ascii=False) + "\n"
     sys.stdout.writelines(difflib.unified_diff(
         before.splitlines(keepends=True), after.splitlines(keepends=True),

@@ -20,7 +20,6 @@ import pytest
 from gupmol import (
     Deformation,
     Molecule,
-    NO_DEFORMATION,
     QuantumNumbers,
     closed_form_table,
     closed_vs_oracle_sweep,
@@ -166,7 +165,7 @@ ORDER_CASES = {
     "kratzer-undeformed": (
         QuantumNumbers(1, 0),
         lambda m, qn: abs(
-            kratzer_energy_undeformed(m, qn) - KRATZER.expansion(m, NO_DEFORMATION, qn)
+            kratzer_energy_undeformed(m, qn) - KRATZER.expansion(m, Deformation(0.0), qn)
         ),
     ),
     "kratzer-beta-part": (
@@ -175,14 +174,14 @@ ORDER_CASES = {
             kratzer_correction_slope(m, qn)
             - (
                 KRATZER.expansion(m, Deformation(1.0), qn)
-                - KRATZER.expansion(m, NO_DEFORMATION, qn)
+                - KRATZER.expansion(m, Deformation(0.0), qn)
             )
         ),
     ),
     "pho-undeformed": (
         QuantumNumbers(0, 1),
         lambda m, qn: abs(
-            pho_energy_undeformed(m, qn) - PHO.expansion(m, NO_DEFORMATION, qn)
+            pho_energy_undeformed(m, qn) - PHO.expansion(m, Deformation(0.0), qn)
         ),
     ),
     "pho-beta-part": (
@@ -191,7 +190,7 @@ ORDER_CASES = {
             pho_correction_slope(m, qn)
             - (
                 PHO.expansion(m, Deformation(1.0), qn)
-                - PHO.expansion(m, NO_DEFORMATION, qn)
+                - PHO.expansion(m, Deformation(0.0), qn)
             )
         ),
     ),
@@ -227,7 +226,7 @@ def round_trip():
     ):
         fit = fit_dunham(closed_form_table(m, d, kind, 4, 4))
         out[kind] = (fit.constants, constants_fn(m, d))
-    fit0 = fit_dunham(closed_form_table(m, NO_DEFORMATION, "kratzer", 4, 4))
+    fit0 = fit_dunham(closed_form_table(m, Deformation(0.0), "kratzer", 4, 4))
     out["kratzer-beta0-fit"] = fit0.constants
     return m, d, out
 
@@ -307,7 +306,7 @@ def test_criterion_7_identities(rng):
                     (kratzer_energy_deformed, kratzer_energy_undeformed),
                     (pho_energy_deformed, pho_energy_undeformed),
                 ):
-                    level = deformed_fn(m, NO_DEFORMATION, qn)
+                    level = deformed_fn(m, Deformation(0.0), qn)
                     assert level.de == 0.0
                     assert level.total == undeformed_fn(m, qn)
                     one = deformed_fn(m, Deformation(1e-8), qn).de

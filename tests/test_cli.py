@@ -12,6 +12,7 @@ import warnings
 
 import numpy as np
 import pytest
+import test_golden
 
 from gupmol import (
     Deformation,
@@ -204,14 +205,6 @@ class TestSizeRule:
         code, out, err = per_level
         assert (code, out, len(err.splitlines())) == (EXIT_CONFIG, "", 1)
 
-    def test_pole_and_overflow_lines(self, capsys):
-        kratzer_pole, _, nan_shift, _ = self.EDGES
-        _, _, err = run_main(capsys, "spectrum", *kratzer_pole)
-        assert err.startswith("error: correction formula has poles for lambda <= 3/2")
-        assert "got lambda = 1.17" in err and "ell = 0)" in err
-        _, _, err = run_main(capsys, "spectrum", *nan_shift)
-        assert err == "error: delta_e = nan is out of floating-point range for these inputs\n"
-
 
 class TestConstants:
     def test_pho_zeros_printed_exactly(self, capsys):
@@ -327,13 +320,36 @@ class TestVerify:
 
 
 class TestBlasThreads:
-    """Only the process entry point pins OpenBLAS to one thread; main sets nothing."""
+    """Only the process entry point pins OpenBLAS to one thread; main sets nothing.  Two
+    threads print the bytes that the golden corpus recorded at one."""
 
     def test_main_leaves_the_environment_alone(self, capsys, monkeypatch):
         monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
         code, _, err = run_main(capsys, "verify", "--gamma", "20", "--nmax", "0", "--lmax", "0")
         assert code == EXIT_OK, err
         assert "OPENBLAS_NUM_THREADS" not in os.environ
+
+    THREADED = {  # the DVR's dsyevr, and the QR and both products of a 201 x 11 fit
+        "verify": ["verify", "--potential", "pho", "--gamma", "100", "--nmax", "2", "--lmax", "1"],
+        "fit": ["constants", "--potential", "kratzer", "--molecule", "H2-kratzer", "--fit",
+                "--nmax", "200", "--lmax", "10", "--beta", "1e-5"],
+    }
+
+    @pytest.fixture(scope="class")
+    def two_threads(self):
+        """Both commands' corpus entries as two BLAS threads give them, from one process."""
+        return dict(zip(self.THREADED, test_golden.observe(list(self.THREADED.values()),
+                                                           threads="2")))
+
+    def _recorded(self, key):
+        """The entry recorded at one BLAS thread in the golden corpus."""
+        return next(entry for entry in test_golden.load() if entry["argv"] == self.THREADED[key])
+
+    def test_verify_stdout_does_not_depend_on_the_thread_count(self, two_threads):
+        assert two_threads["verify"] == self._recorded("verify")
+
+    def test_fit_stdout_does_not_depend_on_the_thread_count(self, two_threads):
+        assert two_threads["fit"] == self._recorded("fit")
 
     def test_entry_point_pins_unless_set(self, monkeypatch):
         monkeypatch.setattr(cli, "main", lambda: EXIT_OK)
@@ -345,28 +361,6 @@ class TestBlasThreads:
         with pytest.raises(SystemExit):
             cli.entry_point()
         assert os.environ["OPENBLAS_NUM_THREADS"] == "4"
-
-    @staticmethod
-    def stdout_by_thread_count(*args):
-        outputs = []
-        for threads in ("1", "2"):
-            proc = subprocess.run([sys.executable, "-m", "gupmol", *args], capture_output=True,
-                                  env={**os.environ, "OPENBLAS_NUM_THREADS": threads})
-            assert proc.returncode == EXIT_OK, proc.stderr
-            outputs.append(proc.stdout)
-        return outputs
-
-    def test_verify_stdout_does_not_depend_on_the_thread_count(self):
-        one, two = self.stdout_by_thread_count("verify", "--potential", "pho", "--gamma", "100",
-                                               "--nmax", "2", "--lmax", "1")
-        assert one == two
-
-    def test_fit_stdout_does_not_depend_on_the_thread_count(self):
-        # the shared grid's QR and both products of the fit, on 201 x 11 levels
-        one, two = self.stdout_by_thread_count("constants", "--potential", "kratzer", "--molecule",
-                                               "H2-kratzer", "--fit", "--nmax", "200", "--lmax",
-                                               "10", "--beta", "1e-5")
-        assert one == two
 
 
 class TestShallowWell:
@@ -477,21 +471,6 @@ class TestPerturbationWarningSummary:
         worst = max(flagged, key=lambda w: w.ratio)
         assert f"warning: {len(flagged)} levels " in line
         assert f"worst n={worst.qn.n} l={worst.qn.ell} " in line
-
-    @pytest.mark.parametrize("argv, line", [
-        (["spectrum", "--potential", "pho", "--molecule", "H2-kratzer", "--nmax", "200",
-          "--lmax", "200", "--beta", "1e-5"],
-         "warning: 37419 levels have a first-order shift above 0.1 of the level "
-         "(PerturbationWarning); worst n=200 l=200 with |delta_e|/|e0| = 0.596\n"),
-        (["constants", "--potential", "pho", "--molecule", "H2-kratzer", "--beta", "1e-2",
-          "--fit", "--nmax", "40", "--lmax", "40"],
-         "warning: 1681 levels have a first-order shift above 0.1 of the level "
-         "(PerturbationWarning); worst n=40 l=40 with |delta_e|/|e0| = 113\n"),
-    ], ids=["spectrum-at-the-cap", "constants-fit"])
-    def test_golden_stderr(self, capsys, argv, line):
-        code, _, err = run_main(capsys, *argv)
-        assert code == EXIT_OK
-        assert err == line
 
     class WarningsStandIn:
         """Delegates every read to ``warnings``, as a tracer's wrapper of it does."""
@@ -767,54 +746,6 @@ class TestExitCodes:
         # empty catalogue's, would be a second stderr line outside it
         assert [str(w.message) for w in recwarn] == []
 
-    @pytest.mark.parametrize("kind", ["kratzer", "pho"])
-    def test_series_overflow_names_gamma(self, capsys, kind):
-        code, _, err = run_main(capsys, "constants", "--potential", kind,
-                                "--synthetic", "1,1e120,1")
-        assert code == EXIT_CONFIG
-        assert err.startswith("error: gamma = 1.414213562373095e+120 is too large for the "
-                              "1/gamma series of 'synthetic'")
-
-    @pytest.mark.parametrize("argv, message", [
-        (["verify", "--gamma", "1e300", "--nmax", "0", "--lmax", "0"],
-         "error: gamma = 1e+300 is out of range for de = 1.0 and re = 1.0: the reduced mass "
-         "it needs is inf in floats\n"),
-        (["verify", "--gamma", "1e-300", "--nmax", "0", "--lmax", "0"],
-         "error: gamma = 1e-300 is out of range for de = 1.0 and re = 1.0: the reduced mass "
-         "it needs is 0.0 in floats\n"),
-        (["fit-beta", "--synthetic", "1,1e200,1", "--e-exp", "1"],
-         "error: level (n=0, ell=0) of 'synthetic' at gamma = 1.414213562373095e+200 is out "
-         "of floating-point range (level nan eV, slope nan eV per unit beta); cannot bound beta\n"),
-        # an infinite slope, which would bound beta by 0
-        (["fit-beta", "--potential", "pho", "--synthetic", "1,1e-160,1", "--l", "1",
-          "--e-exp", "1"],
-         "error: level (n=0, ell=1) of 'synthetic' at gamma = 1.4142135623730952e-160 is out "
-         "of floating-point range (level 3.535533905932737e+160 eV, slope inf eV per unit "
-         "beta); cannot bound beta\n"),
-        (["verify", "--gamma", "1e154", "--nmax", "0", "--lmax", "0"],
-         "error: closed-form level (n=0, ell=0) of kratzer at gamma = 1e+154 is out of "
-         "floating-point range (level -1.0, shift nan); cannot verify it\n"),
-        # a non-finite level behind finite constants: fit_dunham's refusal, the first in row order
-        (["constants", "--potential", "pho", "--synthetic", "1,1,0.5", "--beta", "1e305",
-          "--fit", "--nmax", "4", "--lmax", "40", "--units", "internal"],
-         "error: level (n=0, ell=29) has a non-finite energy (inf); cannot fit\n"),
-        (["constants", "--potential", "kratzer", "--synthetic", "1,1,5e159", "--beta", "1e-10",
-          "--fit", "--units", "internal"],
-         "error: level (n=0, ell=0) has a non-finite energy (nan); cannot fit\n"),
-        (["constants", "--potential", "pho", "--synthetic", "1,1,8e204", "--beta", "1e-10",
-          "--fit"],
-         "error: level (n=0, ell=0) has a non-finite energy (nan); cannot fit\n"),
-        # a finite length whose beta overflows: the length is named, not beta = inf
-        (["spectrum", "--potential", "pho", "--synthetic", "1,1,1", "--min-length-angstrom",
-          "1e160"],
-         "error: minimal length 1e+160 is out of floating-point range: its beta = x^2/5 "
-         "overflows\n"),
-    ], ids=["verify-huge-gamma", "verify-tiny-gamma", "fit-beta-nan-slope", "fit-beta-inf-slope",
-            "verify-nan-shift", "constants-fit-inf-level", "constants-fit-nan-level-kratzer",
-            "constants-fit-nan-level-pho", "spectrum-min-length-overflows-beta"])
-    def test_out_of_range_input_is_named(self, capsys, argv, message):
-        assert run_main(capsys, *argv) == (EXIT_CONFIG, "", message)
-
     @pytest.mark.parametrize("lmax", ["0", "1"])
     def test_overflowing_solve_fails_without_numpy_warnings(self, capsys, lmax):
         # finite closed forms, so the cells are solved; every solve overflows
@@ -831,13 +762,6 @@ class TestExitCodes:
                                 "--synthetic", "1,1,1e200", "--beta", "0")
         assert code == EXIT_OK
         assert len(parse_csv(out)) == 12
-
-    def test_unparsable_synthetic_is_config_error(self, capsys):
-        code, out, err = run_main(capsys, "spectrum", "--potential", "kratzer",
-                                  "--synthetic", "1,1,x")
-        assert code == EXIT_CONFIG
-        assert out == ""
-        assert err == "error: could not convert string to float: 'x'\n"
 
     def test_non_utf8_data_file_is_data_error(self, capsys, tmp_path):
         path = tmp_path / "molecules.csv"
@@ -860,214 +784,3 @@ class TestExitCodes:
         assert code == EXIT_INTERNAL
         assert out == ""
         assert err == f"internal error: {type(exc).__name__}: boom\n"
-
-
-# Expected stdout, written from the output of the per-format emitters that
-# preceded ``cli._emit``.  The verify cells never converge (one solve), so
-# their oracle columns are nan/inf and no digit depends on LAPACK.
-SPECTRUM_CSV = """\
-# potential=kratzer
-# molecule=synthetic
-# gamma=1.41421356237
-# beta=0.001
-# min_length_angstrom=0.0707106781187
-# units=internal
-n,l,e0,delta_e,total
-0,0,-0.5,0.001,-0.499
-0,1,-0.304805898399,0.000259945566443,-0.304545952832
-1,0,-0.222222222222,0.000460905349794,-0.221761316872
-1,1,-0.157670780787,0.000170395305352,-0.157500385481
-"""
-
-SPECTRUM_JSON = """\
-{
-  "levels": [
-    {
-      "delta_e": 0.0010000000000000005,
-      "e0": -0.5000000000000001,
-      "l": 0,
-      "n": 0,
-      "total": -0.4990000000000001
-    },
-    {
-      "delta_e": 0.00025994556644267036,
-      "e0": -0.30480589839889627,
-      "l": 1,
-      "n": 0,
-      "total": -0.3045459528324536
-    },
-    {
-      "delta_e": 0.0004609053497942389,
-      "e0": -0.22222222222222227,
-      "l": 0,
-      "n": 1,
-      "total": -0.22176131687242803
-    },
-    {
-      "delta_e": 0.00017039530535218621,
-      "e0": -0.15767078078675462,
-      "l": 1,
-      "n": 1,
-      "total": -0.15750038548140244
-    }
-  ],
-  "meta": {
-    "beta": 0.001,
-    "gamma": 1.4142135623730951,
-    "min_length_angstrom": 0.07071067811865475,
-    "molecule": "synthetic",
-    "potential": "kratzer",
-    "units": "internal"
-  }
-}
-"""
-
-CONSTANTS_CSV = """\
-# potential=pho
-# molecule=synthetic
-# gamma=1.41421356237
-# beta=0.001
-# units=cm-1
-constant,value
-y00,1032.38962398
-we,22847.0224531
-wexe,-96.7865272482
-weye,0
-be,4032.77196867
-alphae,-45.6256064965
-"""
-
-CONSTANTS_JSON = """\
-{
-  "constants": {
-    "alphae": -45.62560649646138,
-    "be": 4032.7719686746045,
-    "we": 22847.02245310304,
-    "wexe": -96.78652724819051,
-    "weye": 0.0,
-    "y00": 1032.3896239806988
-  },
-  "meta": {
-    "beta": 0.001,
-    "gamma": 1.4142135623730951,
-    "molecule": "synthetic",
-    "potential": "pho",
-    "units": "cm-1"
-  }
-}
-"""
-
-FIT_BETA_CSV = """\
-# basis=full |experiment - theory(beta=0)| gap of 5.000000e-01 eV for 'synthetic' (n=0, ell=0, kratzer) attributed to the deformation shift (1.000000e+00 eV per unit beta)
-# experimental_source=command line
-molecule,potential,n,l,e_exp_eV,beta_upper_A2,min_length_upper_A
-synthetic,kratzer,0,0,1,0.5,1.58113883008
-"""
-
-FIT_BETA_JSON = """\
-{
-  "basis": "full |experiment - theory(beta=0)| gap of 5.000000e-01 eV for 'synthetic' (n=0, ell=0, kratzer) attributed to the deformation shift (1.000000e+00 eV per unit beta)",
-  "beta_upper_A2": 0.4999999999999998,
-  "e_exp_eV": 1.0,
-  "experimental_source": "command line",
-  "l": 0,
-  "min_length_upper_A": 1.5811388300841893,
-  "molecule": "synthetic",
-  "n": 0,
-  "potential": "kratzer"
-}
-"""
-
-VERIFY_CSV = """\
-# tol_energy=1e-06
-# tol_correction=0.0001
-# beta=1e-06
-# max_energy_rel_err=inf
-# max_correction_rel_err=inf
-# result=FAIL
-potential,gamma,n,l,e_closed,e_oracle,e_rel_err,de_closed,de_oracle,de_rel_err,status
-kratzer,20,0,0,-0.951234377441,nan,inf,1.42778968254e-06,nan,inf,FAIL
-kratzer,20,1,0,-0.864829809673,nan,inf,5.4619187243e-06,nan,inf,FAIL
-"""
-
-VERIFY_JSON = """\
-{
-  "cells": [
-    {
-      "de_closed": 1.4277896825419047e-06,
-      "de_oracle": NaN,
-      "de_rel_err": Infinity,
-      "e_closed": -0.9512343774406438,
-      "e_oracle": NaN,
-      "e_rel_err": Infinity,
-      "gamma": 20.0,
-      "l": 0,
-      "n": 0,
-      "note": "sinc DVR not converged: no two successive solves at N = 64 agree to 1e-08",
-      "potential": "kratzer",
-      "status": "FAIL"
-    },
-    {
-      "de_closed": 5.461918724296165e-06,
-      "de_oracle": NaN,
-      "de_rel_err": Infinity,
-      "e_closed": -0.8648298096734234,
-      "e_oracle": NaN,
-      "e_rel_err": Infinity,
-      "gamma": 20.0,
-      "l": 0,
-      "n": 1,
-      "note": "sinc DVR not converged: no two successive solves at N = 64 agree to 1e-08",
-      "potential": "kratzer",
-      "status": "FAIL"
-    }
-  ],
-  "meta": {
-    "beta": 1e-06,
-    "max_correction_rel_err": Infinity,
-    "max_energy_rel_err": Infinity,
-    "result": "FAIL",
-    "tol_correction": 0.0001,
-    "tol_energy": 1e-06
-  }
-}
-"""
-
-
-class TestOutputLayout:
-    """Exact stdout of fixed calls in both formats."""
-
-    CALLS = {
-        "spectrum": ("spectrum --potential kratzer --synthetic 1,1,1 --beta 1e-3 --nmax 1 "
-                     "--lmax 1 --units internal", EXIT_OK, SPECTRUM_CSV, SPECTRUM_JSON),
-        "constants": ("constants --potential pho --synthetic 1,1,1 --beta 1e-3", EXIT_OK,
-                      CONSTANTS_CSV, CONSTANTS_JSON),
-        "fit-beta": ("fit-beta --synthetic 1,1,1 --e-exp 1 --units internal", EXIT_OK,
-                     FIT_BETA_CSV, FIT_BETA_JSON),
-        "verify": ("verify --potential kratzer --gamma 20 --nmax 1 --lmax 0 --levels 1",
-                   EXIT_VERIFY, VERIFY_CSV, VERIFY_JSON),
-    }
-
-    @pytest.mark.parametrize("command", CALLS)
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_exact_stdout(self, capsys, command, fmt):
-        argv, expected_code, csv_text, json_text = self.CALLS[command]
-        code, out, _ = run_main(capsys, *argv.split(), "--format", fmt)
-        assert code == expected_code
-        assert out == (csv_text if fmt == "csv" else json_text)
-
-    def test_constants_fit_columns(self, capsys):
-        """Only the layout: the fit's last digits may differ between BLAS builds."""
-        argv = ["constants", "--potential", "pho", "--synthetic", "1,1,1", "--beta", "1e-3",
-                "--fit"]
-        _, out, _ = run_main(capsys, *argv)
-        lines = out.splitlines()
-        assert lines[:5] == CONSTANTS_CSV.splitlines()[:5]
-        assert lines[5] == "constant,value,fitted,rel_diff"
-        assert [line.split(",")[0] for line in lines[6:]] == [
-            "y00", "we", "wexe", "weye", "be", "alphae"]
-        _, out, _ = run_main(capsys, *argv, "--format", "json")
-        document = json.loads(out)
-        assert list(document) == ["constants", "fitted", "meta", "rel_diff"]
-        for key in ("constants", "fitted", "rel_diff"):
-            assert list(document[key]) == sorted(["y00", "we", "wexe", "weye", "be", "alphae"])

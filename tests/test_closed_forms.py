@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from gupmol import (
-    NO_DEFORMATION,
     Deformation,
     DomainError,
     Molecule,
@@ -130,7 +129,7 @@ def test_against_60_digits(kind, g):
     mp = pytest.importorskip("mpmath").mp
     m = Molecule("x", de=1.0, re=1.0, mu=g * g / 2.0)
     model = MODELS[kind]
-    table = closed_form_table(m, NO_DEFORMATION, kind, max(NS), max(ELLS))
+    table = closed_form_table(m, Deformation(0.0), kind, max(NS), max(ELLS))
     with mp.workdps(60 + 2 * math.ceil(math.log10(g))):
         # gamma as the molecule's float parameters define it, at the same digits
         g_ref = mp.mpf(m.re) * mp.sqrt(2 * mp.mpf(m.mu) * mp.mpf(m.de))
@@ -185,14 +184,14 @@ class TestTableSizes:
                                               (2, False), ("3", 2), (None, 2)])
     def test_rejected(self, unit_molecule, n_max, l_max):
         with pytest.raises(DomainError, match="must be a nonnegative integer"):
-            closed_form_table(unit_molecule, NO_DEFORMATION, "kratzer", n_max, l_max)
+            closed_form_table(unit_molecule, Deformation(0.0), "kratzer", n_max, l_max)
 
     def test_numpy_integers_accepted(self, unit_molecule):
-        table = closed_form_table(unit_molecule, NO_DEFORMATION, "pho", np.int64(2), np.int32(1))
+        table = closed_form_table(unit_molecule, Deformation(0.0), "pho", np.int64(2), np.int32(1))
         assert len(table.entries) == 6
 
     def test_zero_sizes_give_the_ground_level(self, unit_molecule):
-        ((qn, energy),) = closed_form_table(unit_molecule, NO_DEFORMATION, "pho", 0, 0).entries
+        ((qn, energy),) = closed_form_table(unit_molecule, Deformation(0.0), "pho", 0, 0).entries
         assert qn == QuantumNumbers(0, 0)
         assert energy == MODELS["pho"].undeformed(unit_molecule, qn)
 

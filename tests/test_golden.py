@@ -11,12 +11,19 @@ what it printed, as written by the code it was generated from:
   argparse's usage text, which is argparse's and not the package's;
 - ``exit``: the exit code.
 
-Every command but ``verify`` runs in process through ``cli.main``.  verify's
-digits depend on the number of BLAS threads, so its entries run as
-``python -m gupmol`` with ``OPENBLAS_NUM_THREADS=1``, and the line that gives
-its run time is left out of its stderr.  The packaged data directory is
-written ``<data>`` wherever a message names it, so the corpus does not
-depend on where the package is installed.
+It is the one home of the CLI's exact bytes: ``tests/test_cli.py`` holds
+the relations and properties that an entry cannot express.
+
+``observe`` runs the entries through ``cli.main``, one after another, in one
+``python`` process that it starts with ``OPENBLAS_NUM_THREADS=1`` (the
+package's data directory variable unset), because a solve's or a fit's last
+digits could depend on the number of BLAS threads; the line that gives
+``verify``'s run time is left out of its stderr.  The packaged data
+directory is written ``<data>`` wherever a message names it, so the corpus
+does not depend on where the package is installed.  The corpus was
+recorded on Python 3.11.7, numpy 2.4.6, scipy 1.17.1 and scipy-openblas
+0.3.31; another BLAS build may round a fit's or a solve's last digits
+differently.
 
 ``python tests/golden/update.py`` rewrites the corpus from the current code
 and prints the diff: a change that alters the CLI's output shows it there.
@@ -58,33 +65,32 @@ def _run_in_process(argv: list[str]) -> tuple[int, str, str | None]:
     return code, out.getvalue(), err.getvalue()
 
 
-def _run_verify(argv: list[str]) -> tuple[int, str, str | None]:
+def observe(argvs: list[list[str]], threads: str = "1") -> list[dict]:
+    """The corpus entries of ``argvs``, as the current code gives them with
+    ``threads`` BLAS threads."""
     env = {k: v for k, v in os.environ.items() if k != cli.DATA_DIR_ENV}
     env["PYTHONPATH"] = str(Path(gupmol.__file__).resolve().parents[1])
-    env["OPENBLAS_NUM_THREADS"] = "1"
-    proc = subprocess.run([sys.executable, "-m", "gupmol", *argv], capture_output=True,
-                          text=True, env=env)
-    err = "".join(line for line in proc.stderr.splitlines(keepends=True)
-                  if not line.startswith(RUNTIME_LINE))
-    return proc.returncode, proc.stdout, err
-
-
-def observe(argv: list[str]) -> dict:
-    """The corpus entry of one invocation, as the current code gives it."""
-    run = _run_verify if argv[0] == "verify" else _run_in_process
-    code, out, err = run(argv)
-    return {"argv": argv, "exit": code, "stdout": _record(out),
-            "stderr": None if err is None else _record(err)}
+    env["OPENBLAS_NUM_THREADS"] = threads
+    proc = subprocess.run([sys.executable, __file__], input=json.dumps(argvs),
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    entries = []
+    for argv, (code, out, err) in zip(argvs, json.loads(proc.stdout)):
+        if err is not None:
+            err = _record("".join(line for line in err.splitlines(keepends=True)
+                                  if not line.startswith(RUNTIME_LINE)))
+        entries.append({"argv": argv, "exit": code, "stdout": _record(out), "stderr": err})
+    return entries
 
 
 def load() -> list[dict]:
     return json.loads(CORPUS.read_text(encoding="utf-8"))
 
 
-def test_corpus_is_reproduced_byte_for_byte(monkeypatch):
-    monkeypatch.delenv(cli.DATA_DIR_ENV, raising=False)
-    mismatched = [" ".join(entry["argv"]) for entry in load()
-                  if observe(entry["argv"]) != entry]
+def test_corpus_is_reproduced_byte_for_byte():
+    entries = load()
+    mismatched = [" ".join(entry["argv"]) for entry, now in
+                  zip(entries, observe([entry["argv"] for entry in entries])) if now != entry]
     assert not mismatched, (f"{len(mismatched)} invocations changed; "
                             "`python tests/golden/update.py` shows how:\n" + "\n".join(mismatched))
 
@@ -96,3 +102,6 @@ def test_corpus_covers_every_command_and_refusal():
     assert {0, 2, 3, 4} <= {entry["exit"] for entry in entries}
     assert any(isinstance(entry["stdout"], dict) for entry in entries)
 
+
+if __name__ == "__main__":  # the process that observe starts
+    json.dump([_run_in_process(argv) for argv in json.load(sys.stdin)], sys.stdout)

@@ -6,7 +6,6 @@ from gupmol import (
     Deformation,
     DomainError,
     Molecule,
-    NO_DEFORMATION,
     PerturbationWarning,
     QuantumNumbers,
     gamma,
@@ -56,7 +55,7 @@ class TestDeformed:
         for n in range(4):
             for ell in range(3):
                 qn = QuantumNumbers(n, ell)
-                level = kratzer_energy_deformed(unit_molecule, NO_DEFORMATION, qn)
+                level = kratzer_energy_deformed(unit_molecule, Deformation(0.0), qn)
                 assert level.de == 0.0
                 assert level.total == kratzer_energy_undeformed(unit_molecule, qn)
 
@@ -95,12 +94,12 @@ class TestExpansion:
         m = synthetic_molecule(1e4)
         qn = QuantumNumbers(0, 0)
         closed = kratzer_energy_undeformed(m, qn)
-        series = KRATZER.expansion(m, NO_DEFORMATION, qn)
+        series = KRATZER.expansion(m, Deformation(0.0), qn)
         assert abs(closed - series) <= 1e-15 * m.de
 
     def test_leading_term_is_minus_well_depth(self):
         m = synthetic_molecule(1e8)
-        series = KRATZER.expansion(m, NO_DEFORMATION, QuantumNumbers(0, 0))
+        series = KRATZER.expansion(m, Deformation(0.0), QuantumNumbers(0, 0))
         assert series == pytest.approx(-m.de, rel=1e-7)
 
     def test_beta_part_leading_coefficient(self):
@@ -110,7 +109,7 @@ class TestExpansion:
         for n, ell in [(0, 0), (2, 1)]:
             qn = QuantumNumbers(n, ell)
             beta_part = KRATZER.expansion(m, Deformation(beta), qn) - (
-                KRATZER.expansion(m, NO_DEFORMATION, qn)
+                KRATZER.expansion(m, Deformation(0.0), qn)
             )
             nu = n + 0.5
             lh = (ell + 0.5) ** 2
@@ -130,7 +129,7 @@ class TestExpansion:
             diffs.append(
                 abs(
                     kratzer_energy_undeformed(m, qn)
-                    - KRATZER.expansion(m, NO_DEFORMATION, qn)
+                    - KRATZER.expansion(m, Deformation(0.0), qn)
                 )
             )
         assert diffs[0] / diffs[1] == pytest.approx(16.0, rel=0.25)
@@ -139,22 +138,22 @@ class TestExpansion:
 class TestConstants:
     def test_rotational_constant_value(self):
         m = synthetic_molecule(100.0)
-        constants = kratzer_spectroscopic_constants(m, NO_DEFORMATION)
+        constants = kratzer_spectroscopic_constants(m, Deformation(0.0))
         assert constants.be == pytest.approx(1e-4, rel=1e-12)
 
     def test_unit_molecule_we(self, unit_molecule):
-        constants = kratzer_spectroscopic_constants(unit_molecule, NO_DEFORMATION)
+        constants = kratzer_spectroscopic_constants(unit_molecule, Deformation(0.0))
         assert constants.we == pytest.approx(1.1490485, abs=1e-7)
 
     def test_rotational_constant_unaffected_by_deformation(self):
         m = synthetic_molecule(30.0)
-        without = kratzer_spectroscopic_constants(m, NO_DEFORMATION)
+        without = kratzer_spectroscopic_constants(m, Deformation(0.0))
         with_beta = kratzer_spectroscopic_constants(m, Deformation(1e-4))
         assert with_beta.be == without.be
 
     def test_sign_structure_at_beta_zero(self):
         m = synthetic_molecule(50.0)
-        c = kratzer_spectroscopic_constants(m, NO_DEFORMATION)
+        c = kratzer_spectroscopic_constants(m, Deformation(0.0))
         assert c.we > 0 and c.wexe > 0 and c.weye > 0 and c.be > 0 and c.alphae > 0
 
     def test_beta_shifts_match_series(self):
@@ -162,7 +161,7 @@ class TestConstants:
         beta = 1e-7
         g = gamma(m)
         bm = beta * m.mu * m.de**2
-        base = kratzer_spectroscopic_constants(m, NO_DEFORMATION)
+        base = kratzer_spectroscopic_constants(m, Deformation(0.0))
         shifted = kratzer_spectroscopic_constants(m, Deformation(beta))
         assert shifted.y00 - base.y00 == pytest.approx(1.5 * bm / g**2, rel=1e-10)
         assert shifted.we - base.we == pytest.approx(1.5 * bm / g**3, rel=1e-10)

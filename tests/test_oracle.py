@@ -556,8 +556,7 @@ class TestDVR:
     @pytest.mark.parametrize("kind", ["kratzer", "pho"])
     def test_slopes_sum_in_grid_order(self, kind, points):
         # each slope is 4 mu times the products psi^2 (E - V)^2 added one after
-        # another in grid order, to the last bit; a lone state's are added as
-        # numpy adds one contiguous row, pairwise
+        # another in grid order, to the last bit, for a lone state as for five
         m = synthetic_molecule(20.0)
         pot = partial(get_model(kind).potential, m)
         box = dvr_box(pot, m.mu, 1, 4, m.re)
@@ -565,14 +564,9 @@ class TestDVR:
         for count in (5, 1):
             energies, slopes, vectors, _ = dvr_solve(pot, 1, m.mu, box, points, count)
             for k, energy in enumerate(energies.tolist()):
-                products = [x * x * ((energy - v_i) * (energy - v_i))
-                            for x, v_i in zip(vectors[:, k].tolist(), v)]
-                if count == 1:
-                    total = float(np.sum(np.array(products)))
-                else:
-                    total = 0.0
-                    for product in products:
-                        total += product
+                total = 0.0
+                for x, v_i in zip(vectors[:, k].tolist(), v):
+                    total += x * x * ((energy - v_i) * (energy - v_i))
                 assert slopes[k] == 4.0 * m.mu * total, (count, k)
 
     @pytest.mark.parametrize("gamma_value", [20.0, 1000.0])

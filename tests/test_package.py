@@ -16,8 +16,8 @@ from gupmol.spectroscopy import MODELS
 EXPORTS = (
     "AMU_TO_INTERNAL", "BetaBound", "ConvergenceError", "DataFormatError", "Deformation",
     "DomainError", "DunhamFit", "EV_TO_CM1", "EnergyLevel", "ExperimentalLevel", "FitError",
-    "GridError", "GupmolError", "HBARC_EV_ANGSTROM", "LevelTable",
-    "Molecule", "NO_DEFORMATION", "PerturbationWarning", "QuantumNumbers",
+    "GridError", "GupmolError", "LevelTable",
+    "Molecule", "PerturbationWarning", "QuantumNumbers",
     "SpectroscopicConstants", "SweepCell", "SweepReport",
     "closed_form_table", "closed_vs_oracle_sweep", "core",
     "fit_beta_bound", "fit_dunham", "gamma",
@@ -57,7 +57,7 @@ def test_sweep_names_are_the_verify_modules_own():
 
     for name in ("SweepCell", "SweepReport", "closed_vs_oracle_sweep"):
         assert getattr(gupmol, name) is getattr(verify, name)
-    assert len(EXPORTS) == 48
+    assert len(EXPORTS) == 46
 
 
 @pytest.mark.parametrize("kind", ["kratzer", "pho"])

@@ -7,7 +7,6 @@ from gupmol import (
     Deformation,
     DomainError,
     Molecule,
-    NO_DEFORMATION,
     QuantumNumbers,
     gamma,
     kratzer_spectroscopic_constants,
@@ -65,7 +64,7 @@ class TestDeformed:
         for n in range(4):
             for ell in range(3):
                 qn = QuantumNumbers(n, ell)
-                level = pho_energy_deformed(m, NO_DEFORMATION, qn)
+                level = pho_energy_deformed(m, Deformation(0.0), qn)
                 assert level.de == 0.0
                 assert level.total == pho_energy_undeformed(m, qn)
 
@@ -94,7 +93,7 @@ class TestExpansion:
         qn = QuantumNumbers(0, 0)
         g = gamma(m)
         closed = pho_energy_undeformed(m, qn)
-        series = PHO.expansion(m, NO_DEFORMATION, qn)
+        series = PHO.expansion(m, Deformation(0.0), qn)
         assert series == pytest.approx(m.de / (4.0 * g * g) + 2.0 * m.de / g, rel=1e-14)
         assert abs(closed - series) <= 1e-15 * m.de
 
@@ -106,7 +105,7 @@ class TestExpansion:
         for n, ell in [(0, 0), (1, 2)]:
             qn = QuantumNumbers(n, ell)
             beta_part = PHO.expansion(m, Deformation(beta), qn) - PHO.expansion(
-                m, NO_DEFORMATION, qn
+                m, Deformation(0.0), qn
             )
             nu = n + 0.5
             ll = ell * (ell + 1)
@@ -119,7 +118,7 @@ class TestExpansion:
 class TestConstants:
     def test_zeros_at_beta_zero(self):
         m = synthetic_molecule(45.0)
-        c = pho_spectroscopic_constants(m, NO_DEFORMATION)
+        c = pho_spectroscopic_constants(m, Deformation(0.0))
         assert c.wexe == 0.0
         assert c.alphae == 0.0
         assert c.weye == 0.0

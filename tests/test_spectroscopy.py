@@ -19,7 +19,6 @@ from gupmol import (
     FitError,
     LevelTable,
     Molecule,
-    NO_DEFORMATION,
     PerturbationWarning,
     QuantumNumbers,
     SpectroscopicConstants,
@@ -397,7 +396,7 @@ class TestSharedGrid:
                  "at least 2 distinct ell (got 1)"),
     ])
     def test_coverage_messages_of_grid_and_entries_tables(self, shape, need):
-        table = closed_form_table(synthetic_molecule(36.0), NO_DEFORMATION, "pho", *shape)
+        table = closed_form_table(synthetic_molecule(36.0), Deformation(0.0), "pho", *shape)
         entries = LevelTable(molecule=None, entries=table.entries, provenance="experimental")
         message = f"level table cannot determine all six constants; need {need}"
         for t in (table, entries):
@@ -408,14 +407,14 @@ class TestSharedGrid:
 
 class TestClosedFormTables:
     def test_energies_measured_from_minimum(self, unit_molecule):
-        table = closed_form_table(unit_molecule, NO_DEFORMATION, "kratzer", 4, 4)
+        table = closed_form_table(unit_molecule, Deformation(0.0), "kratzer", 4, 4)
         ground = dict(((qn.n, qn.ell), e) for qn, e in table.entries)[(0, 0)]
         assert ground == pytest.approx(0.5, rel=1e-12)  # -0.5 shifted by +de
 
     def test_round_trip_recovers_dominant_constants(self):
         m = synthetic_molecule(200.0)
-        fit = fit_dunham(closed_form_table(m, NO_DEFORMATION, "kratzer", 4, 4))
-        exact = kratzer_spectroscopic_constants(m, NO_DEFORMATION)
+        fit = fit_dunham(closed_form_table(m, Deformation(0.0), "kratzer", 4, 4))
+        exact = kratzer_spectroscopic_constants(m, Deformation(0.0))
         assert fit.constants.we == pytest.approx(exact.we, rel=1e-2)
         assert fit.constants.wexe == pytest.approx(exact.wexe, rel=1e-2)
         assert fit.constants.be == pytest.approx(exact.be, rel=1e-2)
@@ -435,8 +434,8 @@ class TestClosedFormTables:
 
     def test_fitted_rotational_constants_agree_across_potentials(self):
         m = synthetic_molecule(200.0)
-        fit_k = fit_dunham(closed_form_table(m, NO_DEFORMATION, "kratzer", 4, 4))
-        fit_p = fit_dunham(closed_form_table(m, NO_DEFORMATION, "pho", 4, 4))
+        fit_k = fit_dunham(closed_form_table(m, Deformation(0.0), "kratzer", 4, 4))
+        fit_p = fit_dunham(closed_form_table(m, Deformation(0.0), "pho", 4, 4))
         reference = m.de / gamma(m) ** 2
         assert fit_k.constants.be == pytest.approx(reference, rel=1e-2)
         assert fit_p.constants.be == pytest.approx(reference, rel=1e-2)
@@ -444,7 +443,7 @@ class TestClosedFormTables:
 
     def test_unknown_kind_rejected(self, unit_molecule):
         with pytest.raises(DomainError):
-            closed_form_table(unit_molecule, NO_DEFORMATION, "morse", 4, 4)
+            closed_form_table(unit_molecule, Deformation(0.0), "morse", 4, 4)
 
 
 class TestColumns:
@@ -466,7 +465,7 @@ class TestColumns:
 
     def test_reading_entries_keeps_nothing(self):
         # the view is built on each read: a kept copy held about 390 kB here
-        warm, table = (closed_form_table(synthetic_molecule(g), NO_DEFORMATION, "pho", 200, 10)
+        warm, table = (closed_form_table(synthetic_molecule(g), Deformation(0.0), "pho", 200, 10)
                        for g in (50.0, 60.0))
         tracemalloc.start()
         try:
@@ -482,7 +481,7 @@ class TestColumns:
         assert retained < 10_000
 
     def test_columns_are_read_only(self):
-        table = closed_form_table(synthetic_molecule(60.0), NO_DEFORMATION, "pho", 4, 4)
+        table = closed_form_table(synthetic_molecule(60.0), Deformation(0.0), "pho", 4, 4)
         built = table_from_constants(SpectroscopicConstants(1.0, 2.0, 0.1, 0.01, 3.0, 0.05))
         for t in (table, built):
             for column in (t.n, t.ell, t.energy):
@@ -544,7 +543,7 @@ class TestBetaBound:
         m = synthetic_molecule(200.0)
         qn = QuantumNumbers(0, 0)
         # the theory level above the minimum, as the level table gives it
-        ((_, e_theory),) = closed_form_table(m, NO_DEFORMATION, "kratzer", 0, 0).entries
+        ((_, e_theory),) = closed_form_table(m, Deformation(0.0), "kratzer", 0, 0).entries
         bound = fit_beta_bound(m, e_theory, qn, "kratzer")
         assert bound.beta_upper == 0.0
         assert bound.minimal_length_upper == 0.0
