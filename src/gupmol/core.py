@@ -451,6 +451,8 @@ class Model:
             e0, e_min = self.energies(m, n, ell)
             de = np.zeros_like(e0) if d.beta == 0.0 else d.beta * self.slopes(m, n, ell)
         e0, e_min, de = e0.ravel(), e_min.ravel(), de.ravel()
+        if d.beta == 0.0:  # |0| > ratio |e0| holds for no e0, nan and inf included
+            return n_col, ell_col, e0, e_min, de
         k = np.flatnonzero(np.abs(de) > FIRST_ORDER_WARN_RATIO * np.abs(e0))
         if k.size:
             with np.errstate(divide="ignore", over="ignore"):  # inf, as for one level

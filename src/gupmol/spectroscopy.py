@@ -21,7 +21,7 @@ import csv
 import io
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
@@ -120,20 +120,57 @@ class LevelTable:
 
 @dataclass(frozen=True)
 class DunhamFit:
-    """Fit result: constants plus max and RMS residuals of the linear model."""
+    """Fit result: the constants, the number of levels fitted, and the solve
+    that gave them, from which ``residual_max`` and ``residual_rms``, the max
+    and RMS residuals of the linear model, are computed on each read.
+
+    The solve is (Q^T, Q^T E / scale, E, scale): the basis's read-only Q^T, the
+    projection the constants were solved from, the table's read-only energy
+    column and the power of two it was scaled by.  Nothing writes to these,
+    and dividing by the scale again gives the scaled energies the solve took
+    bit for bit, so a read computes the residuals from the same values, with
+    the same expressions in the same order, as a fit that computed them at
+    once, and gets the same bits.  A fit keeps no array of a level's size
+    of its own.  The solve is neither compared nor shown: two fits are equal
+    when their constants and level counts are."""
 
     constants: SpectroscopicConstants
-    residual_max: float
-    residual_rms: float
     n_entries: int
+    _solve: tuple = field(compare=False, repr=False)
+
+    @property
+    def residual_max(self) -> float:
+        return _residuals(*self._solve)[0]
+
+    @property
+    def residual_rms(self) -> float:
+        return _residuals(*self._solve)[1]
+
+
+def _residuals(q_t: np.ndarray, projection: np.ndarray, energy: np.ndarray,
+               scale: float) -> tuple[float, float]:
+    """Max and RMS of the residuals Q (Q^T E) - E of one solve (see DunhamFit)."""
+    import numpy as np
+
+    rhs = energy / scale  # the quotients the solve took, bit for bit
+    residuals = projection @ q_t - rhs
+    # The RMS is taken on residuals scaled by the largest, which cannot underflow.
+    residual_max = float(np.abs(residuals).max())
+    residual_rms = residual_max
+    if residual_max > 0.0:
+        scaled = residuals / residual_max
+        residual_rms *= math.sqrt(float((scaled * scaled).sum()) / len(scaled))
+    return residual_max * scale, residual_rms * scale
 
 
 def fit_dunham(table: LevelTable) -> DunhamFit:
     """Least-squares extraction of the six constants from a level table.
 
     Solves through the Householder QR the table keeps with its basis, never
-    normal equations: the constants are R^-1 (Q^T E) and the residuals
-    Q (Q^T E) - E, two small products per table.  Raises FitError naming the
+    normal equations: the constants are R^-1 (Q^T E), two small products per
+    table, and that is all a fit computes.  The residuals Q (Q^T E) - E are
+    computed when the result's ``residual_max`` or ``residual_rms`` is read,
+    from the solve it keeps (see DunhamFit).  Raises FitError naming the
     missing quantum-number coverage when the design matrix cannot have full
     rank: the basis {1, nu, nu^2, nu^3, L, nu L} needs at least 4 distinct n
     and 2 distinct ell (and 6 entries); FitError naming the first level, in
@@ -164,23 +201,14 @@ def fit_dunham(table: LevelTable) -> DunhamFit:
     # Solved for E over the power of two at or below max|E|, which changes no bit
     # of the result, so that no sum of the products overflows near the float maximum.
     scale = math.ldexp(1.0, math.frexp(e_max)[1] - 1)
-    rhs = rhs / scale
-    projection = q_t @ rhs
+    projection = q_t @ (rhs / scale)
     coeff = r_inv @ projection
-    residuals = projection @ q_t - rhs
-    # The RMS is taken on residuals scaled by the largest, which cannot underflow.
-    residual_max = float(np.abs(residuals).max())
-    residual_rms = residual_max
-    if residual_max > 0.0:
-        scaled = residuals / residual_max
-        residual_rms *= math.sqrt(float((scaled * scaled).sum()) / len(scaled))
     return DunhamFit(
         # Python floats, as the closed forms give them: a unit conversion that
         # overflows is then inf without a numpy RuntimeWarning.
         constants=SpectroscopicConstants(*(c * scale for c in coeff.tolist())),
-        residual_max=residual_max * scale,
-        residual_rms=residual_rms * scale,
         n_entries=len(rhs),
+        _solve=(q_t, projection, rhs, scale),
     )
 
 

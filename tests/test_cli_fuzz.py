@@ -100,7 +100,8 @@ def _numbers(stdout):
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(argvs())
-# an intermediate overflows (the fit's residuals) although every printed number is finite
+# energies near the float maximum, whose sums in a fit overflow unless it scales them,
+# although every printed number is finite
 @example(["constants", "--fit", "--potential", "kratzer", "--synthetic", "1,1,1", "--beta", "1e300"])
 # a fitted constant that overflows in the conversion to cm-1
 @example(["constants", "--fit", "--potential", "kratzer", "--synthetic", "1,1,100", "--beta",

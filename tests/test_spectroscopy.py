@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import test_golden
 
 from gupmol import (
     DataFormatError,
@@ -37,7 +38,7 @@ from gupmol import (
     kratzer_spectroscopic_constants,
     synthetic_molecule,
 )
-from gupmol import core
+from gupmol import core, spectroscopy
 from gupmol.kratzer import KRATZER
 from gupmol.pho import PHO
 from gupmol.spectroscopy import MODELS
@@ -300,6 +301,87 @@ class TestFitIsUnchanged:
         kernel = closed_form_table(synthetic_molecule(36.0), Deformation(4e-5), "kratzer", 200, 10)
         errors = _fit_errors(_reordered(kernel, order))
         assert max(errors) <= self.BOUNDS[200, 10], errors
+
+
+def _eager_residuals(table):
+    """(residual_max, residual_rms) as fit_dunham computed them with the constants,
+    written out: the same expressions in the same order, on the table's basis."""
+    q_t = table._basis[0]
+    scale = math.ldexp(1.0, math.frexp(float(np.abs(table.energy).max()))[1] - 1)
+    rhs = table.energy / scale
+    projection = q_t @ rhs
+    residuals = projection @ q_t - rhs
+    residual_max = float(np.abs(residuals).max())
+    residual_rms = residual_max
+    if residual_max > 0.0:
+        scaled = residuals / residual_max
+        residual_rms *= math.sqrt(float((scaled * scaled).sum()) / len(scaled))
+    return residual_max * scale, residual_rms * scale
+
+
+def _rescaled_table():
+    """test_energies_near_the_float_maximum's table: max|E| about 1.2e308."""
+    table = table_from_constants(SpectroscopicConstants(1.0, 2.0, 0.1, 0.01, 3.0, 0.05))
+    return LevelTable(molecule=None, entries=tuple((qn, e * 2.0 ** 1018) for qn, e in table.entries),
+                      provenance="experimental")
+
+
+@pytest.mark.filterwarnings("ignore::gupmol.PerturbationWarning")
+class TestResidualsOnRead:
+    """A fit solves for its constants only; its residuals are computed on each
+    read, from the solve it keeps, and equal those computed with the constants."""
+
+    @pytest.mark.parametrize("shape", [(200, 10), (10, 200), (4, 1)],
+                             ids=["201x11", "11x201", "5x2"])
+    @pytest.mark.parametrize("beta", [0.0, 4e-5])
+    @pytest.mark.parametrize("kind", ["kratzer", "pho"])
+    def test_closed_form_tables_bit_for_bit(self, kind, beta, shape):
+        table = closed_form_table(synthetic_molecule(36.0), Deformation(beta), kind, *shape)
+        fit = fit_dunham(table)
+        for _ in range(2):  # each read gives the same bits
+            assert (fit.residual_max, fit.residual_rms) == _eager_residuals(table)
+
+    @pytest.mark.parametrize("make", [
+        lambda: _reordered(closed_form_table(synthetic_molecule(36.0), Deformation(4e-5),
+                                             "pho", 200, 10), "shuffled"),
+        _rescaled_table,
+    ], ids=["entries", "rescaled"])
+    def test_entries_tables_bit_for_bit(self, make):
+        table = make()
+        fit = fit_dunham(table)
+        assert (fit.residual_max, fit.residual_rms) == _eager_residuals(table)
+
+    @pytest.fixture
+    def no_residuals(self, monkeypatch):
+        def refuse(*solve):
+            raise AssertionError("residuals computed")
+
+        monkeypatch.setattr(spectroscopy, "_residuals", refuse)
+
+    def test_a_fit_computes_no_residuals(self, no_residuals):
+        fit = fit_dunham(closed_form_table(synthetic_molecule(36.0), Deformation(4e-5),
+                                           "kratzer", 200, 10))
+        assert fit.n_entries == 201 * 11
+        with pytest.raises(AssertionError, match="residuals computed"):
+            fit.residual_max
+        with pytest.raises(AssertionError, match="residuals computed"):
+            fit.residual_rms
+
+    @pytest.mark.parametrize("kind", ["kratzer", "pho"])
+    def test_constants_fit_computes_no_residuals(self, no_residuals, kind):
+        argv = ["constants", "--potential", kind, "--molecule", "H2", "--fit"]
+        entry = next(entry for entry in test_golden.load() if entry["argv"] == argv)
+        code, out, err = test_golden._run_in_process(argv)
+        assert (code, test_golden._record(out), test_golden._record(err)) == (
+            entry["exit"], entry["stdout"], entry["stderr"])
+
+    def test_fits_of_one_table_are_equal_and_show_no_arrays(self):
+        table = closed_form_table(synthetic_molecule(36.0), Deformation(4e-5), "pho", 10, 3)
+        fit, again = fit_dunham(table), fit_dunham(table)
+        assert fit._solve is not again._solve
+        assert fit == again and hash(fit) == hash(again)
+        assert repr(fit) == f"DunhamFit(constants={fit.constants!r}, n_entries=44)"
+        assert [f.name for f in dataclasses.fields(fit)] == ["constants", "n_entries", "_solve"]
 
 
 class TestDuplicateCheck:
