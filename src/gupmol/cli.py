@@ -56,12 +56,6 @@ EXIT_DATA = 3
 EXIT_VERIFY = 4
 
 QN_CAP = 200  # safety cap on --nmax / --lmax
-# spectrum tables of up to this many levels are built one Model.level call at a
-# time, on Python floats and without numpy; larger ones by one Model.table call.
-# Warm, a deformed table is faster as the loop up to 16 levels (4 x 4) and as
-# one table from 20; the one-level loop needs no numpy, which a cold start
-# imports in about 0.15 s.
-PER_LEVEL_MAX = 16
 DATA_DIR_ENV = "GUPMOL_DATA_DIR"
 
 # verify flag -> closed_vs_oracle_sweep keyword; unset flags keep the sweep's defaults
@@ -180,24 +174,16 @@ def _spectrum_rows(model: Model, molecule: Molecule, deformation: Deformation, n
     """The levels n <= n_max, ell <= l_max in n-major order, energies in the
     unit of which 1 eV is ``per_ev``.
 
-    Both ways of building them (see PER_LEVEL_MAX) give the same rows bit for
-    bit and, once _summarize_warnings folds them, the same warning line.
+    Each level is one Model.level call on Python floats, so a spectrum of any
+    size loads no numpy; a level equals its Model.table entry bit for bit.
     """
-    if (n_max + 1) * (l_max + 1) <= PER_LEVEL_MAX:
-        levels = [model.level(molecule, deformation, QuantumNumbers(n, ell))
-                  for n in range(n_max + 1) for ell in range(l_max + 1)]
-        n, ell = [lv.qn.n for lv in levels], [lv.qn.ell for lv in levels]
-        columns = [[x * per_ev for x in column]
-                   for column in zip(*((lv.e0, lv.de, lv.total) for lv in levels))]
-    else:
-        import numpy as np
-
-        n, ell, e0, _, de = model.table(molecule, deformation, n_max, l_max)
-        n, ell = n.tolist(), ell.tolist()
-        with np.errstate(over="ignore"):  # an overflow is inf, which _require_finite refuses
-            columns = [(x * per_ev).tolist() for x in (e0, de, e0 + de)]
-    return [{"n": a, "l": b, "e0": c, "delta_e": d, "total": e}
-            for a, b, c, d, e in zip(n, ell, *columns)]
+    rows = []
+    for n in range(n_max + 1):
+        for ell in range(l_max + 1):
+            lv = model.level(molecule, deformation, QuantumNumbers(n, ell))
+            rows.append({"n": n, "l": ell, "e0": lv.e0 * per_ev, "delta_e": lv.de * per_ev,
+                         "total": lv.total * per_ev})
+    return rows
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:

@@ -166,6 +166,8 @@ class Deformation:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.beta) and self.beta >= 0.0):
             raise DomainError(f"beta must be finite and >= 0, got {self.beta!r}")
+        if self.beta == 0.0:  # -0.0 passes the check above; store it as +0.0
+            object.__setattr__(self, "beta", 0.0)
 
     @property
     def minimal_length(self) -> float:

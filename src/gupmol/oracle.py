@@ -160,22 +160,20 @@ def _check_states(energies, states, v_eff: np.ndarray, r_min: float, r_max: floa
 
 def _walk(r: np.ndarray, v: np.ndarray, mu: float, e_top: float, budget: float) -> float | None:
     """Where a walk over the points ``r``, with V_eff ``v`` there, ends: on
-    to the turning point of e_top, then on until ``budget`` WKB e-foldings
-    (each point's k times the length of the step after it) are spent.  None
-    if the points run out.
+    until ``budget`` > 0 WKB e-foldings (each point's k times the length of
+    the step after it) are spent.  None if the points run out.
+
+    k is 0 at every point below e_top, so the sum starts at the turning point
+    of e_top: each term before it is +0, which leaves the running sum as it is.
     """
     import numpy as np
 
-    turning = ~(v[:-1] < e_top)
-    j = int(np.argmax(turning))
-    if not turning[j]:
-        return None
     with np.errstate(over="ignore"):  # an overflow is inf, which spends any budget
-        decay = np.cumsum(np.sqrt(2.0 * mu * np.maximum(v[j:-1] - e_top, 0.0))
-                          * np.abs(np.diff(r[j:])))
+        decay = np.cumsum(np.sqrt(2.0 * mu * np.maximum(v[:-1] - e_top, 0.0))
+                          * np.abs(np.diff(r)))
     spent = ~(decay < budget)
     i = int(np.argmax(spent))
-    return float(r[j + i + 1]) if spent[i] else None
+    return float(r[i + 1]) if spent[i] else None
 
 
 def _box_grid(potential: RadialPotential, r_scale: float) -> tuple[np.ndarray, np.ndarray]:

@@ -1,7 +1,6 @@
 import argparse
 import csv
 import io
-import itertools
 import json
 import math
 import os
@@ -33,7 +32,6 @@ from gupmol import (
 )
 from gupmol import cli
 from gupmol.cli import (
-    ENERGY_UNITS,
     EXIT_CONFIG,
     EXIT_DATA,
     EXIT_INTERNAL,
@@ -42,6 +40,7 @@ from gupmol.cli import (
     build_parser,
     main,
 )
+from gupmol.core import _per_ev
 from gupmol.spectroscopy import MODELS
 
 
@@ -138,23 +137,15 @@ class TestSpectrum:
         assert code == EXIT_CONFIG
         assert "nmax" in err
 
-    def test_table_at_the_cap_builds_no_quantum_numbers(self, capsys, qn_builds):
-        code, out, _ = run_main(
-            capsys, "spectrum", "--potential", "kratzer", "--molecule", "H2",
-            "--beta", "0", "--nmax", "200", "--lmax", "200",
-        )
-        assert code == EXIT_OK
-        assert len(parse_csv(out)) == 201 * 201
-        assert qn_builds == []
 
+class TestSpectrumRows:
+    """spectrum builds every table one Model.level call at a time; its rows are
+    Model.table's columns times the unit factor, bit for bit, and its warning
+    line is the one Model.table's warning folds into."""
 
-class TestSizeRule:
-    """spectrum builds up to cli.PER_LEVEL_MAX levels one at a time and larger tables
-    as one Model.table call; on either side of the rule both print the same bytes."""
-
-    # (nmax, lmax): PER_LEVEL_MAX levels, the most built one at a time, then the
-    # fewest built as one table, each as a square-ish and as a single-column table
-    SHAPES = [(3, 3), (4, 3), (15, 0), (16, 0), (0, 16)]
+    # (nmax, lmax): square-ish and single-column tables of 16 to 20 levels, and
+    # one of 2211 levels
+    SHAPES = [(3, 3), (4, 3), (16, 0), (0, 16), (200, 10)]
     DEFORMATIONS = [[], ["--beta", "1e-2"], ["--min-length-angstrom", "0.01"]]
     # a lambda <= 3/2 pole (kratzer) and lambda <= 1 pole (pho), a slope that is
     # nan (its polynomial overflows at gamma 1e80), and a shift that overflows to inf
@@ -165,44 +156,38 @@ class TestSizeRule:
         ["--potential", "pho", "--synthetic", "1,1,1", "--beta", "1e308"],
     ]
 
-    @staticmethod
-    def both_ways(capsys, monkeypatch, argv):
-        """(exit code, stdout, stderr) with every table built one level at a time,
-        then with every table built by Model.table."""
-        results = []
-        for per_level_max in (cli.QN_CAP ** 3, 0):
-            monkeypatch.setattr(cli, "PER_LEVEL_MAX", per_level_max)
-            results.append(run_main(capsys, *argv))
-        return results
-
-    def test_shapes_straddle_the_rule(self):
-        sizes = [(n + 1) * (ell + 1) for n, ell in self.SHAPES]
-        rule = cli.PER_LEVEL_MAX
-        assert sizes == [rule, rule + 4, rule, rule + 1, rule + 1]
-
     @pytest.mark.parametrize("shape", SHAPES, ids=lambda shape: f"{shape[0]}x{shape[1]}")
     @pytest.mark.parametrize("kind, molecule", [("kratzer", "H2-kratzer"), ("pho", "H2")])
-    def test_both_ways_print_the_same(self, capsys, monkeypatch, kind, molecule, shape):
+    def test_rows_are_the_table_times_the_factor(self, capsys, kind, molecule, shape):
+        (mol,) = [m for m in load_molecules(packaged_data_path("molecules.csv"))
+                  if m.name == molecule]
+        per_ev = _per_ev("internal")
         flagged = 0
-        for fmt, unit, deformation in itertools.product(("csv", "json"), ENERGY_UNITS,
-                                                        self.DEFORMATIONS):
-            argv = ["spectrum", "--potential", kind, "--molecule", molecule,
-                    "--nmax", str(shape[0]), "--lmax", str(shape[1]), "--units", unit,
-                    "--format", fmt, *deformation]
-            per_level, table = self.both_ways(capsys, monkeypatch, argv)
-            assert per_level == table, argv
-            assert per_level[0] == EXIT_OK, argv
-            flagged += "PerturbationWarning" in per_level[2]
+        for deformation in self.DEFORMATIONS:
+            code, out, err = run_main(capsys, "spectrum", "--potential", kind, "--molecule",
+                                      molecule, "--nmax", str(shape[0]), "--lmax",
+                                      str(shape[1]), "--units", "internal", "--format", "json",
+                                      *deformation)
+            assert code == EXIT_OK, err
+            document = json.loads(out)  # JSON floats are reprs: the printed floats themselves
+            with cli._summarize_warnings():
+                n, ell, e0, _, de = MODELS[kind].table(mol, Deformation(document["meta"]["beta"]),
+                                                       *shape)
+            assert capsys.readouterr().err == err
+            levels = document["levels"]
+            assert [(row["n"], row["l"]) for row in levels] == list(zip(n.tolist(), ell.tolist()))
+            printed = np.array([[row[k] for k in ("e0", "delta_e", "total")] for row in levels])
+            expected = np.column_stack([e0 * per_ev, de * per_ev, (e0 + de) * per_ev])
+            assert printed.tobytes() == expected.tobytes()
+            flagged += "PerturbationWarning" in err
         assert flagged  # --beta 1e-2 trips the summary line
 
     @pytest.mark.parametrize("shape", SHAPES, ids=lambda shape: f"{shape[0]}x{shape[1]}")
     @pytest.mark.parametrize("edge", EDGES, ids=["kratzer-pole", "pho-pole", "nan-shift",
                                                  "inf-shift"])
-    def test_both_ways_refuse_the_same(self, capsys, monkeypatch, edge, shape):
-        argv = ["spectrum", *edge, "--nmax", str(shape[0]), "--lmax", str(shape[1])]
-        per_level, table = self.both_ways(capsys, monkeypatch, argv)
-        assert per_level == table
-        code, out, err = per_level
+    def test_edges_are_refused(self, capsys, edge, shape):
+        code, out, err = run_main(capsys, "spectrum", *edge, "--nmax", str(shape[0]),
+                                  "--lmax", str(shape[1]))
         assert (code, out, len(err.splitlines())) == (EXIT_CONFIG, "", 1)
 
 

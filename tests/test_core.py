@@ -100,7 +100,7 @@ class TestUnitSystem:
         ["spectrum", "--potential", "pho", "--molecule", "H2", "--beta", "1e-6",
          "--nmax", "5", "--lmax", "5"],
         ["constants", "--potential", "pho", "--molecule", "H2", "--beta", "1e-5", "--fit"],
-    ], ids=["spectrum-per-level", "spectrum-table", "constants-fit"])
+    ], ids=["spectrum-per-level", "spectrum-6x6", "constants-fit"])
     def test_cli_prints_internal_values_times_the_factor(self, capsys, argv, unit):
         # JSON floats are reprs, so the printed numbers are the floats themselves
         def printed(unit):
@@ -223,6 +223,17 @@ class TestPoleMessages:
 class TestDeformation:
     def test_zero_beta(self):
         assert Deformation(0.0).minimal_length == 0.0
+
+    @pytest.mark.parametrize("beta", [0.0, -0.0, 0])
+    def test_zero_beta_is_stored_as_positive_zero(self, beta):
+        stored = Deformation(beta)
+        assert type(stored.beta) is float and math.copysign(1.0, stored.beta) == 1.0
+        assert math.copysign(1.0, stored.minimal_length) == 1.0
+
+    @pytest.mark.parametrize("beta", [1, 1e-6, np.float64(2e-5)])
+    def test_nonzero_beta_is_kept_as_given(self, beta):
+        stored = Deformation(beta).beta
+        assert type(stored) is type(beta) and stored == beta
 
     def test_known_value(self):
         assert Deformation(0.2).minimal_length == pytest.approx(1.0, rel=1e-14)

@@ -466,8 +466,7 @@ class TestWalk:
 
     @pytest.mark.parametrize("point, end", [(1, 2.0), (3, 4.0), (90, 91.0), (398, 399.0)])
     def test_nan_v_eff_ends_the_walk_at_the_next_point(self, point, end):
-        # ~(nan < e_top) makes a NaN the turning point if none comes before
-        # it, and its decay, nan, is not below the budget either
+        # a NaN's term makes the running sum nan, which is not below the budget
         v = self.V.copy()
         v[point] = math.nan
         assert self.walk(v) == end

@@ -124,8 +124,8 @@ from gupmol import (Deformation, Molecule, QuantumNumbers, kratzer_energy_deform
                     pho_spectroscopic_constants)
 runs = [
     ["spectrum", "--potential", "kratzer", "--molecule", "H2", "--beta", "1e-6"],
-    ["spectrum", "--potential", "pho", "--molecule", "H2",
-     "--nmax", str(gupmol.cli.PER_LEVEL_MAX - 1), "--lmax", "0"],
+    ["spectrum", "--potential", "pho", "--molecule", "H2", "--beta", "1e-6", "--nmax", "200",
+     "--lmax", "0"],
     ["constants", "--potential", "pho", "--molecule", "H2", "--beta", "1e-5"],
     ["fit-beta", "--molecule", "H2-kratzer", "--e-exp", "2170"],
     ["fit-beta", "--potential", "pho", "--molecule", "H2"],
@@ -156,17 +156,15 @@ def test_closed_form_commands_load_no_numpy():
 NUMPY_CALL = """
 import contextlib, io, json, sys
 import gupmol.cli
-argv = [arg.replace("{rule}", str(gupmol.cli.PER_LEVEL_MAX)) for arg in sys.argv[1:]]
 with contextlib.redirect_stdout(io.StringIO()):
-    code = gupmol.cli.main(argv)
+    code = gupmol.cli.main(sys.argv[1:])
 print(json.dumps({"code": code, "numpy": "numpy" in sys.modules}))
 """
 
 
 @pytest.mark.parametrize("argv", [
     ["constants", "--potential", "kratzer", "--molecule", "H2-kratzer", "--fit"],
-    ["spectrum", "--potential", "kratzer", "--molecule", "H2", "--nmax", "{rule}", "--lmax", "0"],
-], ids=["constants-fit", "spectrum-above-the-size-rule"])
+], ids=["constants-fit"])
 def test_array_commands_load_numpy(argv):
     proc = subprocess.run([sys.executable, "-c", NUMPY_CALL, *argv], capture_output=True,
                           text=True)
