@@ -35,6 +35,7 @@ from .core import (
     PerturbationWarning,
     QuantumNumbers,
     _per_ev,
+    _warn_first_order,
     gamma,
 )
 from .spectroscopy import (
@@ -174,15 +175,22 @@ def _spectrum_rows(model: Model, molecule: Molecule, deformation: Deformation, n
     """The levels n <= n_max, ell <= l_max in n-major order, energies in the
     unit of which 1 eV is ``per_ev``.
 
-    Each level is one Model.level call on Python floats, so a spectrum of any
-    size loads no numpy; a level equals its Model.table entry bit for bit.
+    The row stage runs once per ell and the n stage once per level on Python
+    floats, so no numpy loads and a level equals its Model.table entry bit for
+    bit; a flagged level warns, and gets a QuantumNumbers, as in Model.level.
     """
+    beta = deformation.beta
+    ell_rows = [(ell, model.row(molecule, float(ell), beta != 0.0)) for ell in range(l_max + 1)]
     rows = []
     for n in range(n_max + 1):
-        for ell in range(l_max + 1):
-            lv = model.level(molecule, deformation, QuantumNumbers(n, ell))
-            rows.append({"n": n, "l": ell, "e0": lv.e0 * per_ev, "delta_e": lv.de * per_ev,
-                         "total": lv.total * per_ev})
+        n_float = float(n)
+        for ell, row in ell_rows:
+            e0, _, slope = model.at(row, n_float)
+            de = 0.0 if slope is None else beta * slope
+            if abs(de) > FIRST_ORDER_WARN_RATIO * abs(e0):
+                _warn_first_order(molecule, QuantumNumbers(n, ell), de, e0, stacklevel=2)
+            rows.append({"n": n, "l": ell, "e0": e0 * per_ev, "delta_e": de * per_ev,
+                         "total": (e0 + de) * per_ev})
     return rows
 
 

@@ -387,57 +387,57 @@ class Model:
     """One potential's closed forms, as every routine that takes a kind reads them.
 
     ``potential(m, r)``, V on an array of radii, which the solver evaluates;
-    two array kernels, each the one home of its formulas; the band
-    constants; and the offset that moves a level to the well minimum.
-    ``energies(m, n, ell)`` gives the undeformed level on the
-    potential's own scale (from dissociation for the 1/r^2 - 1/r well) and the
-    level above the well minimum; ``slopes(m, n, ell)`` gives the shift per
-    unit beta.  Both take arrays of n and ell that broadcast (a column of n
-    against a row of ell for a table) and are written so that no large terms
-    cancel.  The scalar methods are float views of the same kernels run on
-    Python floats, so a level equals its table entry bit for bit; the package
-    exports them per potential.  ``expansion``, the large-gamma series of a
-    level, is the master expression of ``constants``, which holds its terms.
+    the closed forms in two stages, the one home of their formulas; the band
+    constants; and the offset that moves a level to the well minimum.  The
+    row stage ``row(m, ell, slopes)`` holds what depends on the molecule and
+    ell alone, and the slope's part, with the pole guard, only if ``slopes``.
+    The n stage ``at(row, n)`` gives (e0 on the potential's own scale, from
+    dissociation for the 1/r^2 - 1/r well; the level above the well minimum;
+    the shift per unit beta, None from a row without slopes).  Both take a
+    number or an array, and no large terms cancel in either: a table runs the
+    row stage on its ell row and the n stage on its n column, and the scalar
+    methods run both on Python floats, so a level equals its table entry bit
+    for bit; the package exports them per potential.  ``expansion``, the
+    large-gamma series of a level, is the master expression of ``constants``,
+    which holds its terms.
     """
 
     name: str
     potential: Callable[[Molecule, Any], Any]
-    energies: Callable[[Molecule, Any, Any], tuple[np.ndarray, np.ndarray]]
-    slopes: Callable[[Molecule, Any, Any], np.ndarray]
+    row: Callable[[Molecule, Any, bool], tuple]
+    at: Callable[[tuple, Any], tuple]
     constants: Callable[[Molecule, Deformation], SpectroscopicConstants]
     well_offset: Callable[[Molecule], float]
 
     def undeformed(self, m: Molecule, qn: QuantumNumbers) -> float:
         """Undeformed level on the potential's own energy scale."""
-        return float(self.energies(m, float(qn.n), float(qn.ell))[0])
+        return float(self.at(self.row(m, float(qn.ell), False), float(qn.n))[0])
 
     def slope(self, m: Molecule, qn: QuantumNumbers) -> float:
         """First-order shift per unit beta; DomainError at the formula's pole."""
-        return float(self.slopes(m, float(qn.n), float(qn.ell)))
-
-    def shift(self, m: Molecule, d: Deformation, qn: QuantumNumbers) -> float:
-        """First-order shift beta*slope; at beta = 0 the slope, whose poles a
-        shallow well can reach, is not evaluated."""
-        return 0.0 if d.beta == 0.0 else d.beta * self.slope(m, qn)
+        return float(self.at(self.row(m, float(qn.ell), True), float(qn.n))[2])
 
     def level(self, m: Molecule, d: Deformation, qn: QuantumNumbers) -> EnergyLevel:
-        """Level with its minimal-length shift (see shift); exact to first order
-        in beta.  Warns (PerturbationWarning) when |shift| exceeds
+        """Level with its minimal-length shift beta*slope, exact to first order in
+        beta; at beta = 0 the slope, whose poles a shallow well can reach, is not
+        evaluated.  Warns (PerturbationWarning) when |shift| exceeds
         FIRST_ORDER_WARN_RATIO of |e0|, where first order stops being a
         controlled approximation.
         """
-        e0 = self.undeformed(m, qn)
-        de = self.shift(m, d, qn)
+        e0, _, slope = self.at(self.row(m, float(qn.ell), d.beta != 0.0), float(qn.n))
+        e0 = float(e0)
+        de = 0.0 if slope is None else d.beta * float(slope)
         if abs(de) > FIRST_ORDER_WARN_RATIO * abs(e0):
             _warn_first_order(m, qn, de, e0, stacklevel=3)  # at the caller of level
         return EnergyLevel(qn=qn, e0=e0, de=de)
 
     def table(self, m: Molecule, d: Deformation, n_max: int, l_max: int):
-        """Every level n <= n_max, ell <= l_max in n-major order, one kernel call each,
-        as flat columns: (n, ell, e0, level above the minimum, shift), n and ell
-        int64.  The n and ell columns come from the grid built once per (n_max,
-        l_max) and shared read-only by every table of that shape (see _grid, which
-        also holds the shape's fit basis); the other three are new arrays.
+        """Every level n <= n_max, ell <= l_max in n-major order, the row stage run
+        on the ell row and the n stage on the n column, as flat columns: (n, ell,
+        e0, level above the minimum, shift), n and ell int64.  The n and ell
+        columns come from the grid built once per (n_max, l_max) and shared
+        read-only by every table of that shape (see _grid, which also holds the
+        shape's fit basis); the other three are new arrays.
         Flags levels as ``level`` does, but warns once per table, at the caller of
         closed_form_table: the warning's ``count`` is the number flagged and its
         ``qn`` and ``ratio`` are the first level of largest |shift| / |e0|, the only
@@ -450,8 +450,8 @@ class Model:
         _require_counts(n_max=n_max, l_max=l_max)
         n_col, ell_col, n, ell, _ = _grid(int(n_max), int(l_max))
         with np.errstate(over="ignore", invalid="ignore"):
-            e0, e_min = self.energies(m, n, ell)
-            de = np.zeros_like(e0) if d.beta == 0.0 else d.beta * self.slopes(m, n, ell)
+            e0, e_min, slope = self.at(self.row(m, ell, d.beta != 0.0), n)
+            de = np.zeros_like(e0) if slope is None else d.beta * slope
         e0, e_min, de = e0.ravel(), e_min.ravel(), de.ravel()
         if d.beta == 0.0:  # |0| > ratio |e0| holds for no e0, nan and inf included
             return n_col, ell_col, e0, e_min, de

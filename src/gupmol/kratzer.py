@@ -9,8 +9,6 @@ equation on this potential, live in :mod:`gupmol.oracle`.
 """
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from .core import (
     Deformation,
     Model,
@@ -19,12 +17,8 @@ from .core import (
     _reject_pole,
     _series_gamma,
     gamma,
-    lambda_kratzer,
     lambda_pho,
 )
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 def _potential(m: Molecule, r):
@@ -37,78 +31,74 @@ def _potential(m: Molecule, r):
     return m.de * m.re * m.re / (r * r) - 2.0 * m.de * m.re / r
 
 
-def _slope_polynomial(lam, n, a2):
-    """P(lambda, n, a^2), the slope's bracket times
+def _slope_coefficients(lam, a2):
+    """(c2, c1, c0) of P = (c2 n + c1) n + c0, the slope's bracket times
     16 lambda (lambda-1) N (2lambda-3)(2lambda-1)(2lambda+1) once gamma^2 =
     (lambda-1/2)^2 - a^2 is substituted: the paper's O(1) terms, which cancel
-    to O(1/gamma^2), cancel here symbolically.  Grouped by powers of n,
-    (c2 n + c1) n + c0, where with u = lambda (lambda-1) the c_k share two
-    polynomials in u and a^2:
+    to O(1/gamma^2), cancel here symbolically.  With u = lambda (lambda-1)
+    the c_k share two polynomials in u and a^2:
 
         y = (48 a^2 + 32 u - 120) a^2 + 28 u + 27,   z = (48 u - 36) u,
         c2 = y + z,   c1 = 2 lambda y + z,
         c0 = lambda y + ((32 a^2 - 64) a^2 + 24 u + 14) u.
 
-    On a table the c_k are computed once on the ell row, and only the two
-    multiply-adds in n run on the full grid.  Plain arithmetic on floats and
-    arrays alike; the coefficients are whole numbers, which sympy's
-    nsimplify recovers exactly.
+    Plain arithmetic on floats and arrays alike; the coefficients are whole
+    numbers, which sympy's nsimplify recovers exactly.
     """
     u = lam * (lam - 1.0)
     y = (48.0 * a2 + 32.0 * u - 120.0) * a2 + 28.0 * u + 27.0
     z = (48.0 * u - 36.0) * u
     v = lam * y
-    c2 = y + z
-    c1 = 2.0 * v + z
-    c0 = v + ((32.0 * a2 - 64.0) * a2 + 24.0 * u + 14.0) * u
-    return (c2 * n + c1) * n + c0
+    return y + z, 2.0 * v + z, v + ((32.0 * a2 - 64.0) * a2 + 24.0 * u + 14.0) * u
 
 
-def _energies(m: Molecule, n, ell) -> tuple[np.ndarray, np.ndarray]:
-    """Exact bound level -gamma^2 de/N^2 (N = lambda + n), always in (-de, 0),
-    and the same level above the well minimum,
-
-        de (n + 1/2 + a^2/(R + gamma)) (N + gamma)/N^2,   a = ell + 1/2,
-        R = lambda - 1/2 = sqrt(a^2 + gamma^2),
-
-    the difference of squares de (N - gamma)(N + gamma)/N^2 with
-    N - gamma = n + 1/2 + R - gamma written without cancellation.
+def _row(m: Molecule, ell, slopes: bool) -> tuple:
+    """The row stage (see Model): gamma, lambda = 1/2 + R with R =
+    sqrt(a^2 + gamma^2), a = ell + 1/2, the level's ell-only terms and, with
+    ``slopes``, the slope's c_k and its ell-only factors (2lambda-3)(2lambda-1)
+    (2lambda+1) and mu de^2/(lambda (lambda-1)), about de/(2 re^2).  The
+    slope's inverse-power expectation values give it poles at lambda = 1 and
+    3/2, so lambda <= 3/2 (gamma^2 + ell(ell+1) <= 3/4 + ...) is rejected
+    there; physical molecules have gamma >> 1 and never get near it.
     """
     g = gamma(m)
     r = lambda_pho(g, ell)
-    a = ell + 0.5
-    nn = (0.5 + r) + n
-    e0 = -g * g * m.de / (nn * nn)
-    e_min = m.de * (n + 0.5 + a * a / (r + g)) * (nn + g) / (nn * nn)
-    return e0, e_min
+    lam = 0.5 + r
+    a2 = (ell + 0.5) * (ell + 0.5)
+    row = g, lam, -g * g * m.de, m.de, a2 / (r + g)
+    if not slopes:
+        return *row, None
+    _reject_pole(lam <= 1.5, lam, ell, g, "has poles for lambda <= 3/2")
+    x = 2.0 * lam
+    return *row, (*_slope_coefficients(lam, a2), (x - 3.0) * (x - 1.0) * (x + 1.0),
+                  m.mu * m.de * m.de / (lam * (lam - 1.0)))
 
 
-def _slopes(m: Molecule, n, ell) -> np.ndarray:
-    """First-order level shift per unit beta, d(Delta E)/d(beta):
+def _at(row: tuple, n) -> tuple:
+    """The n stage (see Model): the exact bound level -gamma^2 de/N^2
+    (N = lambda + n), always in (-de, 0); the same level above the minimum,
+
+        de (n + 1/2 + a^2/(R + gamma)) (N + gamma)/N^2,
+
+    a difference of squares with N - gamma = n + 1/2 + R - gamma written
+    without cancellation; and the shift per unit beta,
 
         mu de^2 (2 gamma/N)^4 P / (16 lambda (lambda-1) N (2lambda-3)(2lambda-1)(2lambda+1))
 
-    with P from _slope_polynomial; the 16s cancel.  On a table the
-    lambda-only factors are two ell rows: (2lambda-3)(2lambda-1)(2lambda+1),
-    which divides P, and mu de^2/(lambda (lambda-1)), about de/(2 re^2),
-    which multiplies P/N (gamma/N)^4 last.  Kept apart, no factor leaves
-    float range before P does (gamma ~ 4e76 at n = 0), so a slope is
-    accurate, inf or nan, never a denominator's overflow to 0.
-    The closed form has poles at lambda = 1 and lambda = 3/2 coming from the
-    inverse-power expectation values it is built from, so lambda <= 3/2
-    (gamma^2 + ell(ell+1) <= 3/4 + ...) is rejected; physical molecules have
-    gamma >> 1 and never get near the guard.
+    with P from _slope_coefficients.  P is divided by the row's factors one at
+    a time, so none leaves float range before P does (gamma ~ 4e76 at n = 0): a
+    slope is accurate, inf or nan, never a denominator's overflow to 0.
     """
-    g = gamma(m)
-    lam = lambda_kratzer(g, ell)
-    _reject_pole(lam <= 1.5, lam, ell, g, "has poles for lambda <= 3/2")
-    a = ell + 0.5
-    x = 2.0 * lam
+    g, lam, e_top, de, q, slope = row
     nn = lam + n
+    n2 = nn * nn
+    e0, e_min = e_top / n2, de * (n + 0.5 + q) * (nn + g) / n2
+    if slope is None:
+        return e0, e_min, None
+    c2, c1, c0, den, k = slope
     t = g / nn
     t2 = t * t
-    return (_slope_polynomial(lam, n, a * a) / ((x - 3.0) * (x - 1.0) * (x + 1.0)) / nn
-            * (t2 * t2) * (m.mu * m.de * m.de / (lam * (lam - 1.0))))
+    return e0, e_min, ((c2 * n + c1) * n + c0) / den / nn * (t2 * t2) * k
 
 
 def kratzer_spectroscopic_constants(m: Molecule, d: Deformation) -> SpectroscopicConstants:
@@ -133,13 +123,15 @@ def kratzer_spectroscopic_constants(m: Molecule, d: Deformation) -> Spectroscopi
     identically when n == ell.
 
     y00 is referenced to the potential minimum (the well-depth offset -de is
-    not part of it).  The rotational constant be = de/gamma^2 carries no beta
-    term: the deformation leaves it untouched.  With beta > 0, a molecule
-    whose (n = 0, ell = 0) shift is at its pole (gamma^2 <= 3/4) is refused
-    with the slope's DomainError, as its levels are.
+    not part of it).  The rotational constant be = de/gamma^2 has no beta term
+    through 1/gamma^3 only: the exact Y01, d(level)/d(ell(ell+1)) at nu = 0 and
+    ell(ell+1) = 0, has the beta part -9.5 beta*mu*de^2/g^4 to leading order,
+    beyond the truncation.  With beta > 0, a molecule whose (n = 0, ell = 0)
+    shift is at its pole (gamma^2 <= 3/4) is refused with the slope's
+    DomainError, as its levels are.
     """
     if d.beta > 0.0:
-        _slopes(m, 0.0, 0.0)  # DomainError at the shift's pole, as the levels have it
+        _row(m, 0.0, True)  # DomainError at the shift's pole, as the levels have it
     g = _series_gamma(m)
     bm = d.beta * m.mu * m.de * m.de
     return SpectroscopicConstants(
@@ -155,8 +147,8 @@ def kratzer_spectroscopic_constants(m: Molecule, d: Deformation) -> Spectroscopi
 KRATZER = Model(
     name="kratzer",
     potential=_potential,
-    energies=_energies,
-    slopes=_slopes,
+    row=_row,
+    at=_at,
     constants=kratzer_spectroscopic_constants,
     well_offset=lambda m: m.de,  # the well bottom sits at -de
 )

@@ -217,10 +217,10 @@ def closed_form_table(
 ) -> LevelTable:
     """Level table from the closed forms, energies from the potential minimum.
 
-    One evaluation of the model's kernels over the whole (n, ell) grid, rows
-    in n-major order; the kernel's columns become the table's, with no
-    per-level object, and its fit basis is the one core._grid keeps for its
-    shape.  Each energy is the kernel's level above the well minimum plus its
+    One run of the model's two stages over the whole (n, ell) grid (Model.table),
+    rows in n-major order; its columns become the table's, with no per-level
+    object, and its fit basis is the one core._grid keeps for its shape.
+    Each energy is the closed form's level above the well minimum plus its
     shift, so fitted y00 is directly comparable with the closed-form constant.
     n_max and l_max must be nonnegative integers.
     """
@@ -260,8 +260,8 @@ def fit_beta_bound(m: Molecule, e_exp: float, qn: QuantumNumbers, kind: str) -> 
     model = get_model(kind)
     if not math.isfinite(e_exp):
         raise DomainError(f"e_exp must be finite, got {e_exp!r}")
-    e_theory = float(model.energies(m, qn.n, qn.ell)[1])  # the level above the minimum
-    slope = model.slope(m, qn)
+    _, e_theory, slope = model.at(model.row(m, float(qn.ell), True), float(qn.n))
+    e_theory, slope = float(e_theory), float(slope)  # the level above the minimum
     if not (math.isfinite(e_theory) and math.isfinite(slope)):
         raise DomainError(
             f"level (n={qn.n}, ell={qn.ell}) of {m.name!r} at gamma = {gamma(m)!r} is out of "

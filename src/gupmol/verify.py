@@ -19,7 +19,6 @@ from .core import (
     Deformation,
     DomainError,
     GupmolError,
-    QuantumNumbers,
     _require_counts,
     _require_positive,
     synthetic_molecule,
@@ -138,8 +137,9 @@ def closed_vs_oracle_sweep(
         for gamma_value, m in zip(gammas, molecules):
             closed = []
             for ell in range(l_max + 1):
-                pairs = [(model.undeformed(m, qn), model.shift(m, deformation, qn))
-                         for qn in (QuantumNumbers(n=n, ell=ell) for n in range(n_max + 1))]
+                row = model.row(m, float(ell), deformation.beta != 0.0)
+                pairs = [(float(e0), 0.0 if slope is None else deformation.beta * float(slope))
+                         for e0, _, slope in (model.at(row, float(n)) for n in range(n_max + 1))]
                 for n, (e_closed, de_closed) in enumerate(pairs):
                     if not (math.isfinite(e_closed) and math.isfinite(de_closed)):
                         raise DomainError(

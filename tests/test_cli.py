@@ -139,9 +139,9 @@ class TestSpectrum:
 
 
 class TestSpectrumRows:
-    """spectrum builds every table one Model.level call at a time; its rows are
-    Model.table's columns times the unit factor, bit for bit, and its warning
-    line is the one Model.table's warning folds into."""
+    """spectrum builds every table one level at a time on Python floats; its rows
+    are Model.table's columns times the unit factor, bit for bit, and its
+    warning line is the one Model.table's warning folds into."""
 
     # (nmax, lmax): square-ish and single-column tables of 16 to 20 levels, and
     # one of 2211 levels
@@ -181,6 +181,23 @@ class TestSpectrumRows:
             assert printed.tobytes() == expected.tobytes()
             flagged += "PerturbationWarning" in err
         assert flagged  # --beta 1e-2 trips the summary line
+
+    @pytest.mark.parametrize("kind", ["kratzer", "pho"])
+    def test_one_row_per_ell(self, capsys, monkeypatch, qn_builds, kind):
+        # gamma depends on the molecule alone: the row stage computes it once per
+        # ell, and an unflagged level builds no QuantumNumbers
+        calls = []
+
+        def counted(m):
+            calls.append(None)
+            return gamma(m)
+
+        monkeypatch.setattr(f"gupmol.{kind}.gamma", counted)
+        code, out, err = run_main(capsys, "spectrum", "--potential", kind, "--molecule", "H2",
+                                  "--nmax", "30", "--lmax", "30", "--beta", "1e-6")
+        assert (code, err, len(parse_csv(out))) == (EXIT_OK, "", 31 * 31)
+        assert 0 < len(calls) <= 31
+        assert qn_builds == []
 
     @pytest.mark.parametrize("shape", SHAPES, ids=lambda shape: f"{shape[0]}x{shape[1]}")
     @pytest.mark.parametrize("edge", EDGES, ids=["kratzer-pole", "pho-pole", "nan-shift",

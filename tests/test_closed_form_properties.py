@@ -38,10 +38,11 @@ def _molecule(g, de=1.7, re=0.9):
 def test_levels_increase_in_n_and_ell(kind, g, n, ell):
     model = MODELS[kind]
     m = _molecule(g)
+    row, next_row = model.row(m, ell, False), model.row(m, ell + 1, False)
     for index in (0, 1):  # the level on the model's scale, and above the minimum
-        level = float(model.energies(m, n, ell)[index])
-        assert float(model.energies(m, n + 1, ell)[index]) > level
-        assert float(model.energies(m, n, ell + 1)[index]) > level
+        level = float(model.at(row, n)[index])
+        assert float(model.at(row, n + 1)[index]) > level
+        assert float(model.at(next_row, n)[index]) > level
 
 
 @PROPERTY
@@ -79,7 +80,8 @@ def test_table_equals_its_scalar_views_bit_for_bit(kind, g, n_max, l_max, beta):
     assert e0.tolist() == [level.e0 for level in levels]
     assert de.tolist() == [level.de for level in levels]
     assert e0.tolist() == [model.undeformed(m, qn) for qn in qns]
-    assert e_min.tolist() == [float(model.energies(m, qn.n, qn.ell)[1]) for qn in qns]
+    assert e_min.tolist() == [float(model.at(model.row(m, qn.ell, False), qn.n)[1])
+                              for qn in qns]
     assert [e for _, e in table.entries] == (e_min + de).tolist()
     assert [qn for qn, _ in table.entries] == list(qns)
 

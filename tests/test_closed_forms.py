@@ -3,7 +3,7 @@
 The paper writes each undeformed level and shift slope in a form whose O(1)
 terms cancel at large gamma; the kernels use rearranged forms in which they
 cancel symbolically.  The paper's forms are kept here as the specification:
-sympy proves that the kernels' slope polynomials (``_slope_polynomial``) and
+sympy proves that the kernels' slope polynomials (``_slope_coefficients``) and
 the rearranged levels equal them identically, and an mpmath evaluation of
 them at 60 digits and more bounds the kernels' float64 error.  The structural
 properties are tested in test_closed_form_properties.py.
@@ -76,9 +76,11 @@ def paper_pho(g, a, n, de, mu, sqrt, half):
 PAPER = {"kratzer": paper_kratzer, "pho": paper_pho}
 
 
-def exact(sp, expr):
-    """The code's polynomial with its float coefficients, all whole numbers, as integers."""
-    return sp.nsimplify(expr, rational=True)
+def exact(sp, coefficients, n):
+    """The code's slope polynomial (c2 n + c1) n + c0, its float coefficients,
+    all whole numbers, as integers."""
+    c2, c1, c0 = coefficients
+    return sp.nsimplify((c2 * n + c1) * n + c0, rational=True)
 
 
 class TestIdentities:
@@ -102,7 +104,8 @@ class TestIdentities:
         lam = half + r
         nn = lam + n
         new_e_min = de * (n + half + a * a / (r + g)) * (nn + g) / (nn * nn)
-        new_slope = (mu * de * de * (2 * g / nn) ** 4 * exact(sp, kratzer._slope_polynomial(lam, n, a * a))
+        bracket = exact(sp, kratzer._slope_coefficients(lam, a * a), n)
+        new_slope = (mu * de * de * (2 * g / nn) ** 4 * bracket
                      / (16 * lam * (lam - 1) * nn * (2 * lam - 3) * (2 * lam - 1) * (2 * lam + 1)))
         assert sp.simplify(new_e_min - e_min) == 0
         assert sp.simplify(new_slope - slope) == 0
@@ -113,7 +116,7 @@ class TestIdentities:
         lam = sp.sqrt(g * g + a * a)
         delta = a * a / (lam + g)
         new_e0 = 2 * de * (2 * n + 1 + delta) / g
-        new_slope = (4 * mu * de * de * exact(sp, pho._slope_polynomial(lam, a * a, n))
+        new_slope = (4 * mu * de * de * exact(sp, pho._slope_coefficients(lam, a * a), n)
                      / (g * g * lam * (lam - 1) * (lam + 1)))
         assert sp.simplify(new_e0 - e0) == 0
         assert sp.simplify(new_slope - slope) == 0
@@ -147,6 +150,25 @@ def test_against_60_digits(kind, g):
                     assert math.isfinite(value), (kind, g, n, ell, label, value)
                     err = abs((mp.mpf(value) - want) / want)
                     assert err <= bound, (kind, g, n, ell, label, float(err))
+
+
+@pytest.mark.parametrize("kind, leading", [("kratzer", -9.5), ("pho", -6.0)])
+def test_be_has_no_beta_term_only_through_the_series_order(kind, leading):
+    """The constants' be has no beta term, as their series stops at 1/gamma^3.
+    The exact Y01's beta part, d(slope)/d(ell(ell+1)) at nu = 0 and
+    ell(ell+1) = 0 of the paper's form, is leading * mu de^2/gamma^4 plus a
+    term in 1/gamma^6 (measured 12/gamma^6 for Kratzer and 6.8/gamma^6 for
+    pho)."""
+    mp = pytest.importorskip("mpmath").mp
+    for g in (20.0, 100.0, 1000.0):
+        m = Molecule("x", de=1.0, re=1.0, mu=g * g / 2.0)
+        be = [MODELS[kind].constants(m, Deformation(beta)).be for beta in (0.0, 1e-3)]
+        assert be[0] == be[1]
+        with mp.workdps(60 + 2 * math.ceil(math.log10(g))):
+            half = mp.mpf(1) / 2
+            y01 = mp.diff(lambda a2: PAPER[kind](mp.mpf(g), mp.sqrt(a2), -half, 1, 1, mp.sqrt,
+                                                 half)[2], half * half)
+            assert abs(y01 * g**4 - leading) <= 15.0 / g**2, (kind, g, float(y01 * g**4))
 
 
 def test_cli_prints_checked_shifts_for_deep_wells(capsys):

@@ -126,6 +126,10 @@ runs = [
     ["spectrum", "--potential", "kratzer", "--molecule", "H2", "--beta", "1e-6"],
     ["spectrum", "--potential", "pho", "--molecule", "H2", "--beta", "1e-6", "--nmax", "200",
      "--lmax", "0"],
+    ["spectrum", "--potential", "kratzer", "--molecule", "H2-kratzer", "--beta", "1e-6",
+     "--nmax", "200", "--lmax", "200"],
+    ["spectrum", "--potential", "pho", "--molecule", "H2", "--beta", "1e-6", "--nmax", "200",
+     "--lmax", "200"],
     ["constants", "--potential", "pho", "--molecule", "H2", "--beta", "1e-5"],
     ["fit-beta", "--molecule", "H2-kratzer", "--e-exp", "2170"],
     ["fit-beta", "--potential", "pho", "--molecule", "H2"],
@@ -148,7 +152,7 @@ def test_closed_form_commands_load_no_numpy():
     proc = subprocess.run([sys.executable, "-c", NUMPY_FREE], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
-    assert result["codes"] == [0, 0, 0, 0, 0, 2]
+    assert result["codes"] == [0, 0, 0, 0, 0, 0, 0, 2]
     assert result["numpy"] == {"import gupmol": False, "spectrum": False, "constants": False,
                                "fit-beta": False, "verify": False, "library": False}
 

@@ -664,9 +664,9 @@ class TestBetaBound:
     @pytest.mark.parametrize("kind", ["kratzer", "pho"])
     def test_minimal_length_is_that_of_the_bound(self, kind):
         m = synthetic_molecule(200.0)
+        level = MODELS[kind].at(MODELS[kind].row(m, 2, False), 1)[1]  # above the minimum
         for gap in (0.0, 1e-9, 1e-4, 0.3):
-            bound = fit_beta_bound(m, MODELS[kind].energies(m, 1, 2)[1] + gap,
-                                   QuantumNumbers(1, 2), kind)
+            bound = fit_beta_bound(m, level + gap, QuantumNumbers(1, 2), kind)
             assert bound.minimal_length_upper == Deformation(bound.beta_upper).minimal_length
 
     def test_fields_are_the_bound_and_its_basis(self):
